@@ -7,14 +7,14 @@ propositionally and reassembled into rule traces.
 """
 
 from goedel_logics import (
-    herbrand_form, parse, print_formula, prove_prenex, reassemble,
+    HerbrandProblem, parse, print_formula, prove_prenex, reassemble,
     verify_certificate, verify_trace,
 )
 
 # Herbrand form: universal variables become fresh function symbols
 # applied to the preceding existential variables.
-p = herbrand_form(parse("exists x. forall y. (A(y) -> A(x))"))
-print("Herbrand form:", print_formula(p.herbrand_form))
+p = HerbrandProblem(parse("exists x. forall y. (A(y) -> A(x))"))
+print("Herbrand form:", print_formula(p.existential_form))
 print("base prefix:  ", [print_formula(a) for a in p.base(4)])
 
 # The chain formula is valid in every finite-valued logic but not over

@@ -15,8 +15,8 @@ from .formula import (
 from .goedelset import (
     Cantor, Classification, GoedelSet, Interval, Point, SeqDown, SeqUp,
     cb_kernel, classify, embed_into_perfect, finite_elements, make_set,
-    member, parse_set, print_set, sample_finite, saturate_above_kernel_inf,
-    unit_interval, v_down, v_m, v_up,
+    gm_values, member, parse_set, print_set, sample_finite,
+    saturate_above_kernel_inf, unit_interval, v_down, v_m, v_up,
 )
 from .semantics import (
     ConstTail, FiniteInterpretation, Harmonic, OmegaInterpretation,
@@ -24,15 +24,14 @@ from .semantics import (
     dump_interpretation, map_h, one_entails_bruteforce, saturate_transfer,
     value_set,
 )
-from .decide import decide_Gm, decide_LC, decide_LC_by_order_types, gm_values
+from .decide import decide_Gm, decide_LC, extend, representative
 from .proofkit import (
     Builder, CheckResult, Derivation, Step, check, format_derivation,
     match_axiom, parse_derivation, soundness_sample,
 )
 from .herbrand import (
-    Certificate, HerbrandProblem, certificate_from_json, closes, enum_base,
-    extend, herbrand_form, prove_prenex, reassemble, representative,
-    verify_certificate, verify_trace,
+    Certificate, HerbrandProblem, certificate_from_json, closes, prove_prenex,
+    reassemble, verify_certificate, verify_trace,
 )
 from .transforms import (
     InadmissibleShiftError, ReductionOutput, forall_free_shift, prenex_crisp,

@@ -304,6 +304,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _Failure as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except (decide.TooManyAtomsError, semantics.BudgetExceededError,
+            herbrand.ResourceBudgetError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_UNKNOWN
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
     except (FormulaError, ArityConflictError, SetSyntaxError, EmptyKernelError,
             transforms.TransformError, proofkit.ProofError, herbrand.HerbrandError,
             decide.DecideError, semantics.SemanticsError, ValueError,

@@ -1,12 +1,18 @@
 """Decision procedures for propositional G_m and Goedel-Dummett LC.
 
-Quantifier-free formulas are decided by exhaustive evaluation: atoms
-(ground first-order atoms included) are treated as opaque propositional
-letters ranging over the m truth values of V_m.  LC is decided through
-the finite reduction decide_Gm(f, n+2): whether a formula evaluates to 1
-depends only on the relative order of its atom values together with 0
-and 1, and n atoms realize at most n+2 order positions, so validity in
-G_{n+2} coincides with validity over every infinite truth-value set.
+Quantifier-free formulas are evaluated with atoms (ground first-order
+atoms included) treated as opaque propositional letters.  G_m is decided
+by exhaustive evaluation over the m truth values of V_m.
+
+LC is decided by order-invariance: the value of a formula depends only
+on how its atom values are ordered among themselves and relative to 0
+and 1.  Such an order is a pinned weak order, a weak linear order of
+{bot, letters, top} whose least class holds bot and whose greatest holds
+top; evaluating once at a representative of every pinned weak order
+settles validity over every infinite truth-value set.  The same
+enumerator (ROOT, extend, representative) grows the Herbrand semantic
+tree.  The paper's finite reduction, validity in G_{n+2} for n atoms,
+is an independent route to the same verdict.
 """
 
 from __future__ import annotations
@@ -14,13 +20,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Mapping, Optional
 
-from .formula import (
-    Atom, Bot, And, Or, Imp, Forall, Exists, Formula, atoms, print_formula,
-)
+from .formula import Atom, Bot, And, Or, Imp, Formula, atoms, print_formula
+from .goedelset import gm_values
 
 ONE = Fraction(1)
+
+BOT_MARK = "bot"
+TOP_MARK = "top"
 
 
 class DecideError(Exception):
@@ -36,15 +44,6 @@ class TooManyAtomsError(DecideError):
 
 
 PropValuation = dict[Atom, Fraction]
-
-
-def gm_values(m: int) -> list[Fraction]:
-    """The m-element truth set V_m = {1 - 1/k : 1 <= k <= m-1} + {1}."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    vals = {Fraction(0), Fraction(1)}
-    vals.update(1 - Fraction(1, k) for k in range(1, m))
-    return sorted(vals)
 
 
 def eval_prop(f: Formula, valuation: PropValuation) -> Fraction:
@@ -66,6 +65,76 @@ def eval_prop(f: Formula, valuation: PropValuation) -> Fraction:
     raise QuantifierError(f"formula is not quantifier-free: {print_formula(f)}")
 
 
+# ---------------------------------------------------------------------------
+# Pinned weak orders of {bot, letters, top}, as tuples of classes of names
+
+
+Constraint = tuple[tuple[str, ...], ...]
+
+ROOT: Constraint = ((BOT_MARK,), (TOP_MARK,))
+
+
+def extend(c: Constraint, atom_name: str, n_admissible: Optional[int] = None) -> list[Constraint]:
+    """All weak-order insertions of the next atom: join any class or sit in
+    a strict gap between adjacent classes (2k-1 children, bottom-up); in
+    finite-valued mode children with more than n classes are pruned."""
+    out: list[Constraint] = []
+    k = len(c)
+    for i in range(k):
+        out.append(c[:i] + (tuple(sorted(c[i] + (atom_name,))),) + c[i + 1:])
+        if i < k - 1:
+            if n_admissible is None or k + 1 <= n_admissible:
+                out.append(c[:i + 1] + ((atom_name,),) + c[i + 1:])
+    return out
+
+
+def restrict(c: Constraint, names: set[str]) -> Constraint:
+    """The constraint induced on a subset of the elements."""
+    out = []
+    for cls in c:
+        kept = tuple(x for x in cls if x in names)
+        if kept:
+            out.append(kept)
+    return tuple(out)
+
+
+def representative(c: Constraint) -> dict[str, Fraction]:
+    """The canonical valuation fulfilling the constraint: class i of k maps
+    to i/(k-1), so the bottom class sits at 0 and the top class at 1."""
+    k = len(c)
+    out: dict[str, Fraction] = {}
+    for i, cls in enumerate(c):
+        v = Fraction(i, k - 1)
+        for name in cls:
+            out[name] = v
+    return out
+
+
+def atom_valuation(c: Constraint, atom_of: Mapping[str, Atom]) -> PropValuation:
+    """The representative valuation of c keyed by the atoms that its
+    names stand for; the bot and top marks drop out."""
+    return {atom_of[name]: v for name, v in representative(c).items()
+            if name in atom_of}
+
+
+def pinned_orders(n: int) -> int:
+    """The number of pinned weak orders of n letters (3, 11, 51, 299, ...
+    for n = 1, 2, 3, 4): the leaves of the depth-n tree that extend
+    grows from ROOT.  by_classes[k] counts the orders with k classes."""
+    by_classes = [0, 0, 1]
+    for _ in range(n):
+        nxt = [0] * (len(by_classes) + 1)
+        for k, count in enumerate(by_classes):
+            nxt[k] += k * count
+            nxt[k + 1] += (k - 1) * count
+        by_classes = nxt
+    return sum(by_classes)
+
+
+# ---------------------------------------------------------------------------
+# Decision procedures
+
+
 @dataclass
 class DecideResult:
     valid: bool
@@ -77,16 +146,17 @@ class DecideResult:
         return self.valid
 
 
-def _letters(f: Formula) -> list[Atom]:
-    """Atoms sorted by their printed form; the enumeration and therefore
-    the first countermodel are lexicographic in this order."""
-    return sorted(atoms(f), key=print_formula)
+def _letters(f: Formula) -> dict[str, Atom]:
+    """Atoms keyed by their printed form, in sorted order; the enumeration
+    and therefore the first countermodel follow this order."""
+    by_name = {print_formula(a): a for a in atoms(f)}
+    return {name: by_name[name] for name in sorted(by_name)}
 
 
 def decide_Gm(f: Formula, m: int, budget: int = 10 ** 7) -> DecideResult:
     """Exhaustively decide validity over V_m; returns the first
     countermodel in lexicographic order when there is one."""
-    letters = _letters(f)
+    letters = list(_letters(f).values())
     values = gm_values(m)
     if len(values) ** len(letters) > budget:
         raise TooManyAtomsError(
@@ -100,69 +170,23 @@ def decide_Gm(f: Formula, m: int, budget: int = 10 ** 7) -> DecideResult:
 
 
 def decide_LC(f: Formula, budget: int = 10 ** 7) -> DecideResult:
-    """Decide Goedel-Dummett LC via the G_{n+2} reduction."""
-    n = len(atoms(f))
-    result = decide_Gm(f, n + 2, budget)
-    return DecideResult(result.valid, "LC", result.countermodel, result.value)
-
-
-# ---------------------------------------------------------------------------
-# Independent order-type oracle (used to validate the n+2 reduction)
-
-
-def _ordered_partitions(items: Sequence[Atom]):
-    """All ordered set partitions (weak orders) of the atoms."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _ordered_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-            yield part[:i] + [[first]] + part[i:]
-        yield part + [[first]]
-
-
-def order_type_valuations(letters: Sequence[Atom]):
-    """One representative valuation per order type of the atom values.
-
-    An order type is a weak order of the atoms plus flags telling whether
-    the least block sits at 0 and the greatest at 1; representatives use
-    evenly spaced interior values, which is harmless because evaluation
-    only depends on the relative order.
-    """
-    for part in _ordered_partitions(list(letters)):
-        k = len(part)
-        if k == 0:
-            yield {}
+    """Decide Goedel-Dummett LC by evaluating at the representative of
+    every pinned weak order of the letters, depth first with the last
+    letter innermost; returns the first countermodel found."""
+    atom_of = _letters(f)
+    names = list(atom_of)
+    n = len(names)
+    count = pinned_orders(n)
+    if count > budget:
+        raise TooManyAtomsError(
+            f"{count} pinned weak orders of {n} letters exceed the budget of {budget}")
+    stack = [(ROOT, 0)]
+    while stack:
+        c, depth = stack.pop()
+        if depth < n:
+            stack.extend((child, depth + 1) for child in reversed(extend(c, names[depth])))
             continue
-        for low_at_zero in (False, True):
-            for high_at_one in (False, True):
-                if k == 1 and low_at_zero and high_at_one:
-                    continue  # a block cannot be both 0 and 1
-                vals: list[Fraction] = []
-                interior = k - int(low_at_zero) - int(high_at_one)
-                step = Fraction(1, interior + 1)
-                pos = step
-                for i in range(k):
-                    if i == 0 and low_at_zero:
-                        vals.append(Fraction(0))
-                    elif i == k - 1 and high_at_one:
-                        vals.append(Fraction(1))
-                    else:
-                        vals.append(pos)
-                        pos += step
-                valuation = {}
-                for block, v in zip(part, vals):
-                    for atom in block:
-                        valuation[atom] = v
-                yield valuation
-
-
-def decide_LC_by_order_types(f: Formula) -> DecideResult:
-    """Oracle: enumerate all order types of atom values directly."""
-    letters = _letters(f)
-    for valuation in order_type_valuations(letters):
+        valuation = atom_valuation(c, atom_of)
         v = eval_prop(f, valuation)
         if v < ONE:
             return DecideResult(False, "LC", valuation, v)

@@ -163,10 +163,6 @@ def free_vars(f: Formula) -> frozenset[str]:
     return free_vars(f.body) - {f.var}
 
 
-def is_closed(f: Formula) -> bool:
-    return not free_vars(f)
-
-
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Syntactic subformulas (quantified bodies are not instantiated)."""
     yield f

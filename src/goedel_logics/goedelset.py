@@ -570,9 +570,13 @@ def v_up() -> GoedelSet:
     return make_set([SeqUp(Fraction(1), Fraction(1))])
 
 
-def v_m(m: int) -> GoedelSet:
+def gm_values(m: int) -> list[Fraction]:
+    """The m elements of V_m = {0} + {1 - 1/k : 2 <= k <= m-1} + {1},
+    ascending."""
     if m < 2:
         raise ValueError("m must be at least 2")
-    vals = {Fraction(0), Fraction(1)}
-    vals.update(1 - Fraction(1, k) for k in range(1, m))
-    return make_set([Point(q) for q in sorted(vals)])
+    return [Fraction(0), *(1 - Fraction(1, k) for k in range(2, m)), Fraction(1)]
+
+
+def v_m(m: int) -> GoedelSet:
+    return make_set([Point(q) for q in gm_values(m)])

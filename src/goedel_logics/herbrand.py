@@ -2,10 +2,11 @@
 
 The prover handles closed prenex formulas.  Universal variables are
 replaced by fresh function symbols applied to the preceding existential
-variables; the tree then explores all weak linear orders (with bottom
-and top classes pinned) of growing prefixes of the Herbrand base.  A
-branch closes once one ground instance of the matrix evaluates to 1
-under the order's representative valuation, which by order-invariance
+variables; the tree then explores the pinned weak orders of growing
+prefixes of the Herbrand base, grown by the propositional enumerator of
+``decide`` (ROOT, extend, representative).  A branch closes once one
+ground instance of the matrix evaluates to 1 under ``decide.eval_prop``
+at the order's representative valuation, which by order-invariance
 settles the question for every interpretation fulfilling the order.
 
 Finite-valued mode prunes orders with more than n classes.  A closed
@@ -24,15 +25,14 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Term, Var,
-    alpha_eq, free_vars, is_prenex, normalize, parse, prefix_and_matrix,
+    alpha_eq, atoms, free_vars, is_prenex, normalize, parse, prefix_and_matrix,
     print_formula, print_raw, print_term, signature, substitute, term_size,
 )
-from . import decide
+from .decide import (
+    ROOT, Constraint, atom_valuation, decide_Gm, decide_LC, eval_prop, extend,
+)
 
 ONE = Fraction(1)
-
-BOT_MARK = "bot"
-TOP_MARK = "top"
 
 
 class HerbrandError(Exception):
@@ -105,10 +105,11 @@ class HerbrandProblem:
         for var, t in mapping.items():
             body = substitute(body, var, t)
         self.skolem_matrix = body
+        # the Herbrand form: the Skolem matrix under the existential prefix
         hform: Formula = body
         for var in reversed(existentials):
             hform = Exists(var, hform)
-        self.herbrand_form = hform
+        self.existential_form = hform
 
         hu_preds, hu_funcs = signature(body)
         if not any(k == 0 for k in hu_funcs.values()):
@@ -175,7 +176,7 @@ class HerbrandProblem:
         allowed = {_atom_key(a): None for a in self.base(level)} if level else {}
         if not self.existential_vars:
             ground = self.skolem_matrix
-            if all(_atom_key(a) in allowed for a in _formula_atoms(ground)):
+            if all(_atom_key(a) in allowed for a in atoms(ground)):
                 return [((), ground)]
             return []
         # size 1 keeps a candidate available for variables that do not
@@ -189,7 +190,7 @@ class HerbrandProblem:
         for combo in itertools.product(candidates, repeat=len(self.existential_vars)):
             mapping = dict(zip(self.existential_vars, combo))
             ground = _substitute_many(self.skolem_matrix, mapping)
-            if all(_atom_key(a) in allowed for a in _formula_atoms(ground)):
+            if all(_atom_key(a) in allowed for a in atoms(ground)):
                 out.append((combo, ground))
         return out
 
@@ -228,11 +229,6 @@ def _atom_key(a: Atom):
             tuple(print_term(t) for t in a.args))
 
 
-def _formula_atoms(f: Formula) -> list[Atom]:
-    from .formula import atoms
-    return atoms(f)
-
-
 def _substitute_many(f: Formula, mapping: dict[str, Term]) -> Formula:
     out = f
     for var, t in mapping.items():
@@ -240,89 +236,19 @@ def _substitute_many(f: Formula, mapping: dict[str, Term]) -> Formula:
     return out
 
 
-def herbrand_form(f: Formula) -> HerbrandProblem:
-    """Build the Herbrand problem; validity transfers from the original to
-    the Herbrand form in every Goedel logic."""
-    return HerbrandProblem(f)
-
-
-def enum_base(problem: HerbrandProblem, level: int
-              ) -> tuple[list[Atom], list[tuple[tuple[Term, ...], Formula]]]:
-    """The base prefix C_1..C_level together with the level-instances."""
-    return problem.base(level), problem.instances(level)
-
-
 # ---------------------------------------------------------------------------
-# Constraints: weak linear orders of {bot, C_1..C_l, top}
-
-Constraint = tuple[tuple[str, ...], ...]
-
-ROOT: Constraint = ((BOT_MARK,), (TOP_MARK,))
+# Closing a branch
 
 
-def extend(c: Constraint, atom_name: str, n_admissible: Optional[int] = None) -> list[Constraint]:
-    """All weak-order insertions of the next atom: join any class or sit in
-    a strict gap between adjacent classes (2k-1 children, bottom-up); in
-    finite-valued mode children with more than n classes are pruned."""
-    out: list[Constraint] = []
-    k = len(c)
-    for i in range(k):
-        joined = tuple(
-            tuple(sorted(cls + (atom_name,))) if j == i else cls
-            for j, cls in enumerate(c))
-        out.append(joined)
-        if i < k - 1:
-            if n_admissible is None or k + 1 <= n_admissible:
-                out.append(c[:i + 1] + ((atom_name,),) + c[i + 1:])
-    return out
-
-
-def restrict(c: Constraint, names: set[str]) -> Constraint:
-    """The constraint induced on a subset of the elements."""
-    out = []
-    for cls in c:
-        kept = tuple(x for x in cls if x in names)
-        if kept:
-            out.append(kept)
-    return tuple(out)
-
-
-def representative(c: Constraint) -> dict[str, Fraction]:
-    """The canonical valuation fulfilling the constraint: class i of k maps
-    to i/(k-1), so the bottom class sits at 0 and the top class at 1."""
-    k = len(c)
-    out: dict[str, Fraction] = {}
-    for i, cls in enumerate(c):
-        v = Fraction(i, k - 1)
-        for name in cls:
-            out[name] = v
-    return out
-
-
-def _eval_ground(f: Formula, valuation: dict[str, Fraction]) -> Fraction:
-    if isinstance(f, Atom):
-        return valuation[print_raw(f)]
-    if isinstance(f, Bot):
-        return Fraction(0)
-    if isinstance(f, And):
-        return min(_eval_ground(f.left, valuation), _eval_ground(f.right, valuation))
-    if isinstance(f, Or):
-        return max(_eval_ground(f.left, valuation), _eval_ground(f.right, valuation))
-    if isinstance(f, Imp):
-        a = _eval_ground(f.left, valuation)
-        b = _eval_ground(f.right, valuation)
-        return ONE if a <= b else b
-    raise HerbrandError("ground matrix expected")
-
-
-def closes(c: Constraint, instances: Sequence[tuple[tuple[Term, ...], Formula]]
-           ) -> Optional[tuple[tuple[Term, ...], Formula]]:
+def closes(c: Constraint, instances: Sequence[tuple[tuple[Term, ...], Formula]],
+           atom_of: dict[str, Atom]) -> Optional[tuple[tuple[Term, ...], Formula]]:
     """First instance whose matrix gets value 1 under the representative
-    valuation; by order-invariance this settles every interpretation that
-    fulfills the constraint."""
-    valuation = representative(c)
+    valuation, atom_of naming the base atoms that the constraint orders;
+    by order-invariance this settles every interpretation that fulfills
+    the constraint."""
+    valuation = atom_valuation(c, atom_of)
     for combo, ground in instances:
-        if _eval_ground(ground, valuation) == ONE:
+        if eval_prop(ground, valuation) == ONE:
             return (combo, ground)
     return None
 
@@ -442,6 +368,7 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
 
     leaves: list[Leaf] = []
     frontier: list[Constraint] = [ROOT]
+    atom_of: dict[str, Atom] = {}  # the base atoms the constraints order
     nodes = 0
     for level in range(0, max_level + 1):
         instances = problem.instances(level)
@@ -450,7 +377,7 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
             nodes += 1
             if nodes > node_budget:
                 raise ResourceBudgetError(f"semantic tree exceeded {node_budget} nodes")
-            hit = closes(c, instances)
+            hit = closes(c, instances, atom_of)
             if hit is not None:
                 leaves.append(Leaf(level, c, hit[0], hit[1]))
             else:
@@ -470,9 +397,11 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
             return ProveResult("valid", cert, level, problem)
         if level == max_level:
             break
-        next_atom = print_raw(problem.base(level + 1)[level])
+        next_atom = problem.base(level + 1)[level]
+        name = print_raw(next_atom)
+        atom_of[name] = next_atom
         frontier = [child for c in still_open
-                    for child in extend(c, next_atom, n_adm)]
+                    for child in extend(c, name, n_adm)]
     return ProveResult("unknown", None, max_level, problem)
 
 
@@ -485,9 +414,9 @@ def verify_certificate(cert: Certificate, budget: int = 10 ** 7) -> bool:
     for d in cert.disjuncts[1:]:
         disjunction = Or(disjunction, d)
     if cert.mode == "uncountable":
-        return decide.decide_LC(disjunction, budget).valid
+        return decide_LC(disjunction, budget).valid
     n = int(cert.mode.split(":", 1)[1])
-    return decide.decide_Gm(disjunction, n, budget).valid
+    return decide_Gm(disjunction, n, budget).valid
 
 
 # ---------------------------------------------------------------------------
@@ -530,21 +459,20 @@ def _or_fold(parts: Sequence[Formula]) -> Formula:
     return out
 
 
-def _replace_term(f: Formula, old: Term, new: Term) -> Formula:
-    def rt(t: Term) -> Term:
-        if t == old:
-            return new
-        if isinstance(t, App):
-            return App(t.name, tuple(rt(a) for a in t.args))
-        return t
-
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(rt(t) for t in f.args))
-    if isinstance(f, Bot):
-        return f
-    if isinstance(f, (And, Or, Imp)):
-        return type(f)(_replace_term(f.left, old, new), _replace_term(f.right, old, new))
-    return type(f)(f.var, _replace_term(f.body, old, new))
+def _replace_term(x, old: Term, new: Term):
+    """The term or formula x with every occurrence of the term old
+    replaced by new."""
+    if x == old:
+        return new
+    if isinstance(x, App):
+        return App(x.name, tuple(_replace_term(a, old, new) for a in x.args))
+    if isinstance(x, Atom):
+        return Atom(x.pred, tuple(_replace_term(t, old, new) for t in x.args))
+    if isinstance(x, (And, Or, Imp)):
+        return type(x)(_replace_term(x.left, old, new), _replace_term(x.right, old, new))
+    if isinstance(x, (Forall, Exists)):
+        return type(x)(x.var, _replace_term(x.body, old, new))
+    return x  # a variable other than old, or bot
 
 
 def _contains_term(f: Formula, t: Term) -> bool:
@@ -626,7 +554,7 @@ def reassemble(cert: Certificate, f: Optional[Formula] = None) -> Trace:
         cur = new_cur
         steps.append(TraceStep("deskolem", cur, term=old, var=var))
         for it in items:
-            it["vector"] = [subst_if(t, old, Var(var)) for t in it["vector"]]
+            it["vector"] = [_replace_term(t, old, Var(var)) for t in it["vector"]]
             it["ground"] = _replace_term(it["ground"], old, Var(var))
 
     prefix, _ = prefix_and_matrix(target)
@@ -749,7 +677,7 @@ def verify_trace(trace: Trace, cert: Certificate) -> bool:
             t, v = step.term, step.var
             if t is None or v is None or not isinstance(t, App) or t.name not in skolem_names:
                 return False
-            if Var(v) in _subterms_of_formula(prev) or _contains_var(prev, v):
+            if Var(v) in _subterms_of_formula(prev) or v in free_vars(prev):
                 return False
             if _contains_term(step.formula, t):
                 return False  # a Skolem occurrence survived
@@ -764,10 +692,6 @@ def verify_trace(trace: Trace, cert: Certificate) -> bool:
             return False
         prev = step.formula
     return alpha_eq(prev, cert.formula)
-
-
-def _contains_var(f: Formula, name: str) -> bool:
-    return name in free_vars(f)
 
 
 def _subterms_of_formula(f: Formula):
@@ -818,25 +742,8 @@ def _check_rule_step(rule: Optional[int], prev: Formula, new: Formula,
     return False
 
 
-def subst_if(t: Term, old: Term, new: Term) -> Term:
-    if t == old:
-        return new
-    if isinstance(t, App):
-        return App(t.name, tuple(subst_if(a, old, new) for a in t.args))
-    return t
-
-
 def _subterms(t: Term) -> Iterator[Term]:
     yield t
     if isinstance(t, App):
         for a in t.args:
             yield from _subterms(a)
-
-
-def _term_var_names(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    out: set[str] = set()
-    for a in t.args:
-        out |= _term_var_names(a)
-    return out

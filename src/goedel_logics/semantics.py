@@ -135,26 +135,14 @@ def value_set(formulas: Sequence[Formula], I: FiniteInterpretation) -> set[Fract
     universe (quantified bodies instantiated by every element), plus 0,1."""
     out = {ZERO, ONE}
 
-    def walk(g: Formula, env: dict[str, str]) -> Fraction:
-        if isinstance(g, (Atom, Bot)):
-            v = evaluate(g, I, env)
-        elif isinstance(g, (And, Or, Imp)):
-            a, b = walk(g.left, env), walk(g.right, env)
-            if isinstance(g, And):
-                v = min(a, b)
-            elif isinstance(g, Or):
-                v = max(a, b)
-            else:
-                v = ONE if a <= b else b
-        else:
-            vals = []
+    def walk(g: Formula, env: dict[str, str]) -> None:
+        out.add(evaluate(g, I, env))
+        if isinstance(g, (And, Or, Imp)):
+            walk(g.left, env)
+            walk(g.right, env)
+        elif isinstance(g, (Forall, Exists)):
             for u in I.universe:
-                env2 = dict(env)
-                env2[g.var] = u
-                vals.append(walk(g.body, env2))
-            v = min(vals) if isinstance(g, Forall) else max(vals)
-        out.add(v)
-        return v
+                walk(g.body, {**env, g.var: u})
 
     for f in formulas:
         walk(f, dict(I.variables))

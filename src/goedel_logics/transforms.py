@@ -283,14 +283,16 @@ def to_Ah(f: Formula) -> ReductionOutput:
 
 
 def to_bot_free(f: Formula) -> Formula:
-    """Replace bot by a fresh nullary atom b and guard it below every
-    predicate: (AND_P forall xs (b -> P(xs))) -> f[bot := b].
+    """Replace bot by a fresh nullary atom B0 and guard it below every
+    predicate: (AND_P forall xs (B0 -> P(xs))) -> f[bot := B0].
 
-    Substituting bot back for b makes every antecedent conjunct an
-    instance of bot -> A, so the rewriting evaluates like f."""
+    Substituting bot back for B0 makes every antecedent conjunct an
+    instance of bot -> A, so the rewriting evaluates like f.  The fresh
+    letter is upper-case, as the parser wants predicates, so the output
+    prints and reparses."""
     preds, _ = signature(f)
     taken = set(preds)
-    b_name = _fresh_symbols(["b"], taken)["b"]
+    b_name = _fresh_symbols(["B0"], taken)["B0"]
     b = Atom(b_name)
 
     def debot(g: Formula) -> Formula:

@@ -9,15 +9,13 @@ import random
 import time
 from fractions import Fraction as F
 
-from goedel_logics.decide import (
-    decide_Gm, decide_LC, decide_LC_by_order_types, gm_values,
-)
+from goedel_logics.decide import decide_Gm, decide_LC
 from goedel_logics.formula import (
-    App, Atom, Bot, And, Or, Imp, Neg, Top, parse, print_formula,
+    App, Atom, Bot, And, Or, Imp, Neg, Top, atoms, parse, print_formula,
 )
 from goedel_logics.goedelset import (
-    classify, parse_set, print_set, sample_finite, saturate_above_kernel_inf,
-    unit_interval, v_down, v_m, v_up, finite_elements,
+    classify, gm_values, parse_set, print_set, sample_finite,
+    saturate_above_kernel_inf, unit_interval, v_down, v_m, v_up, finite_elements,
 )
 from goedel_logics.herbrand import (
     prove_prenex, reassemble, verify_certificate, verify_trace,
@@ -261,9 +259,11 @@ def _depth2_formulas():
 
 
 def test_criterion_11_lc_cross_check():
-    """decide_LC agrees with the independent order-type oracle: exhaustive
-    over every formula of depth <= 2 on three atoms (8116 formulas) and a
-    seeded random sample at depths 3-4; zero disagreements.
+    """decide_LC (one representative per pinned weak order) agrees with
+    the paper's finite reduction decide_Gm(f, n+2) for n atoms as the
+    oracle: exhaustive over every formula of depth <= 2 on three atoms
+    (8164 formulas) and a seeded random sample at depths 3-4; zero
+    disagreements.
 
     The literal depth-4 closure has ~2*10^8 formulas and cannot fit the
     stated five-minute budget; the exhaustive layer stops at depth 2.
@@ -272,7 +272,7 @@ def test_criterion_11_lc_cross_check():
     formulas = _depth2_formulas()
     assert len(formulas) == 8164  # 4 + 3*4^2 + 3*52^2, depth-1 entries twice
     for f in formulas:
-        assert decide_LC(f).valid == decide_LC_by_order_types(f).valid, \
+        assert decide_LC(f).valid == decide_Gm(f, len(atoms(f)) + 2).valid, \
             print_formula(f)
     rng = random.Random(1111)
     leaves = [Atom("A"), Atom("B"), Atom("C"), Bot()]
@@ -285,11 +285,11 @@ def test_criterion_11_lc_cross_check():
 
     for _ in range(4000):
         f = rand(rng.randint(3, 4))
-        assert decide_LC(f).valid == decide_LC_by_order_types(f).valid, \
+        assert decide_LC(f).valid == decide_Gm(f, len(atoms(f)) + 2).valid, \
             print_formula(f)
     elapsed = time.monotonic() - t0
     assert elapsed < 300
-    _report(11, f"LC = order-type oracle on {len(formulas)} exhaustive + 4000 random "
+    _report(11, f"LC = G_(n+2) on {len(formulas)} exhaustive + 4000 random "
                 f"formulas in {elapsed:.1f}s")
 
 

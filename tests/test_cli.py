@@ -143,7 +143,17 @@ def test_usage_error(capsys):
 def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("GOEDEL_BUDGET", "10")
     code, _, err = run(capsys, "decide", "--logic", "G5", "A1 | A2 | A3 | A4")
-    assert code == 3 and "budget" in err
+    assert code == 2 and "budget" in err
+    code, _, err = run(capsys, "entail", "--truth-set", "{0,1/2,1}", "A(c())")
+    assert code == 2 and "budget" in err
     monkeypatch.delenv("GOEDEL_BUDGET")
     code, _, _ = run(capsys, "decide", "--logic", "G5", "A1 | A2 | A3 | A4")
     assert code == 1
+
+
+def test_deep_nesting_is_an_input_error(capsys):
+    deep = "~" * 3000 + "A"
+    for argv in (["parse", deep], ["decide", "--logic", "LC", deep]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err

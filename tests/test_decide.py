@@ -6,12 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from goedel_logics.decide import (
-    DecideResult, QuantifierError, TooManyAtomsError, decide_Gm, decide_LC,
-    decide_LC_by_order_types, eval_prop, gm_values, order_type_valuations,
+    ROOT, QuantifierError, TooManyAtomsError, decide_Gm, decide_LC, eval_prop,
+    extend, pinned_orders, representative,
 )
-from goedel_logics.formula import Atom, Bot, And, Or, Imp, parse, print_formula
+from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse, print_formula
 from goedel_logics.semantics import FiniteInterpretation, evaluate
-from goedel_logics.goedelset import unit_interval
+from goedel_logics.goedelset import gm_values, unit_interval
 
 
 def test_gm_values():
@@ -63,6 +63,17 @@ def test_budget_error():
     f = parse("A1 | A2 | A3 | A4 | A5 | A6 | A7 | A8 | A9 | A10")
     with pytest.raises(TooManyAtomsError):
         decide_Gm(f, 5, budget=1000)
+
+
+def test_lc_budget_counts_pinned_weak_orders():
+    # 6 letters have 18731 pinned weak orders; the budget admits exactly
+    # that many points, not the (6+2)^6 of the finite reduction
+    assert [pinned_orders(n) for n in range(1, 9)] == \
+        [3, 11, 51, 299, 2163, 18731, 189171, 2183339]
+    f = parse("A1 & A2 & A3 & A4 & A5 & A6")
+    assert not decide_LC(f, budget=18731).valid
+    with pytest.raises(TooManyAtomsError):
+        decide_LC(f, budget=18730)
 
 
 def _random_formula(rng, depth, leaves):
@@ -132,22 +143,20 @@ def test_first_countermodel_is_lexicographic():
 
 def test_order_type_enumeration_counts():
     # 3 atoms: 13 weak orders, each with 0/1 gluing flags, minus the
-    # impossible single-block glued-both-ways cases
-    vals = list(order_type_valuations([Atom("A"), Atom("B"), Atom("C")]))
-    orders = set()
-    for v in vals:
-        key = []
-        for x in sorted(v, key=print_formula):
-            key.append((print_formula(x), v[x]))
-        orders.add(tuple(key))
-    assert len(vals) == len(orders)  # no duplicate representatives
+    # impossible single-block glued-both-ways cases: 51 pinned weak orders
+    orders = [ROOT]
+    for name in ("A", "B", "C"):
+        orders = [child for c in orders for child in extend(c, name)]
+    reps = {tuple(sorted(representative(c).items())) for c in orders}
+    assert len(orders) == len(reps) == pinned_orders(3) == 51  # no duplicates
 
 
-def test_lc_agrees_with_order_type_oracle_random():
+def test_lc_agrees_with_gm_n_plus_2_random():
+    # the paper's finite reduction as the oracle: LC = G_{n+2} for n atoms
     rng = random.Random(24)
     for _ in range(1500):
         f = _random_formula(rng, rng.randint(1, 4), LEAVES)
-        assert decide_LC(f).valid == decide_LC_by_order_types(f).valid
+        assert decide_LC(f).valid == decide_Gm(f, len(atoms(f)) + 2).valid
 
 
 def test_decide_agrees_with_interpretation_enumeration():

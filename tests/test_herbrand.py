@@ -9,11 +9,13 @@ import pytest
 from goedel_logics.formula import (
     App, Atom, Or, Var, alpha_eq, parse, print_formula, print_raw,
 )
+from goedel_logics.decide import (
+    BOT_MARK, ROOT, TOP_MARK, eval_prop, extend, representative, restrict,
+)
 from goedel_logics.herbrand import (
-    BOT_MARK, Certificate, HerbrandProblem, NotPrenexError, ROOT, TOP_MARK,
-    TraceConstructionError, certificate_from_json, closes, extend,
-    herbrand_form, match_instance, prove_prenex, reassemble, representative,
-    restrict, verify_certificate, verify_trace, _eval_ground,
+    Certificate, HerbrandProblem, NotPrenexError, TraceConstructionError,
+    certificate_from_json, closes, match_instance, prove_prenex, reassemble,
+    verify_certificate, verify_trace,
 )
 
 C_DOWN_PRENEX = parse("exists x. forall y. (A(y) -> A(x))")
@@ -21,19 +23,19 @@ TRIVIAL = parse("exists x. exists y. (P(x) -> P(y))")
 
 
 def test_herbrand_form_c_down():
-    p = herbrand_form(C_DOWN_PRENEX)
-    assert print_formula(p.herbrand_form) == "exists x1. A(f1(x1)) -> A(x1)"
+    p = HerbrandProblem(C_DOWN_PRENEX)
+    assert print_formula(p.existential_form) == "exists x1. A(f1(x1)) -> A(x1)"
     assert p.skolem_symbols == (("f1", 1),)
 
 
 def test_herbrand_form_leading_universal():
-    p = herbrand_form(parse("forall y. exists x. R(x,y)"))
-    assert print_formula(p.herbrand_form) == "exists x1. R(x1,c1())"
+    p = HerbrandProblem(parse("forall y. exists x. R(x,y)"))
+    assert print_formula(p.existential_form) == "exists x1. R(x1,c1())"
     assert p.skolem_symbols == (("c1", 0),)
 
 
 def test_herbrand_form_pure_existential_unchanged():
-    p = herbrand_form(parse("exists x. P(x)"))
+    p = HerbrandProblem(parse("exists x. P(x)"))
     assert alpha_eq(p.skolem_matrix, parse("P(x1)"))
     # padding symbols keep the universe infinite
     assert "c0" in p.hu_functions and "g0" in p.hu_functions
@@ -41,13 +43,13 @@ def test_herbrand_form_pure_existential_unchanged():
 
 def test_herbrand_form_rejects_non_prenex():
     with pytest.raises(NotPrenexError):
-        herbrand_form(parse("exists x. (A(x) -> forall y. A(y))"))
+        HerbrandProblem(parse("exists x. (A(x) -> forall y. A(y))"))
     with pytest.raises(NotPrenexError):
-        herbrand_form(parse("P(x)"))
+        HerbrandProblem(parse("P(x)"))
 
 
 def test_base_enumeration_order():
-    p = herbrand_form(C_DOWN_PRENEX)
+    p = HerbrandProblem(C_DOWN_PRENEX)
     names = [print_raw(a) for a in p.base(4)]
     assert names == ["A(c0())", "A(f1(c0()))", "A(f1(f1(c0())))",
                      "A(f1(f1(f1(c0()))))"]
@@ -57,7 +59,7 @@ def test_base_enumeration_order():
 
 
 def test_instances_need_all_atoms_inside():
-    p = herbrand_form(C_DOWN_PRENEX)
+    p = HerbrandProblem(C_DOWN_PRENEX)
     assert p.instances(1) == []
     inst = p.instances(2)
     assert len(inst) == 1
@@ -90,33 +92,36 @@ def test_representative_values():
 
 
 def test_closes_cases():
-    p = herbrand_form(C_DOWN_PRENEX)
+    p = HerbrandProblem(C_DOWN_PRENEX)
     inst = p.instances(2)
+    atom_of = {print_raw(a): a for a in p.base(2)}
     a1, a2 = "A(c0())", "A(f1(c0()))"
     ordered = ((BOT_MARK,), (a2,), (a1,), (TOP_MARK,))   # A(f1 c0) <= A(c0)
-    assert closes(ordered, inst) is not None
+    assert closes(ordered, inst, atom_of) is not None
     increasing = ((BOT_MARK,), (a1,), (a2,), (TOP_MARK,))
-    assert closes(increasing, inst) is None
+    assert closes(increasing, inst, atom_of) is None
     all_top = ((BOT_MARK,), (a1, a2, TOP_MARK))
-    assert closes(all_top, inst) is not None
+    assert closes(all_top, inst, atom_of) is not None
 
 
 def test_representative_agreement_with_all_fulfilling_valuations():
     # the single-representative check agrees with exhaustive small grids:
     # any valuation fulfilling the constraint makes the same instances 1
-    p = herbrand_form(C_DOWN_PRENEX)
+    p = HerbrandProblem(C_DOWN_PRENEX)
     rng = random.Random(6)
     frontier = [ROOT]
+    atom_of = {}
     for level in range(1, 5):
-        atom = print_raw(p.base(level)[level - 1])
-        frontier = [k for c in frontier for k in extend(c, atom)]
+        atom = p.base(level)[level - 1]
+        atom_of[print_raw(atom)] = atom
+        frontier = [k for c in frontier for k in extend(c, print_raw(atom))]
         instances = p.instances(level)
         sample = frontier if len(frontier) <= 40 else rng.sample(frontier, 40)
         for c in sample:
-            rep = representative(c)
-            verdicts = [_eval_ground(g, rep) == 1 for _, g in instances]
+            verdicts = [closes(c, [inst], atom_of) is not None for inst in instances]
             for val in _fulfilling_valuations(c):
-                got = [_eval_ground(g, val) == 1 for _, g in instances]
+                by_atom = {atom_of[name]: v for name, v in val.items() if name in atom_of}
+                got = [eval_prop(g, by_atom) == 1 for _, g in instances]
                 assert got == verdicts
 
 
@@ -184,7 +189,7 @@ def test_finite_mode_subsumes_uncountable():
 def test_extension_coherence():
     # children's representative valuations restricted to the parent's
     # atoms fulfill the parent constraint
-    p = herbrand_form(C_DOWN_PRENEX)
+    p = HerbrandProblem(C_DOWN_PRENEX)
     a1 = print_raw(p.base(1)[0])
     for parent in extend(ROOT, a1):
         a2 = print_raw(p.base(2)[1])
@@ -225,7 +230,7 @@ def test_forged_certificate_rejected():
 
 
 def test_match_instance_and_mismatch():
-    p = herbrand_form(C_DOWN_PRENEX)
+    p = HerbrandProblem(C_DOWN_PRENEX)
     combo = match_instance(p, parse("A(f1(c0())) -> A(c0())"))
     assert combo == (App("c0"),)
     with pytest.raises(TraceConstructionError):
@@ -395,10 +400,3 @@ def test_dual_chain_only_finite_mode():
     unk = prove_prenex(f, "uncountable", 6)
     assert unk.status == "unknown"
 
-
-def test_enum_base_pairs_atoms_with_instances():
-    from goedel_logics.herbrand import enum_base
-    p = herbrand_form(C_DOWN_PRENEX)
-    atoms2, instances2 = enum_base(p, 2)
-    assert [print_raw(a) for a in atoms2] == ["A(c0())", "A(f1(c0()))"]
-    assert len(instances2) == 1

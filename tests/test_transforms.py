@@ -142,13 +142,13 @@ def test_bot_free_shape():
     assert isinstance(out, Imp)
     guard, body = out.left, out.right
     assert isinstance(guard, Forall)
-    assert print_formula(body) == "P(c()) -> b"
+    assert print_formula(body) == "P(c()) -> B0"
 
 
 def test_bot_free_no_predicates_degenerates():
     out = to_bot_free(parse("bot -> bot"))
     assert all(not isinstance(g, Bot) for g in subformulas(out))
-    assert print_formula(out) == "b -> b"
+    assert print_formula(out) == "B0 -> B0"
 
 
 def test_bot_free_substituting_back_recovers_value():
@@ -161,9 +161,18 @@ def test_bot_free_substituting_back_recovers_value():
         I = random_interpretation(rng, v_m(4), rng.randint(1, 2),
                                   {"A": 0, "B": 0, "P": 1}, {"c": 0})
         preds = dict(I.predicates)
-        preds["b"] = {(): F(0)}
+        preds["B0"] = {(): F(0)}
         J = FiniteInterpretation(I.universe, I.truth_set, preds, I.functions)
         assert evaluate(f, I) == evaluate(out, J)
+
+
+def test_bot_free_output_reparses():
+    # the fresh letter is a predicate the parser accepts, renamed on a clash
+    for text in ("~P(c())", "bot -> bot", "~(P(c()) & Q(c()))",
+                 "forall x. (B0(x) -> bot)"):
+        out = to_bot_free(parse(text))
+        assert parse(print_formula(out)) == normalize(out)
+    assert "B01" in print_formula(to_bot_free(parse("forall x. (B0(x) -> bot)")))
 
 
 def test_bot_free_guard_order_deterministic():
