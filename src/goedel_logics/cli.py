@@ -45,18 +45,23 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _default_budget(args) -> int:
+def _default_budget(args, default: int = 10 ** 7) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("GOEDEL_BUDGET")
-    return int(env) if env else 10 ** 7
+    return int(env) if env else default
+
+
+FORMULA_HELP = "formula text, '-' to read it from stdin, or @path to read it from a file"
 
 
 def _read_formula(source: str) -> str:
+    """The formula text named by a command-line argument: '-' reads stdin
+    and '@path' reads a file; any other argument is the text itself."""
     if source == "-":
         return sys.stdin.read()
-    if os.path.exists(source):
-        with open(source) as fh:
+    if source.startswith("@"):
+        with open(source[1:]) as fh:
             return fh.read()
     return source
 
@@ -148,7 +153,8 @@ def _cmd_prove(args) -> int:
     if not args.formula:
         raise _Failure("prove needs a formula (or --verify <certificate>)")
     f = parse(_read_formula(args.formula))
-    result = herbrand.prove_prenex(f, args.mode, args.max_level)
+    result = herbrand.prove_prenex(f, args.mode, args.max_level,
+                                   _default_budget(args, herbrand.NODE_BUDGET))
     if result.status == "valid":
         cert = result.certificate
         if args.out:
@@ -237,12 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse and reprint a formula")
-    p.add_argument("formula")
+    p.add_argument("formula", help=FORMULA_HELP)
     p.set_defaults(fn=_cmd_parse)
 
     p = sub.add_parser("eval", help="evaluate a formula under an interpretation file")
     p.add_argument("--interpretation", "-i", required=True)
-    p.add_argument("formula")
+    p.add_argument("formula", help=FORMULA_HELP)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("entail", help="brute-force entailment over a finite truth set")
@@ -251,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-universe", type=int, default=2)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--one", action="store_true", help="use 1-entailment")
-    p.add_argument("formula")
+    p.add_argument("formula", help=FORMULA_HELP)
     p.set_defaults(fn=_cmd_entail)
 
     p = sub.add_parser("classify", help="axiomatizability class of a truth-value set")
@@ -261,17 +267,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="propositional decision for LC or G<m>")
     p.add_argument("--logic", required=True, help="LC or G<m>")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("formula")
+    p.add_argument("formula", help=FORMULA_HELP)
     p.set_defaults(fn=_cmd_decide)
 
     p = sub.add_parser("prove", help="Herbrand semantic-tree prover for prenex formulas")
     p.add_argument("--mode", default="uncountable",
                    help="uncountable or finite:<n>")
     p.add_argument("--max-level", type=int, default=8)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"semantic-tree nodes (default {herbrand.NODE_BUDGET}), or "
+                        "valuations or orders with --verify (default 10^7); also GOEDEL_BUDGET")
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument("--verify", help="verify an existing certificate file instead")
-    p.add_argument("formula", nargs="?")
+    p.add_argument("formula", nargs="?", help=FORMULA_HELP)
     p.set_defaults(fn=_cmd_prove)
 
     p = sub.add_parser("check-proof", help="check a Hilbert-style derivation file")
@@ -282,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="formula reductions")
     p.add_argument("--kind", required=True,
                    choices=["ag", "ah", "botfree", "forallfree", "prenex"])
-    p.add_argument("formula")
+    p.add_argument("formula", help=FORMULA_HELP)
     p.set_defaults(fn=_cmd_transform)
 
     p = sub.add_parser("embed", help="embed points into a perfect set atom")

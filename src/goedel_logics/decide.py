@@ -1,18 +1,24 @@
 """Decision procedures for propositional G_m and Goedel-Dummett LC.
 
 Quantifier-free formulas are evaluated with atoms (ground first-order
-atoms included) treated as opaque propositional letters.  G_m is decided
-by exhaustive evaluation over the m truth values of V_m.
+atoms included) treated as opaque propositional letters.  The Goedel
+connectives (min, max, and the conditional that gives 1 when a <= b and
+b otherwise) depend only on the order of the values, so a formula is
+compiled once by compile_prop into a program over integer ranks: 0 is
+the value 0 and ``top`` the value 1.  Ranks map back to Fraction only
+in a reported countermodel or value; eval_prop is the reference tree
+walk over Fractions.
 
-LC is decided by order-invariance: the value of a formula depends only
-on how its atom values are ordered among themselves and relative to 0
-and 1.  Such an order is a pinned weak order, a weak linear order of
-{bot, letters, top} whose least class holds bot and whose greatest holds
-top; evaluating once at a representative of every pinned weak order
-settles validity over every infinite truth-value set.  The same
-enumerator (ROOT, extend, representative) grows the Herbrand semantic
-tree.  The paper's finite reduction, validity in G_{n+2} for n atoms,
-is an independent route to the same verdict.
+G_m is decided by exhaustive evaluation over the ranks 0..m-1 of the m
+truth values of V_m.  LC is decided by order-invariance: the value of a
+formula depends only on how its atom values are ordered among
+themselves and relative to 0 and 1.  Such an order is a pinned weak
+order, a weak linear order of {bot, letters, top} whose least class
+holds bot and whose greatest holds top; evaluating once at the class
+ranks of every pinned weak order settles validity over every infinite
+truth-value set.  The same enumerator (ROOT, extend, class_ranks) grows
+the Herbrand semantic tree.  The paper's finite reduction, validity in
+G_{n+2} for n atoms, is an independent route to the same verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Hashable, Mapping, Optional
 
 from .formula import Atom, Bot, And, Or, Imp, Formula, atoms, print_formula
 from .goedelset import gm_values
@@ -65,6 +71,55 @@ def eval_prop(f: Formula, valuation: PropValuation) -> Fraction:
     raise QuantifierError(f"formula is not quantifier-free: {print_formula(f)}")
 
 
+RankProgram = Callable[..., int]
+
+
+def compile_prop(f: Formula, index: Mapping[Atom, Hashable]) -> RankProgram:
+    """Compile f once into prog(ranks, top), the rank of f's value when
+    each atom a has rank ranks[index[a]]; rank 0 is the value 0 and top
+    the value 1.  Raises QuantifierError or DecideError (an atom missing
+    from index) here, not at evaluation."""
+    if isinstance(f, Atom):
+        try:
+            key = index[f]
+        except KeyError:
+            raise DecideError(f"atom {print_formula(f)} unassigned") from None
+        return lambda ranks, top: ranks[key]
+    if isinstance(f, Bot):
+        return lambda ranks, top: 0
+    if not isinstance(f, (And, Or, Imp)):
+        raise QuantifierError(f"formula is not quantifier-free: {print_formula(f)}")
+    a = compile_prop(f.left, index)
+    if isinstance(f, Imp) and isinstance(f.right, Bot):
+        return lambda ranks, top: 0 if a(ranks, top) else top
+    b = compile_prop(f.right, index)
+    # each connective skips its right side when the left side settles it
+    if isinstance(f, And):
+        def conj(ranks, top):
+            x = a(ranks, top)
+            if not x:
+                return 0
+            y = b(ranks, top)
+            return x if x < y else y
+        return conj
+    if isinstance(f, Or):
+        def disj(ranks, top):
+            x = a(ranks, top)
+            if x == top:
+                return top
+            y = b(ranks, top)
+            return x if x > y else y
+        return disj
+
+    def cond(ranks, top):
+        x = a(ranks, top)
+        if not x:
+            return top
+        y = b(ranks, top)
+        return top if x <= y else y
+    return cond
+
+
 # ---------------------------------------------------------------------------
 # Pinned weak orders of {bot, letters, top}, as tuples of classes of names
 
@@ -98,23 +153,17 @@ def restrict(c: Constraint, names: set[str]) -> Constraint:
     return tuple(out)
 
 
+def class_ranks(c: Constraint) -> dict[str, int]:
+    """Each name's class index in c: the bot class has rank 0 and the top
+    class rank len(c) - 1."""
+    return {name: i for i, cls in enumerate(c) for name in cls}
+
+
 def representative(c: Constraint) -> dict[str, Fraction]:
     """The canonical valuation fulfilling the constraint: class i of k maps
     to i/(k-1), so the bottom class sits at 0 and the top class at 1."""
-    k = len(c)
-    out: dict[str, Fraction] = {}
-    for i, cls in enumerate(c):
-        v = Fraction(i, k - 1)
-        for name in cls:
-            out[name] = v
-    return out
-
-
-def atom_valuation(c: Constraint, atom_of: Mapping[str, Atom]) -> PropValuation:
-    """The representative valuation of c keyed by the atoms that its
-    names stand for; the bot and top marks drop out."""
-    return {atom_of[name]: v for name, v in representative(c).items()
-            if name in atom_of}
+    top = len(c) - 1
+    return {name: Fraction(r, top) for name, r in class_ranks(c).items()}
 
 
 def pinned_orders(n: int) -> int:
@@ -158,19 +207,21 @@ def decide_Gm(f: Formula, m: int, budget: int = 10 ** 7) -> DecideResult:
     countermodel in lexicographic order when there is one."""
     letters = list(_letters(f).values())
     values = gm_values(m)
-    if len(values) ** len(letters) > budget:
+    if m ** len(letters) > budget:
         raise TooManyAtomsError(
-            f"{len(values)}^{len(letters)} valuations exceed the budget of {budget}")
-    for choice in itertools.product(values, repeat=len(letters)):
-        valuation = dict(zip(letters, choice))
-        v = eval_prop(f, valuation)
-        if v < ONE:
-            return DecideResult(False, f"G{m}", valuation, v)
+            f"{m}^{len(letters)} valuations exceed the budget of {budget}")
+    prog = compile_prop(f, {a: i for i, a in enumerate(letters)})
+    top = m - 1
+    for ranks in itertools.product(range(m), repeat=len(letters)):
+        v = prog(ranks, top)
+        if v < top:
+            return DecideResult(False, f"G{m}",
+                                {a: values[r] for a, r in zip(letters, ranks)}, values[v])
     return DecideResult(True, f"G{m}")
 
 
 def decide_LC(f: Formula, budget: int = 10 ** 7) -> DecideResult:
-    """Decide Goedel-Dummett LC by evaluating at the representative of
+    """Decide Goedel-Dummett LC by evaluating at the class ranks of
     every pinned weak order of the letters, depth first with the last
     letter innermost; returns the first countermodel found."""
     atom_of = _letters(f)
@@ -180,14 +231,18 @@ def decide_LC(f: Formula, budget: int = 10 ** 7) -> DecideResult:
     if count > budget:
         raise TooManyAtomsError(
             f"{count} pinned weak orders of {n} letters exceed the budget of {budget}")
+    prog = compile_prop(f, {a: name for name, a in atom_of.items()})
     stack = [(ROOT, 0)]
     while stack:
         c, depth = stack.pop()
         if depth < n:
             stack.extend((child, depth + 1) for child in reversed(extend(c, names[depth])))
             continue
-        valuation = atom_valuation(c, atom_of)
-        v = eval_prop(f, valuation)
-        if v < ONE:
-            return DecideResult(False, "LC", valuation, v)
+        ranks = class_ranks(c)
+        top = len(c) - 1
+        v = prog(ranks, top)
+        if v < top:
+            countermodel = {atom_of[name]: Fraction(r, top)
+                            for name, r in ranks.items() if name in atom_of}
+            return DecideResult(False, "LC", countermodel, Fraction(v, top))
     return DecideResult(True, "LC")

@@ -4,10 +4,11 @@ The prover handles closed prenex formulas.  Universal variables are
 replaced by fresh function symbols applied to the preceding existential
 variables; the tree then explores the pinned weak orders of growing
 prefixes of the Herbrand base, grown by the propositional enumerator of
-``decide`` (ROOT, extend, representative).  A branch closes once one
-ground instance of the matrix evaluates to 1 under ``decide.eval_prop``
-at the order's representative valuation, which by order-invariance
-settles the question for every interpretation fulfilling the order.
+``decide`` (ROOT, extend, class_ranks).  Each level's ground instances
+of the matrix are compiled once by ``decide.compile_prop``; a branch
+closes once one of them has the top rank at the order's class ranks,
+which by order-invariance settles the question for every interpretation
+fulfilling the order.
 
 Finite-valued mode prunes orders with more than n classes.  A closed
 tree yields a certificate whose disjunction is checked independently by
@@ -20,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from .formula import (
@@ -29,10 +29,9 @@ from .formula import (
     print_formula, print_raw, print_term, signature, substitute, term_size,
 )
 from .decide import (
-    ROOT, Constraint, atom_valuation, decide_Gm, decide_LC, eval_prop, extend,
+    ROOT, Constraint, RankProgram, class_ranks, compile_prop, decide_Gm, decide_LC,
+    extend,
 )
-
-ONE = Fraction(1)
 
 
 class HerbrandError(Exception):
@@ -240,16 +239,27 @@ def _substitute_many(f: Formula, mapping: dict[str, Term]) -> Formula:
 # Closing a branch
 
 
-def closes(c: Constraint, instances: Sequence[tuple[tuple[Term, ...], Formula]],
-           atom_of: dict[str, Atom]) -> Optional[tuple[tuple[Term, ...], Formula]]:
-    """First instance whose matrix gets value 1 under the representative
-    valuation, atom_of naming the base atoms that the constraint orders;
-    by order-invariance this settles every interpretation that fulfills
-    the constraint."""
-    valuation = atom_valuation(c, atom_of)
-    for combo, ground in instances:
-        if eval_prop(ground, valuation) == ONE:
-            return (combo, ground)
+Instance = tuple[tuple[Term, ...], Formula]
+
+
+def compile_instances(instances: Sequence[Instance],
+                      atom_of: dict[str, Atom]) -> list[tuple[Instance, RankProgram]]:
+    """Each instance with its matrix compiled to a rank program, keyed by
+    the names in atom_of of the base atoms that the constraints order."""
+    index = {atom: name for name, atom in atom_of.items()}
+    return [(inst, compile_prop(inst[1], index)) for inst in instances]
+
+
+def closes(c: Constraint,
+           programs: Sequence[tuple[Instance, RankProgram]]) -> Optional[Instance]:
+    """First instance whose matrix gets the top rank at the class ranks
+    of c; by order-invariance this settles every interpretation that
+    fulfills the constraint."""
+    ranks = class_ranks(c)
+    top = len(c) - 1
+    for inst, prog in programs:
+        if prog(ranks, top) == top:
+            return inst
     return None
 
 
@@ -348,8 +358,11 @@ class ProveResult:
     problem: Optional[HerbrandProblem] = None
 
 
+NODE_BUDGET = 200_000
+
+
 def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
-                 node_budget: int = 200_000) -> ProveResult:
+                 node_budget: int = NODE_BUDGET) -> ProveResult:
     """Breadth-first semantic tree for a closed prenex formula.
 
     mode is "uncountable" or "finite:<n>".  A finite tree yields a
@@ -371,13 +384,14 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
     atom_of: dict[str, Atom] = {}  # the base atoms the constraints order
     nodes = 0
     for level in range(0, max_level + 1):
-        instances = problem.instances(level)
+        programs = compile_instances(problem.instances(level), atom_of)
         still_open: list[Constraint] = []
         for c in frontier:
             nodes += 1
             if nodes > node_budget:
-                raise ResourceBudgetError(f"semantic tree exceeded {node_budget} nodes")
-            hit = closes(c, instances, atom_of)
+                raise ResourceBudgetError(
+                    f"semantic tree exceeded the budget of {node_budget} nodes at level {level}")
+            hit = closes(c, programs)
             if hit is not None:
                 leaves.append(Leaf(level, c, hit[0], hit[1]))
             else:

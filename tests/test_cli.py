@@ -1,7 +1,12 @@
 """Command-line interface: exit codes, output shapes, JSON round-trips."""
 
+import io
 import json
+import os
+import subprocess
+import sys
 
+import goedel_logics
 from goedel_logics.cli import main
 from goedel_logics.herbrand import certificate_from_json, verify_certificate
 
@@ -151,9 +156,44 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 1
 
 
+def test_prove_budget_caps_semantic_tree(capsys, monkeypatch):
+    f = "exists x. exists y. (P(x) -> P(y))"
+    code, _, err = run(capsys, "prove", "--budget", "1", f)
+    assert code == 2 and "budget" in err
+    monkeypatch.setenv("GOEDEL_BUDGET", "1")
+    code, _, err = run(capsys, "prove", f)
+    assert code == 2 and "budget" in err
+    monkeypatch.delenv("GOEDEL_BUDGET")
+    code, out, _ = run(capsys, "prove", f)
+    assert code == 0 and "valid" in out
+
+
+def test_formula_argument_is_text_unless_marked(capsys, monkeypatch, tmp_path):
+    (tmp_path / "A").write_text("B -> B")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "parse", "A")
+    assert code == 0 and out.strip() == "A"
+    code, out, _ = run(capsys, "parse", "@A")
+    assert code == 0 and out.strip() == "B -> B"
+    monkeypatch.setattr("sys.stdin", io.StringIO("C & C"))
+    code, out, _ = run(capsys, "parse", "-")
+    assert code == 0 and out.strip() == "C & C"
+    code, _, err = run(capsys, "parse", "@missing")
+    assert code == 3 and err.startswith("error:")
+
+
 def test_deep_nesting_is_an_input_error(capsys):
     deep = "~" * 3000 + "A"
-    for argv in (["parse", deep], ["decide", "--logic", "LC", deep]):
+    for argv in (["parse", deep], ["decide", "--logic", "LC", deep],
+                 ["decide", "--logic", "G3", deep], ["prove", deep]):
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+    # nesting near the parser's limit still gets a verdict; a fresh
+    # interpreter, because the test runner's own frames lower the limit
+    src = os.path.dirname(os.path.dirname(goedel_logics.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "goedel_logics.cli", "decide", "--logic", "G3",
+         "~" * 980 + "A"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1 and proc.stdout.startswith("countermodel: {A=0}")

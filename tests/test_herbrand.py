@@ -14,8 +14,8 @@ from goedel_logics.decide import (
 )
 from goedel_logics.herbrand import (
     Certificate, HerbrandProblem, NotPrenexError, TraceConstructionError,
-    certificate_from_json, closes, match_instance, prove_prenex, reassemble,
-    verify_certificate, verify_trace,
+    certificate_from_json, closes, compile_instances, match_instance, prove_prenex,
+    reassemble, verify_certificate, verify_trace,
 )
 
 C_DOWN_PRENEX = parse("exists x. forall y. (A(y) -> A(x))")
@@ -97,11 +97,12 @@ def test_closes_cases():
     atom_of = {print_raw(a): a for a in p.base(2)}
     a1, a2 = "A(c0())", "A(f1(c0()))"
     ordered = ((BOT_MARK,), (a2,), (a1,), (TOP_MARK,))   # A(f1 c0) <= A(c0)
-    assert closes(ordered, inst, atom_of) is not None
+    programs = compile_instances(inst, atom_of)
+    assert closes(ordered, programs) is not None
     increasing = ((BOT_MARK,), (a1,), (a2,), (TOP_MARK,))
-    assert closes(increasing, inst, atom_of) is None
+    assert closes(increasing, programs) is None
     all_top = ((BOT_MARK,), (a1, a2, TOP_MARK))
-    assert closes(all_top, inst, atom_of) is not None
+    assert closes(all_top, programs) is not None
 
 
 def test_representative_agreement_with_all_fulfilling_valuations():
@@ -118,7 +119,8 @@ def test_representative_agreement_with_all_fulfilling_valuations():
         instances = p.instances(level)
         sample = frontier if len(frontier) <= 40 else rng.sample(frontier, 40)
         for c in sample:
-            verdicts = [closes(c, [inst], atom_of) is not None for inst in instances]
+            verdicts = [closes(c, [prog]) is not None
+                        for prog in compile_instances(instances, atom_of)]
             for val in _fulfilling_valuations(c):
                 by_atom = {atom_of[name]: v for name, v in val.items() if name in atom_of}
                 got = [eval_prop(g, by_atom) == 1 for _, g in instances]

@@ -1,9 +1,15 @@
-"""Property tests: the weak-order LC decision against the n+2 reduction."""
+"""Property tests: the weak-order LC decision against the n+2 reduction,
+and the compiled rank programs against the reference tree walk."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from goedel_logics.decide import decide_Gm, decide_LC, eval_prop
-from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms
+from goedel_logics.decide import (
+    DecideError, QuantifierError, compile_prop, decide_Gm, decide_LC, eval_prop,
+)
+from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse
 
 LETTERS = [Atom(f"A{i}") for i in range(1, 6)]
 
@@ -12,6 +18,9 @@ formulas = st.recursive(
     lambda sub: st.builds(And, sub, sub) | st.builds(Or, sub, sub)
     | st.builds(Imp, sub, sub),
     max_leaves=10)
+
+rank_vectors = st.integers(1, 6).flatmap(lambda top: st.tuples(
+    st.just(top), st.lists(st.integers(0, top), min_size=5, max_size=5)))
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -23,3 +32,24 @@ def test_lc_matches_gm_n_plus_2(f):
         assert set(r.countermodel) == set(atoms(f))
         assert all(0 <= v <= 1 for v in r.countermodel.values())
         assert eval_prop(f, r.countermodel) == r.value < 1
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(formulas, rank_vectors)
+def test_compiled_program_matches_eval_prop(f, top_ranks):
+    top, ranks = top_ranks
+    prog = compile_prop(f, {a: i for i, a in enumerate(LETTERS)})
+    valuation = {a: Fraction(r, top) for a, r in zip(LETTERS, ranks)}
+    assert Fraction(prog(ranks, top), top) == eval_prop(f, valuation)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("A1 & (forall x. P(x))", QuantifierError),
+    ("A1 -> A2", DecideError),  # A2 unassigned
+])
+def test_compile_rejects_what_eval_prop_rejects(text, error):
+    f = parse(text)
+    with pytest.raises(error):
+        eval_prop(f, {Atom("A1"): Fraction(0)})
+    with pytest.raises(error):
+        compile_prop(f, {Atom("A1"): 0})
