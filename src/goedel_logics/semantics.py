@@ -2,6 +2,15 @@
 
 Interpretations carry exact rational truth values; the conditional's case
 split sits on a discontinuity, so no floating point appears anywhere.
+evaluate is the reference tree walk over one interpretation.
+
+The finite entailment search does not call it: for each universe size
+and function table it grounds the formulas once (quantifiers expanded
+over the universe, terms evaluated under the table), compiles them with
+decide.compile_prop, and runs the programs over the integer rank vectors
+of the ground atoms' tables.  Only the countermodel it returns is built
+as an interpretation.
+
 Besides finite structures there is a restricted countable shape, the
 omega interpretation: finitely many explicit prefix elements plus a tail
 t_1, t_2, ... whose atom values follow constant or harmonic descriptors.
@@ -15,10 +24,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
+from .decide import compile_prop
 from .formula import (
-    Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Term, Var,
+    App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Term, Var,
     free_vars, print_formula, signature,
 )
 from .goedelset import GoedelSet, Interval, SeqDown, SeqUp, member, \
@@ -249,30 +259,6 @@ def _count_interpretations(n_elems: int, preds: dict[str, int],
     return total
 
 
-def iter_interpretations(preds: dict[str, int], funcs: dict[str, int],
-                         values: Sequence[Fraction], size: int,
-                         truth_set: GoedelSet) -> Iterator[FiniteInterpretation]:
-    """All interpretations with the given universe size, in a fixed order:
-    symbols sorted by name, argument tuples in product order, table values
-    ascending."""
-    universe = tuple(f"u{i}" for i in range(size))
-    pred_names = sorted(preds)
-    func_names = sorted(funcs)
-    pred_keys = {p: list(itertools.product(universe, repeat=preds[p])) for p in pred_names}
-    func_keys = {f: list(itertools.product(universe, repeat=funcs[f])) for f in func_names}
-
-    pred_spaces = [itertools.product(values, repeat=len(pred_keys[p])) for p in pred_names]
-    func_spaces = [itertools.product(universe, repeat=len(func_keys[f])) for f in func_names]
-    for choice in itertools.product(*pred_spaces, *func_spaces):
-        pred_tables = {}
-        for i, p in enumerate(pred_names):
-            pred_tables[p] = dict(zip(pred_keys[p], choice[i]))
-        func_tables = {}
-        for j, f in enumerate(func_names):
-            func_tables[f] = dict(zip(func_keys[f], choice[len(pred_names) + j]))
-        yield FiniteInterpretation(universe, truth_set, pred_tables, func_tables)
-
-
 def _joint_signature(formulas: Sequence[Formula]) -> tuple[dict[str, int], dict[str, int]]:
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
@@ -291,8 +277,13 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
     ``holds`` means "no countermodel at this scale"; it is a bounded check,
     not a validity proof.  Entailment compares inf of the premises against
     the conclusion; 1-entailment asks that all-1 premises force a 1
-    conclusion.  The first countermodel in enumeration order is returned.
+    conclusion.  The first countermodel in the enumeration order of the
+    tables (symbols sorted by name, argument tuples in product order,
+    table values ascending, predicate tables before function tables) is
+    returned.
     """
+    if max_universe < 1:
+        raise ValueError(f"max_universe must be at least 1, got {max_universe}")
     formulas = list(premises) + [conclusion]
     for f in formulas:
         if free_vars(f):
@@ -307,17 +298,117 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
         raise BudgetExceededError(
             f"{total} interpretations exceed the budget of {budget}")
 
+    # a countermodel makes goal < 1 (and, for 1-entailment, guard = 1);
+    # inf Gamma > B exactly when (&Gamma -> B) < 1
+    conj = _balanced(And, list(premises)) if premises else None
+    if one_entailment:
+        goal, guard = conclusion, conj
+    else:
+        goal, guard = (Imp(conj, conclusion) if conj else conclusion), None
+    elems: list[App] = []
     for size in range(1, max_universe + 1):
-        for I in iter_interpretations(preds, funcs, values, size, V):
-            prem_vals = [evaluate(p, I) for p in premises]
-            concl = evaluate(conclusion, I)
-            if one_entailment:
-                bad = all(v == ONE for v in prem_vals) and concl < ONE
-            else:
-                bad = min(prem_vals, default=ONE) > concl
-            if bad:
-                return EntailmentResult(False, I)
+        elems.append(App(f"u{size - 1}"))
+        found = _search_size(goal, guard, preds, funcs, elems, len(values))
+        if found is not None:
+            return EntailmentResult(False, _interpretation(
+                preds, funcs, size, values, V, *found))
     return EntailmentResult(True)
+
+
+def _balanced(join: type, parts: list[Formula]) -> Formula:
+    """parts joined by a binary connective as a balanced tree, so that
+    its depth grows with the logarithm of the number of parts."""
+    while len(parts) > 1:
+        paired = [join(a, b) for a, b in zip(parts[::2], parts[1::2])]
+        parts = paired + parts[len(paired) * 2:]
+    return parts[0]
+
+
+def _search_size(goal: Formula, guard: Optional[Formula], preds: dict[str, int],
+                 funcs: dict[str, int], elems: Sequence[App], n_values: int
+                 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The first (predicate ranks, function table) over the universe elems
+    where goal has rank below top and guard (if any) rank top.
+
+    Each ground atom P(u_i, ...) has a slot in one rank vector (predicates
+    sorted, argument tuples in product order); each function table is a
+    flat tuple of element indices in the same layout.  Tables run
+    outermost, so the first countermodel is the least in (predicate
+    index, table) order: every later table only searches below the best
+    predicate index found so far.
+    """
+    size = len(elems)
+    index = {}
+    for p in sorted(preds):
+        for tup in itertools.product(elems, repeat=preds[p]):
+            index[Atom(p, tup)] = len(index)
+    offsets = {}
+    n_func_slots = 0
+    for g in sorted(funcs):
+        offsets[g] = n_func_slots
+        n_func_slots += size ** funcs[g]
+    top = n_values - 1
+    best = None
+    for table in itertools.product(range(size), repeat=n_func_slots):
+        limit = None if best is None else best[0]
+        if limit == 0:
+            break
+        ground = _grounder(elems, offsets, table)
+        goal_prog = compile_prop(ground(goal, {}), index)
+        guard_prog = None if guard is None else compile_prop(ground(guard, {}), index)
+        points = itertools.product(range(n_values), repeat=len(index))
+        for i, ranks in enumerate(itertools.islice(points, limit)):
+            if goal_prog(ranks, top) < top and (
+                    guard_prog is None or guard_prog(ranks, top) == top):
+                best = (i, ranks, table)
+                break
+    return None if best is None else best[1:]
+
+
+def _grounder(elems: Sequence[App], offsets: Mapping[str, int],
+              table: Sequence[int]):
+    """ground(f, env): the quantifier-free instance of f over the universe
+    elems, with function symbols read from the flat table and quantifiers
+    expanded into balanced conjunctions or disjunctions."""
+    size = len(elems)
+
+    def term(t: Term, env: Mapping[str, int]) -> int:
+        if isinstance(t, Var):
+            return env[t.name]
+        i = 0
+        for a in t.args:
+            i = i * size + term(a, env)
+        return table[offsets[t.name] + i]
+
+    def ground(g: Formula, env: Mapping[str, int]) -> Formula:
+        if isinstance(g, Atom):
+            return Atom(g.pred, tuple(elems[term(t, env)] for t in g.args))
+        if isinstance(g, Bot):
+            return g
+        if isinstance(g, (And, Or, Imp)):
+            return type(g)(ground(g.left, env), ground(g.right, env))
+        if g.var not in free_vars(g.body):
+            # min and max over a nonempty universe of one value
+            return ground(g.body, env)
+        join = And if isinstance(g, Forall) else Or
+        return _balanced(join, [ground(g.body, {**env, g.var: i}) for i in range(size)])
+
+    return ground
+
+
+def _interpretation(preds: dict[str, int], funcs: dict[str, int], size: int,
+                    values: Sequence[Fraction], V: GoedelSet,
+                    ranks: Sequence[int], table: Sequence[int]) -> FiniteInterpretation:
+    """The interpretation a rank vector and a flat function table stand for."""
+    universe = tuple(f"u{i}" for i in range(size))
+    rank_it, table_it = iter(ranks), iter(table)
+    pred_tables = {p: {tup: values[next(rank_it)]
+                       for tup in itertools.product(universe, repeat=preds[p])}
+                   for p in sorted(preds)}
+    func_tables = {g: {tup: universe[next(table_it)]
+                       for tup in itertools.product(universe, repeat=funcs[g])}
+                   for g in sorted(funcs)}
+    return FiniteInterpretation(universe, V, pred_tables, func_tables)
 
 
 def one_entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,

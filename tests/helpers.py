@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from typing import Iterator, Sequence
 
 from goedel_logics.formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Var, free_vars,
 )
 from goedel_logics.goedelset import GoedelSet, finite_elements
-from goedel_logics.semantics import FiniteInterpretation
+from goedel_logics.semantics import (
+    ONE, EntailmentResult, FiniteInterpretation, _joint_signature, evaluate,
+)
 
 CONNECTIVES = [And, Or, Imp]
 
@@ -54,7 +58,6 @@ def random_closed_formula(rng: random.Random, depth: int = 3, **kw) -> Formula:
 def random_interpretation(rng: random.Random, V: GoedelSet, size: int,
                           preds: dict[str, int],
                           funcs: dict[str, int] | None = None) -> FiniteInterpretation:
-    import itertools
     values = finite_elements(V)
     universe = tuple(f"u{i}" for i in range(size))
     tables = {}
@@ -66,3 +69,41 @@ def random_interpretation(rng: random.Random, V: GoedelSet, size: int,
         ftables[name] = {tup: rng.choice(universe)
                          for tup in itertools.product(universe, repeat=arity)}
     return FiniteInterpretation(universe, V, tables, ftables)
+
+
+def iter_interpretations(preds: dict[str, int], funcs: dict[str, int],
+                         values: Sequence, size: int,
+                         truth_set: GoedelSet) -> Iterator[FiniteInterpretation]:
+    """All interpretations with the given universe size, in a fixed order:
+    symbols sorted by name, argument tuples in product order, table values
+    ascending, function tables varying fastest."""
+    universe = tuple(f"u{i}" for i in range(size))
+    pred_keys = {p: list(itertools.product(universe, repeat=k)) for p, k in sorted(preds.items())}
+    func_keys = {f: list(itertools.product(universe, repeat=k)) for f, k in sorted(funcs.items())}
+    spaces = [itertools.product(values, repeat=len(keys)) for keys in pred_keys.values()]
+    spaces += [itertools.product(universe, repeat=len(keys)) for keys in func_keys.values()]
+    for choice in itertools.product(*spaces):
+        tables = [dict(zip(keys, row))
+                  for keys, row in zip([*pred_keys.values(), *func_keys.values()], choice)]
+        yield FiniteInterpretation(universe, truth_set,
+                                   dict(zip(pred_keys, tables)),
+                                   dict(zip(func_keys, tables[len(pred_keys):])))
+
+
+def reference_entails(premises: Sequence[Formula], conclusion: Formula,
+                      V: GoedelSet, max_universe: int,
+                      one_entailment: bool = False) -> EntailmentResult:
+    """The slow oracle for semantics.entails_bruteforce: every
+    interpretation in enumeration order, each evaluated with evaluate."""
+    preds, funcs = _joint_signature(list(premises) + [conclusion])
+    for size in range(1, max_universe + 1):
+        for I in iter_interpretations(preds, funcs, finite_elements(V), size, V):
+            prem = [evaluate(p, I) for p in premises]
+            concl = evaluate(conclusion, I)
+            if one_entailment:
+                bad = all(v == ONE for v in prem) and concl < ONE
+            else:
+                bad = min(prem, default=ONE) > concl
+            if bad:
+                return EntailmentResult(False, I)
+    return EntailmentResult(True)

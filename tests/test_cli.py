@@ -88,6 +88,14 @@ def test_entail_exit_codes(capsys):
     assert code == 1 and "countermodel" in out
 
 
+def test_entail_rejects_empty_universe_bound(capsys):
+    for flag in ([], ["--one"]):
+        code, out, err = run(capsys, "entail", "--truth-set", "{0,1}", *flag,
+                             "--max-universe", "0", "A")
+        assert code == 3 and out == ""
+        assert "max_universe" in err
+
+
 def test_check_proof(capsys, tmp_path):
     good = tmp_path / "good.proof"
     good.write_text("""system: H

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, Bot, And, Or, Imp, Forall, Exists, Neg,
@@ -156,6 +157,31 @@ def test_roundtrip_random_asts():
     for _ in range(10_000):
         f = random_formula(rng, rng.randint(0, 6), [])
         assert parse(print_formula(f)) == normalize(f)
+
+
+# free and bound names include the canonical x1, x2 that normalize
+# assigns, and binders may shadow each other
+NAMES = ["x", "y", "x1", "x2"]
+terms = st.recursive(
+    st.builds(Var, st.sampled_from(NAMES)) | st.just(App("c")),
+    lambda t: st.builds(lambda a: App("f", (a,)), t)
+    | st.builds(lambda a, b: App("g", (a, b)), t, t),
+    max_leaves=3)
+any_formulas = st.recursive(
+    st.sampled_from([Atom("A"), Bot(), Top()])
+    | st.builds(lambda t: Atom("P", (t,)), terms)
+    | st.builds(lambda s, t: Atom("R", (s, t)), terms, terms),
+    lambda sub: st.builds(And, sub, sub) | st.builds(Or, sub, sub)
+    | st.builds(Imp, sub, sub) | st.builds(Neg, sub)
+    | st.builds(Forall, st.sampled_from(NAMES), sub)
+    | st.builds(Exists, st.sampled_from(NAMES), sub),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(any_formulas)
+def test_print_parse_is_normalize(f):
+    assert parse(print_formula(f)) == normalize(f)
 
 
 def test_roundtrip_is_identity_on_normalized():

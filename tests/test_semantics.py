@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from goedel_logics.formula import parse
+from goedel_logics.formula import And, Atom, Imp, Or, parse
 from goedel_logics.goedelset import (
     finite_elements, make_set, parse_set, Point, unit_interval, v_down, v_m, v_up,
 )
@@ -87,6 +87,43 @@ def test_budget_error():
     with pytest.raises(BudgetExceededError):
         entails_bruteforce([], parse("P(f(g(c()))) | Q(c(),c())"),
                            V4, 3, budget=1000)
+
+
+@pytest.mark.parametrize("search", [entails_bruteforce, one_entails_bruteforce])
+@pytest.mark.parametrize("bound", [0, -1])
+def test_empty_universe_bound_is_an_error(search, bound):
+    # searching no universe at all must not answer "holds"
+    with pytest.raises(ValueError, match="max_universe"):
+        search([], parse("A | ~A"), V3, bound)
+
+
+def test_large_universe_keeps_grounding_shallow():
+    # a vacuous quantifier grounds to its body, so 1200 universe sizes
+    # neither nest 1200 deep nor take long
+    assert entails_bruteforce([], parse("exists x. (A -> A)"), V3, 1200).holds
+
+
+def test_quantifier_instances_join_as_balanced_tree():
+    # n instances of a body nest about log2(n) deep, not n deep
+    from goedel_logics.formula import App
+    from goedel_logics.semantics import _grounder
+
+    def depth(g):
+        if isinstance(g, (And, Or, Imp)):
+            return 1 + max(depth(g.left), depth(g.right))
+        return 0
+
+    elems = [App(f"u{i}") for i in range(1000)]
+    ground = _grounder(elems, {}, ())
+    assert depth(ground(parse("forall x. P(x)"), {})) == 10
+    assert depth(ground(parse("(exists x. P(x)) -> A"), {})) == 11
+    # f(u_i) = u_(i+1 mod 30): the first instance is R(u0, f(u0)) = R(u0, u1)
+    ground = _grounder(elems[:30], {"f": 0}, [(i + 1) % 30 for i in range(30)])
+    g = ground(parse("forall x. exists y. R(x, f(y))"), {})
+    assert depth(g) == 10
+    while not isinstance(g, Atom):
+        g = g.left
+    assert g == parse("R(u0(), u1())")
 
 
 def test_one_entailment_reflexive():
