@@ -6,10 +6,14 @@ and the quantifiers ``forall``/``exists``.  Negation and verum are sugar:
 node kind.  Predicates start with an uppercase letter, functions and
 constants are lowercase and always written with parentheses (``c()``),
 variables are bare lowercase identifiers.
+
+The parser tokenizes a text in one regex scan.  Positions are computed
+only on error: a token's ``line:column`` is then found by a second scan.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
@@ -341,114 +345,116 @@ def normalize(f: Formula) -> Formula:
 
 _TOKEN_RE = re.compile(r"->|[()~&|.,]|[A-Za-z_][A-Za-z0-9_]*|\S")
 
+_NAME_RE = re.compile(r"[a-z_][A-Za-z0-9_]*")
+
 _KEYWORDS = {"forall", "exists", "bot", "top"}
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if m is None or (len(m.group()) == 1 and not m.group().isprintable()):
-                raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-            toks.append(_Tok(m.group(), lineno, m.start() + 1))
-            pos = m.end()
-    return toks
-
-
 class _Parser:
+    """Recursive descent over the tokens of one regex scan.
+
+    Tokens are plain strings closed by a ``None`` sentinel.  No token
+    holds whitespace, so the scan skips exactly the characters that
+    str.isspace skips.
+    """
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks: list[Optional[str]] = _TOKEN_RE.findall(text) + [None]
+        if not text.isprintable():
+            for i, tok in enumerate(self.toks[:-1]):
+                if len(tok) == 1 and not tok.isprintable():
+                    raise self.error_at(i, f"unexpected character {tok!r}")
         self.pos = 0
         self.preds: dict[str, int] = {}
         self.funcs: dict[str, int] = {}
 
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos].text if self.pos < len(self.toks) else None
+    def position(self, i: int) -> tuple[int, int]:
+        """1-based line and column of token i, lines split as by
+        str.splitlines; found by a second scan, which only errors need."""
+        start = next(itertools.islice(_TOKEN_RE.finditer(self.text), i, None)).start()
+        lines = (self.text[:start] + "x").splitlines()
+        return len(lines), len(lines[-1])
 
-    def next(self) -> _Tok:
-        if self.pos >= len(self.toks):
-            last = self.toks[-1] if self.toks else _Tok("", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col + len(last.text))
+    def error_at(self, i: int, msg: str) -> ParseError:
+        """An error at token i, at the last token past the end, at 1:1
+        without tokens."""
+        if len(self.toks) == 1:
+            return ParseError(msg, 1, 1)
+        return ParseError(msg, *self.position(min(i, len(self.toks) - 2)))
+
+    def error(self, msg: str) -> ParseError:
+        return self.error_at(self.pos, msg)
+
+    def next(self) -> str:
         tok = self.toks[self.pos]
+        if tok is None:
+            if self.pos == 0:
+                raise ParseError("unexpected end of input", 1, 1)
+            line, col = self.position(self.pos - 1)
+            raise ParseError("unexpected end of input", line,
+                             col + len(self.toks[self.pos - 1]))
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> _Tok:
+    def expect(self, text: str) -> None:
         tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
+        if tok != text:
+            raise self.error_at(self.pos - 1, f"expected {text!r}, found {tok!r}")
 
-    def error(self, msg: str) -> ParseError:
-        tok = self.toks[self.pos] if self.pos < len(self.toks) else (
-            self.toks[-1] if self.toks else _Tok("", 1, 1))
-        return ParseError(msg, tok.line, tok.col)
-
-    def note_arity(self, table: dict[str, int], name: str, arity: int, tok: _Tok) -> None:
+    def note_arity(self, table: dict[str, int], name: str, arity: int, i: int) -> None:
         old = table.setdefault(name, arity)
         if old != arity:
+            line, col = self.position(i)
             raise ArityConflictError(
-                f"{tok.line}:{tok.col}: symbol {name} used with arities {old} and {arity}")
+                f"{line}:{col}: symbol {name} used with arities {old} and {arity}")
 
     # formula := quant | imp ; imp := or ("->" formula)?
     def formula(self) -> Formula:
-        if self.peek() in ("forall", "exists"):
+        if self.toks[self.pos] in ("forall", "exists"):
             return self.quant()
         left = self.disjunction()
-        if self.peek() == "->":
-            self.next()
+        if self.toks[self.pos] == "->":
+            self.pos += 1
             return Imp(left, self.formula())
         return left
 
     def quant(self) -> Formula:
-        kw = self.next().text
-        tok = self.next()
-        if not re.fullmatch(r"[a-z_][A-Za-z0-9_]*", tok.text) or tok.text in _KEYWORDS:
-            raise ParseError(f"expected variable after {kw}, found {tok.text!r}",
-                             tok.line, tok.col)
+        kw = self.next()
+        var = self.next()
+        if not _NAME_RE.fullmatch(var) or var in _KEYWORDS:
+            raise self.error_at(self.pos - 1, f"expected variable after {kw}, found {var!r}")
         self.expect(".")
         body = self.formula()
-        return Forall(tok.text, body) if kw == "forall" else Exists(tok.text, body)
+        return Forall(var, body) if kw == "forall" else Exists(var, body)
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
-        while self.peek() == "|":
-            self.next()
+        while self.toks[self.pos] == "|":
+            self.pos += 1
             f = Or(f, self.conjunction())
         return f
 
     def conjunction(self) -> Formula:
         f = self.unary()
-        while self.peek() == "&":
-            self.next()
+        while self.toks[self.pos] == "&":
+            self.pos += 1
             f = And(f, self.unary())
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok == "~":
-            self.next()
+            self.pos += 1
             return Neg(self.unary())
         if tok == "bot":
-            self.next()
+            self.pos += 1
             return BOT
         if tok == "top":
-            self.next()
+            self.pos += 1
             return Top()
         if tok == "(":
-            self.next()
+            self.pos += 1
             f = self.formula()
             self.expect(")")
             return f
@@ -457,51 +463,53 @@ class _Parser:
         raise self.error(f"expected a formula, found {tok!r}")
 
     def atom(self) -> Atom:
-        tok = self.next()
+        i = self.pos
+        name = self.next()
         args: tuple[Term, ...] = ()
-        if self.peek() == "(":
-            self.next()
+        if self.toks[self.pos] == "(":
+            self.pos += 1
             args = self.termlist()
             self.expect(")")
-        self.note_arity(self.preds, tok.text, len(args), tok)
-        return Atom(tok.text, args)
+        self.note_arity(self.preds, name, len(args), i)
+        return Atom(name, args)
 
     def termlist(self) -> tuple[Term, ...]:
-        if self.peek() == ")":
+        if self.toks[self.pos] == ")":
             return ()
         out = [self.term()]
-        while self.peek() == ",":
-            self.next()
+        while self.toks[self.pos] == ",":
+            self.pos += 1
             out.append(self.term())
         return tuple(out)
 
     def term(self) -> Term:
-        tok = self.next()
-        if not re.fullmatch(r"[a-z_][A-Za-z0-9_]*", tok.text) or tok.text in _KEYWORDS:
-            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
-        if self.peek() == "(":
-            self.next()
+        i = self.pos
+        name = self.next()
+        if not _NAME_RE.fullmatch(name) or name in _KEYWORDS:
+            raise self.error_at(i, f"expected a term, found {name!r}")
+        if self.toks[self.pos] == "(":
+            self.pos += 1
             args = self.termlist()
             self.expect(")")
-            self.note_arity(self.funcs, tok.text, len(args), tok)
-            return App(tok.text, args)
-        return Var(tok.text)
+            self.note_arity(self.funcs, name, len(args), i)
+            return App(name, args)
+        return Var(name)
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a raw AST (bound names kept as written)."""
     p = _Parser(text)
     f = p.formula()
-    if p.pos != len(p.toks):
-        raise p.error(f"trailing input {p.peek()!r}")
+    if p.toks[p.pos] is not None:
+        raise p.error(f"trailing input {p.toks[p.pos]!r}")
     return f
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
     t = p.term()
-    if p.pos != len(p.toks):
-        raise p.error(f"trailing input {p.peek()!r}")
+    if p.toks[p.pos] is not None:
+        raise p.error(f"trailing input {p.toks[p.pos]!r}")
     return t
 
 

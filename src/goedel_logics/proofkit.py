@@ -367,7 +367,14 @@ def _split_bindings(text: str) -> list[str]:
     return parts
 
 
-def _parse_bindings(text: str) -> tuple[tuple[str, object], ...]:
+def _parse_memo(memo: dict[str, Formula], text: str) -> Formula:
+    f = memo.get(text)
+    if f is None:
+        f = memo[text] = parse(text)
+    return f
+
+
+def _parse_bindings(text: str, memo: dict[str, Formula]) -> tuple[tuple[str, object], ...]:
     text = text.strip()
     if not text:
         return ()
@@ -381,7 +388,7 @@ def _parse_bindings(text: str) -> tuple[tuple[str, object], ...]:
         key = key.strip()
         value = value.strip()
         if key and key[0].isupper():
-            out.append((key, parse(value)))
+            out.append((key, _parse_memo(memo, value)))
         elif key == "t":
             out.append((key, parse_term(value)))
         else:
@@ -390,6 +397,10 @@ def _parse_bindings(text: str) -> tuple[tuple[str, object], ...]:
 
 
 def parse_derivation(text: str, system: Optional[str] = None) -> Derivation:
+    """Parse a proof file.  A formula text that recurs (a binding such as
+    ``A := P(x) -> ~P(x)`` is often repeated) is parsed once per call;
+    the ASTs are frozen, so steps and bindings may share them."""
+    memo: dict[str, Formula] = {}
     steps: list[Step] = []
     premises: list[Formula] = []
     expected = 1
@@ -409,7 +420,7 @@ def parse_derivation(text: str, system: Optional[str] = None) -> Derivation:
         if num != expected:
             raise ProofError(f"expected step {expected}, found {num}")
         expected += 1
-        formula = parse(m.group(2))
+        formula = _parse_memo(memo, m.group(2))
         just = m.group(3).strip()
         if just == "premise":
             premises.append(formula)
@@ -418,13 +429,13 @@ def parse_derivation(text: str, system: Optional[str] = None) -> Derivation:
         jm = re.fullmatch(r"axiom\s+(\S+)\s*(\[.*\])?", just)
         if jm:
             steps.append(Step(formula, "axiom", jm.group(1), (),
-                              _parse_bindings(jm.group(2) or "")))
+                              _parse_bindings(jm.group(2) or "", memo)))
             continue
         jm = re.fullmatch(r"rule\s+(\S+)\s+([\d\s,]+?)\s*(\[.*\])?", just)
         if jm:
             cites = tuple(int(c) for c in jm.group(2).replace(" ", "").split(",") if c)
             steps.append(Step(formula, "rule", jm.group(1), cites,
-                              _parse_bindings(jm.group(3) or "")))
+                              _parse_bindings(jm.group(3) or "", memo)))
             continue
         raise ProofError(f"cannot parse justification: {just!r}")
     return Derivation(system or "H", tuple(premises), tuple(steps))

@@ -250,12 +250,17 @@ class EntailmentResult:
 
 
 def _count_interpretations(n_elems: int, preds: dict[str, int],
-                           funcs: dict[str, int], n_values: int) -> int:
+                           funcs: dict[str, int], n_values: int, budget: int) -> int:
+    """The number of interpretations over n_elems elements when it is at
+    most budget; otherwise some number above budget.  Each exponent is
+    capped where base ** exponent must exceed budget (base >= 2), so a
+    huge count is never computed."""
+    cap = budget.bit_length() + 1
     total = 1
     for k in preds.values():
-        total *= n_values ** (n_elems ** k)
+        total *= n_values ** min(n_elems ** k, cap)
     for k in funcs.values():
-        total *= n_elems ** (n_elems ** k)
+        total *= n_elems ** min(n_elems ** k, cap)
     return total
 
 
@@ -292,11 +297,12 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
     values = finite_elements(V)
     preds, funcs = _joint_signature(formulas)
 
-    total = sum(_count_interpretations(m, preds, funcs, len(values))
-                for m in range(1, max_universe + 1))
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} interpretations exceed the budget of {budget}")
+    total = 0
+    for m in range(1, max_universe + 1):
+        total += _count_interpretations(m, preds, funcs, len(values), budget)
+        if total > budget:
+            raise BudgetExceededError(
+                f"the interpretations of universe sizes 1..{m} exceed the budget of {budget}")
 
     # a countermodel makes goal < 1 (and, for 1-entailment, guard = 1);
     # inf Gamma > B exactly when (&Gamma -> B) < 1

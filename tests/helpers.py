@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Sequence
+import re
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 from goedel_logics.formula import (
-    App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Var, free_vars,
+    App, ArityConflictError, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula,
+    Neg, ParseError, Term, Top, Var, free_vars,
 )
 from goedel_logics.goedelset import GoedelSet, finite_elements
 from goedel_logics.semantics import (
@@ -107,3 +110,175 @@ def reference_entails(premises: Sequence[Formula], conclusion: Formula,
             if bad:
                 return EntailmentResult(False, I)
     return EntailmentResult(True)
+
+
+# ---------------------------------------------------------------------------
+# The reference parser, the slow oracle for formula.parse and parse_term:
+# each line is tokenized character by character into tokens that carry
+# their own line and column.
+
+_TOKEN_RE = re.compile(r"->|[()~&|.,]|[A-Za-z_][A-Za-z0-9_]*|\S")
+
+_KEYWORDS = {"forall", "exists", "bot", "top"}
+
+
+@dataclass(frozen=True)
+class _Tok:
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(text: str) -> list[_Tok]:
+    toks = []
+    for lineno, line in enumerate(text.splitlines() or [""], start=1):
+        pos = 0
+        while pos < len(line):
+            if line[pos].isspace():
+                pos += 1
+                continue
+            m = _TOKEN_RE.match(line, pos)
+            if m is None or (len(m.group()) == 1 and not m.group().isprintable()):
+                raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
+            toks.append(_Tok(m.group(), lineno, m.start() + 1))
+            pos = m.end()
+    return toks
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.toks = _tokenize(text)
+        self.pos = 0
+        self.preds: dict[str, int] = {}
+        self.funcs: dict[str, int] = {}
+
+    def peek(self) -> Optional[str]:
+        return self.toks[self.pos].text if self.pos < len(self.toks) else None
+
+    def next(self) -> _Tok:
+        if self.pos >= len(self.toks):
+            last = self.toks[-1] if self.toks else _Tok("", 1, 1)
+            raise ParseError("unexpected end of input", last.line, last.col + len(last.text))
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, text: str) -> _Tok:
+        tok = self.next()
+        if tok.text != text:
+            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+        return tok
+
+    def error(self, msg: str) -> ParseError:
+        tok = self.toks[self.pos] if self.pos < len(self.toks) else (
+            self.toks[-1] if self.toks else _Tok("", 1, 1))
+        return ParseError(msg, tok.line, tok.col)
+
+    def note_arity(self, table: dict[str, int], name: str, arity: int, tok: _Tok) -> None:
+        old = table.setdefault(name, arity)
+        if old != arity:
+            raise ArityConflictError(
+                f"{tok.line}:{tok.col}: symbol {name} used with arities {old} and {arity}")
+
+    # formula := quant | imp ; imp := or ("->" formula)?
+    def formula(self) -> Formula:
+        if self.peek() in ("forall", "exists"):
+            return self.quant()
+        left = self.disjunction()
+        if self.peek() == "->":
+            self.next()
+            return Imp(left, self.formula())
+        return left
+
+    def quant(self) -> Formula:
+        kw = self.next().text
+        tok = self.next()
+        if not re.fullmatch(r"[a-z_][A-Za-z0-9_]*", tok.text) or tok.text in _KEYWORDS:
+            raise ParseError(f"expected variable after {kw}, found {tok.text!r}",
+                             tok.line, tok.col)
+        self.expect(".")
+        body = self.formula()
+        return Forall(tok.text, body) if kw == "forall" else Exists(tok.text, body)
+
+    def disjunction(self) -> Formula:
+        f = self.conjunction()
+        while self.peek() == "|":
+            self.next()
+            f = Or(f, self.conjunction())
+        return f
+
+    def conjunction(self) -> Formula:
+        f = self.unary()
+        while self.peek() == "&":
+            self.next()
+            f = And(f, self.unary())
+        return f
+
+    def unary(self) -> Formula:
+        tok = self.peek()
+        if tok == "~":
+            self.next()
+            return Neg(self.unary())
+        if tok == "bot":
+            self.next()
+            return BOT
+        if tok == "top":
+            self.next()
+            return Top()
+        if tok == "(":
+            self.next()
+            f = self.formula()
+            self.expect(")")
+            return f
+        if tok is not None and tok[0].isupper():
+            return self.atom()
+        raise self.error(f"expected a formula, found {tok!r}")
+
+    def atom(self) -> Atom:
+        tok = self.next()
+        args: tuple[Term, ...] = ()
+        if self.peek() == "(":
+            self.next()
+            args = self.termlist()
+            self.expect(")")
+        self.note_arity(self.preds, tok.text, len(args), tok)
+        return Atom(tok.text, args)
+
+    def termlist(self) -> tuple[Term, ...]:
+        if self.peek() == ")":
+            return ()
+        out = [self.term()]
+        while self.peek() == ",":
+            self.next()
+            out.append(self.term())
+        return tuple(out)
+
+    def term(self) -> Term:
+        tok = self.next()
+        if not re.fullmatch(r"[a-z_][A-Za-z0-9_]*", tok.text) or tok.text in _KEYWORDS:
+            raise ParseError(f"expected a term, found {tok.text!r}", tok.line, tok.col)
+        if self.peek() == "(":
+            self.next()
+            args = self.termlist()
+            self.expect(")")
+            self.note_arity(self.funcs, tok.text, len(args), tok)
+            return App(tok.text, args)
+        return Var(tok.text)
+
+
+def reference_parse(text: str) -> Formula:
+    """The slow oracle for formula.parse."""
+    p = _Parser(text)
+    f = p.formula()
+    if p.pos != len(p.toks):
+        raise p.error(f"trailing input {p.peek()!r}")
+    return f
+
+
+def reference_parse_term(text: str) -> Term:
+    """The slow oracle for formula.parse_term."""
+    p = _Parser(text)
+    t = p.term()
+    if p.pos != len(p.toks):
+        raise p.error(f"trailing input {p.peek()!r}")
+    return t

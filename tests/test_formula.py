@@ -12,7 +12,7 @@ from goedel_logics.formula import (
 )
 from goedel_logics.transforms import relativize_dneg
 
-from helpers import random_formula
+from helpers import random_formula, reference_parse, reference_parse_term
 
 
 def test_parse_identity_conditional():
@@ -40,21 +40,55 @@ def test_parse_quantifier_scope_maximal():
     assert isinstance(f, Forall) and isinstance(f.body, Imp)
 
 
+PARSE_ERRORS = [
+    ("", 1, 1, "expected a formula, found None"),
+    ("  \n ", 1, 1, "expected a formula, found None"),
+    # at the end of input: the start of the last token, or its end
+    ("A -> ", 1, 3, "expected a formula, found None"),
+    ("(A -> B", 1, 8, "unexpected end of input"),
+    ("A &\n  (B -> )", 2, 9, "expected a formula, found ')'"),
+    ("A\r\nB", 2, 1, "trailing input 'B'"),
+    ("A\x0cB", 2, 1, "trailing input 'B'"),
+    ("A\x1c &", 2, 2, "expected a formula, found None"),
+    ("A B", 1, 3, "trailing input 'B'"),
+    ("forall P. A", 1, 8, "expected variable after forall, found 'P'"),
+    ("exists bot. A", 1, 8, "expected variable after exists, found 'bot'"),
+    ("forall x A", 1, 10, "expected '.', found 'A'"),
+    ("A & \x00", 1, 5, "unexpected character '\\x00'"),
+    ("(A\n -> \x7f", 2, 5, "unexpected character '\\x7f'"),
+    ("A -> -B", 1, 6, "expected a formula, found '-'"),
+    ("\u00e9", 1, 1, "expected a formula, found '\u00e9'"),
+]
+
+PARSE_TERM_ERRORS = [
+    ("", 1, 1, "unexpected end of input"),
+    ("f(", 1, 3, "unexpected end of input"),
+    ("c() x", 1, 5, "trailing input 'x'"),
+    ("X", 1, 1, "expected a term, found 'X'"),
+    ("f(x,\n  top)", 2, 3, "expected a term, found 'top'"),
+]
+
+ARITY_CONFLICTS = [
+    ("P(c()) & P(c(),c())", "1:10: symbol P used with arities 1 and 2"),
+    ("P(f(c()), f())", "1:11: symbol f used with arities 1 and 0"),
+    ("Q(x) &\n P(c()) & P(c(),c())", "2:11: symbol P used with arities 1 and 2"),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(ParseError) as e:
-        parse("A -> ")
-    assert e.value.line == 1
-    with pytest.raises(ParseError):
-        parse("forall P. A")
-    with pytest.raises(ParseError):
-        parse("(A -> B")
+    for fn, cases in ((parse, PARSE_ERRORS), (parse_term, PARSE_TERM_ERRORS)):
+        for text, line, column, message in cases:
+            with pytest.raises(ParseError) as e:
+                fn(text)
+            assert (e.value.line, e.value.column) == (line, column), text
+            assert str(e.value) == f"{line}:{column}: {message}"
 
 
 def test_arity_conflict_rejected():
-    with pytest.raises(ArityConflictError):
-        parse("P(c()) & P(c(),c())")
-    with pytest.raises(ArityConflictError):
-        parse("P(f(c()), f())")
+    for text, message in ARITY_CONFLICTS:
+        with pytest.raises(ArityConflictError) as e:
+            parse(text)
+        assert str(e.value) == message
 
 
 def test_print_top_sugar():
@@ -203,3 +237,40 @@ def test_alpha_eq_iff_equal_normal_forms():
     for i, f in enumerate(pool):
         for g in pool[i:i + 6]:
             assert alpha_eq(f, g) == (normalize(f) == normalize(g))
+
+
+def outcome(fn, text):
+    """The AST, or the exception type with its message."""
+    try:
+        return fn(text)
+    except (ParseError, ArityConflictError) as e:
+        return type(e), str(e)
+
+
+# fragments of formula text, of malformed text, and of every kind of
+# line break and blank that str.splitlines and str.isspace know
+FRAGMENTS = [
+    "A", "B1", "P(", "R(", "f(", "c()", "x", "y", "_z", "(", ")", ",", ".",
+    "->", "-", ">", "&", "|", "~", "forall", "exists", "bot", "top",
+    "forall x.", "forall P.", "exists bot.", "P(c()) & P(c(),c())", "P(x,y)",
+    " ", "  ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85",
+    "\u2028", "\xa0", "\x00", "\x7f", "\u200b", "\u00e9", "\u00c9", "$", "#",
+]
+texts = (st.lists(st.sampled_from(FRAGMENTS), max_size=16).map("".join)
+         | st.text(max_size=12))
+
+
+@settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+@given(texts)
+def test_parse_matches_reference(text):
+    assert outcome(parse, text) == outcome(reference_parse, text)
+    assert outcome(parse_term, text) == outcome(reference_parse_term, text)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(any_formulas, st.sampled_from([" ", "\n", "\r\n", "\x0c", "\t "]))
+def test_parse_matches_reference_on_printed_formulas(f, blank):
+    text = print_formula(f).replace(" ", blank)
+    assert outcome(parse, text) == outcome(reference_parse, text)
+    for cut in (len(text) // 3, len(text) // 2):
+        assert outcome(parse, text[:cut]) == outcome(reference_parse, text[:cut])

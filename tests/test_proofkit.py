@@ -1,15 +1,18 @@
 """Hilbert proof checking: corpus acceptance, mutations, soundness."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from goedel_logics import proofkit
 from goedel_logics.formula import (
-    App, Atom, Bot, And, Or, Imp, Forall, Exists, Neg, Var, parse,
+    App, Atom, Bot, And, Or, Imp, Forall, Exists, FormulaError, Neg, Var, parse,
     print_formula,
 )
 from goedel_logics.proofkit import (
-    Builder, Derivation, ProofError, Step, check, format_derivation,
+    Builder, CheckResult, Derivation, ProofError, Step, check, format_derivation,
     match_axiom, parse_derivation, soundness_sample, system_axioms,
 )
 from goedel_logics.goedelset import v_m
@@ -242,3 +245,50 @@ def test_axiom_binding_with_terms_roundtrip():
 """
     d = parse_derivation(text)
     assert check(d).accepted
+
+
+# --- the proof-file parser: memo and fuzzing -----------------------------------
+
+
+DEMO_PROOFS = sorted((Path(__file__).parent.parent / "demos" / "proofs").glob("*.proof"))
+PROOF_TEXTS = ([p.read_text() for p in DEMO_PROOFS]
+               + [format_derivation(d) for _, d in CORPUS]
+               + [format_derivation(d) for _, d in _mutations()])
+
+
+def test_memo_shares_asts_without_changing_derivations(monkeypatch):
+    memoized = [parse_derivation(text) for text in PROOF_TEXTS]
+    # each formula text parsed on its own, as before the memo
+    monkeypatch.setattr(proofkit, "_parse_memo", lambda memo, text: parse(text))
+    separate = [parse_derivation(text) for text in PROOF_TEXTS]
+    assert len(PROOF_TEXTS) == len(DEMO_PROOFS) + len(CORPUS) + 20
+    for d, e in zip(memoized, separate):
+        assert d == e
+        assert check(d) == check(e)
+    # repeated binding texts share one AST within a derivation
+    shift = memoized[[p.name for p in DEMO_PROOFS].index("neg_forall_shift_h0.proof")]
+    a2, a3 = (dict(shift.steps[i].bindings)["A"] for i in (1, 2))
+    assert a2 is a3
+
+
+INSERTS = ["[", "]", ":=", ",", "(", ")", ";", ".", " ", "\n", "#", "~", "->",
+           "A := ", "x := ", "t := ", "x := P(x)", "t := Q", "A := x",
+           "rule I1 ", "axiom LIN ", "premise", "system: H3\n",
+           "9" * 30, "1," * 40, "7" * 5000, "forall x. ", "\x00", "\u00e9"]
+edits = st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 3),
+                           st.sampled_from([""] + INSERTS)),
+                 min_size=1, max_size=4)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(PROOF_TEXTS), edits)
+def test_mangled_proof_files_get_a_verdict_or_a_typed_error(text, changes):
+    for where, drop, insert in changes:
+        i = where % (len(text) + 1)
+        text = text[:i] + insert + text[i + drop:]
+    try:
+        d = parse_derivation(text)
+    except (ProofError, FormulaError, ValueError):
+        return
+    assert isinstance(d, Derivation)
+    assert isinstance(check(d), CheckResult)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -87,6 +88,27 @@ def test_budget_error():
     with pytest.raises(BudgetExceededError):
         entails_bruteforce([], parse("P(f(g(c()))) | Q(c(),c())"),
                            V4, 3, budget=1000)
+
+
+def test_budget_error_before_counting_huge_universes():
+    # 3^(3000^2) interpretations at the largest size; the check must stop
+    # at the first size over the budget instead of computing that count
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="exceed the budget of 10000000"):
+        entails_bruteforce([], parse("R(c(),c())"), V3, 3000)
+    assert time.perf_counter() - start < 5
+    with pytest.raises(BudgetExceededError):
+        entails_bruteforce([], parse("P(x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x)"
+                                     .replace("x", "c()")), V3, 2)
+    assert time.perf_counter() - start < 5
+
+
+def test_budget_bound_is_exact():
+    # P(c()) over V3: 3 interpretations of size 1, 3^2 * 2 of size 2
+    f = parse("P(c()) | ~P(c())")
+    assert entails_bruteforce([], f, V3, 2, budget=21).holds is False
+    with pytest.raises(BudgetExceededError, match="sizes 1..2 exceed the budget of 20"):
+        entails_bruteforce([], f, V3, 2, budget=20)
 
 
 @pytest.mark.parametrize("search", [entails_bruteforce, one_entails_bruteforce])

@@ -57,7 +57,7 @@ formulas = closed(st.recursive(
 def test_compiled_search_matches_reference(premises, conclusion, m, size, one):
     V = v_m(m)
     preds, funcs = _joint_signature(premises + [conclusion])
-    while size > 1 and sum(_count_interpretations(n, preds, funcs, m)
+    while size > 1 and sum(_count_interpretations(n, preds, funcs, m, SPACE_CAP)
                            for n in range(1, size + 1)) > SPACE_CAP:
         size -= 1
     search = one_entails_bruteforce if one else entails_bruteforce
