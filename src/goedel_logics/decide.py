@@ -16,8 +16,9 @@ themselves and relative to 0 and 1.  Such an order is a pinned weak
 order, a weak linear order of {bot, letters, top} whose least class
 holds bot and whose greatest holds top; evaluating once at the class
 ranks of every pinned weak order settles validity over every infinite
-truth-value set.  The same enumerator (ROOT, extend, class_ranks) grows
-the Herbrand semantic tree.  The paper's finite reduction, validity in
+truth-value set.  The enumerator (ROOT, extend) represents an order by
+the rank vector of its letters, which a compiled program reads
+directly; the same enumerator grows the Herbrand semantic tree.  The paper's finite reduction, validity in
 G_{n+2} for n atoms, is an independent route to the same verdict.
 """
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Optional
+from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from .formula import Atom, Bot, And, Or, Imp, Formula, atoms, print_formula
 from .goedelset import gm_values
@@ -121,26 +122,44 @@ def compile_prop(f: Formula, index: Mapping[Atom, Hashable]) -> RankProgram:
 
 
 # ---------------------------------------------------------------------------
-# Pinned weak orders of {bot, letters, top}, as tuples of classes of names
+# Pinned weak orders of {bot, letters, top}, as rank vectors
+#
+# An order of the letters L_1..L_n is the tuple (top, r_1, ..., r_n): L_j
+# sits in class r_j, class 0 holds bot, class top holds top, and every
+# class in between holds some letter.  A program compiled with L_j at
+# slot j evaluates at prog(order, order[0]) directly.
 
 
-Constraint = tuple[tuple[str, ...], ...]
+Order = tuple[int, ...]
+Constraint = tuple[tuple[str, ...], ...]  # an order as its classes of names
 
-ROOT: Constraint = ((BOT_MARK,), (TOP_MARK,))
+ROOT: Order = (1,)
 
 
-def extend(c: Constraint, atom_name: str, n_admissible: Optional[int] = None) -> list[Constraint]:
-    """All weak-order insertions of the next atom: join any class or sit in
-    a strict gap between adjacent classes (2k-1 children, bottom-up); in
-    finite-valued mode children with more than n classes are pruned."""
-    out: list[Constraint] = []
-    k = len(c)
-    for i in range(k):
-        out.append(c[:i] + (tuple(sorted(c[i] + (atom_name,))),) + c[i + 1:])
-        if i < k - 1:
-            if n_admissible is None or k + 1 <= n_admissible:
-                out.append(c[:i + 1] + ((atom_name,),) + c[i + 1:])
+def extend(order: Order, n_admissible: Optional[int] = None) -> list[Order]:
+    """All weak-order insertions of the next letter: join any class or sit
+    in a strict gap between adjacent classes (2k-1 children, bottom-up);
+    in finite-valued mode children with more than n classes are pruned."""
+    top = order[0]
+    gaps = n_admissible is None or top + 2 <= n_admissible
+    out: list[Order] = []
+    for i in range(top + 1):
+        out.append(order + (i,))
+        if i < top and gaps:
+            # a new class i+1: top and every class above i move up by one
+            out.append(tuple([r + 1 if r > i else r for r in order]) + (i + 1,))
     return out
+
+
+def classes(order: Order, names: Sequence[str]) -> Constraint:
+    """The order as its classes, bottom-up, each sorted: the names of its
+    letters (names[j-1] for L_j), bot in the first and top in the last."""
+    out: list[list[str]] = [[] for _ in range(order[0] + 1)]
+    out[0].append(BOT_MARK)
+    out[-1].append(TOP_MARK)
+    for name, r in zip(names, order[1:]):
+        out[r].append(name)
+    return tuple([tuple(sorted(cls)) for cls in out])
 
 
 def restrict(c: Constraint, names: set[str]) -> Constraint:
@@ -231,18 +250,18 @@ def decide_LC(f: Formula, budget: int = 10 ** 7) -> DecideResult:
     if count > budget:
         raise TooManyAtomsError(
             f"{count} pinned weak orders of {n} letters exceed the budget of {budget}")
-    prog = compile_prop(f, {a: name for name, a in atom_of.items()})
-    stack = [(ROOT, 0)]
+    prog = compile_prop(f, {a: j for j, a in enumerate(atom_of.values(), 1)})
+    stack = [ROOT]
     while stack:
-        c, depth = stack.pop()
-        if depth < n:
-            stack.extend((child, depth + 1) for child in reversed(extend(c, names[depth])))
+        order = stack.pop()
+        if len(order) <= n:
+            stack.extend(reversed(extend(order)))
             continue
-        ranks = class_ranks(c)
-        top = len(c) - 1
-        v = prog(ranks, top)
+        top = order[0]
+        v = prog(order, top)
         if v < top:
+            # letters by class, then by name
             countermodel = {atom_of[name]: Fraction(r, top)
-                            for name, r in ranks.items() if name in atom_of}
+                            for r, name in sorted(zip(order[1:], names))}
             return DecideResult(False, "LC", countermodel, Fraction(v, top))
     return DecideResult(True, "LC")

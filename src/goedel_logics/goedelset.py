@@ -503,7 +503,10 @@ _NUM = r"-?\d+(?:/\d+)?"
 
 
 def _rat(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise SetSyntaxError(f"zero denominator in {s!r}") from None
 
 
 def parse_set(text: str) -> GoedelSet:

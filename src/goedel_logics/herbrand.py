@@ -3,12 +3,20 @@
 The prover handles closed prenex formulas.  Universal variables are
 replaced by fresh function symbols applied to the preceding existential
 variables; the tree then explores the pinned weak orders of growing
-prefixes of the Herbrand base, grown by the propositional enumerator of
-``decide`` (ROOT, extend, class_ranks).  Each level's ground instances
-of the matrix are compiled once by ``decide.compile_prop``; a branch
-closes once one of them has the top rank at the order's class ranks,
-which by order-invariance settles the question for every interpretation
-fulfilling the order.
+prefixes C_1..C_L of the Herbrand base, grown by the propositional
+enumerator of ``decide`` (ROOT, extend), whose orders are rank vectors.
+A branch closes once a ground instance of the matrix has the top rank
+at its order, which by order-invariance settles the question for every
+interpretation fulfilling the order.
+
+A node at level L checks only the instances new at L, those that
+contain C_L.  Every older instance was below top at the node's open
+parent, and inserting C_L keeps the order of the older atoms and their
+place relative to 0 and 1, so it stays below top.  The first instance
+that closes, and with it the leaf, is the one a check of every
+instance would find.  New instances are generated by matching the
+matrix atoms against the base, and each is compiled once by
+``decide.compile_prop``.
 
 Finite-valued mode prunes orders with more than n classes.  A closed
 tree yields a certificate whose disjunction is checked independently by
@@ -29,7 +37,7 @@ from .formula import (
     print_formula, print_raw, print_term, signature, substitute, term_size,
 )
 from .decide import (
-    ROOT, Constraint, RankProgram, class_ranks, compile_prop, decide_Gm, decide_LC,
+    ROOT, Constraint, Order, RankProgram, classes, compile_prop, decide_Gm, decide_LC,
     extend,
 )
 
@@ -52,6 +60,9 @@ class TraceConstructionError(HerbrandError):
 
 # ---------------------------------------------------------------------------
 # Herbrand form
+
+
+Instance = tuple[tuple[Term, ...], Formula]  # existential terms, ground matrix
 
 
 class HerbrandProblem:
@@ -169,29 +180,41 @@ class HerbrandProblem:
             self._base.extend(block)
         return self._base[:count]
 
-    def instances(self, level: int) -> list[tuple[tuple[Term, ...], Formula]]:
-        """The level-instances: ground substitutions of the existential
-        variables whose atoms all lie in {C_1..C_level}, in tuple order."""
-        allowed = {_atom_key(a): None for a in self.base(level)} if level else {}
-        if not self.existential_vars:
-            ground = self.skolem_matrix
-            if all(_atom_key(a) in allowed for a in atoms(ground)):
-                return [((), ground)]
-            return []
-        # size 1 keeps a candidate available for variables that do not
-        # occur in the matrix
-        max_size = 1
-        for a in self.base(level):
-            for t in a.args:
-                max_size = max(max_size, term_size(t))
-        candidates = self.terms_up_to(max_size)
-        out = []
-        for combo in itertools.product(candidates, repeat=len(self.existential_vars)):
-            mapping = dict(zip(self.existential_vars, combo))
-            ground = _substitute_many(self.skolem_matrix, mapping)
-            if all(_atom_key(a) in allowed for a in atoms(ground)):
-                out.append((combo, ground))
+    def new_instances(self, level: int) -> list[Instance]:
+        """The instances new at `level`: ground instances of the Skolem
+        matrix whose atoms all lie in {C_1..C_level} and include C_level
+        (at level 0, those with no atoms).  A variable absent from the
+        matrix takes the first constant.  They come in the order of their
+        term tuples, which is the order of the full product of candidate
+        terms.
+
+        Each is found by matching the matrix atoms against the base: the
+        first atom on C_level binds its variables, earlier atoms take
+        older base atoms and later ones any, so no tuple comes twice."""
+        patterns = atoms(self.skolem_matrix)
+        if level == 0:
+            return [] if patterns else [self._instance({})]
+        base = self.base(level)
+        found: list[dict[str, Term]] = []
+        for j, pattern in enumerate(patterns):
+            bound: dict[str, Term] = {}
+            if _match_atom(pattern, base[-1], bound):
+                pools = [(q, base[:-1] if i < j else base)
+                         for i, q in enumerate(patterns) if i != j]
+                found.extend(_match_all(pools, bound))
+        out = [self._instance(b) for b in found]
+        out.sort(key=lambda inst: [_term_key(t) for t in inst[0]])
         return out
+
+    def combo(self, bindings: dict[str, Term]) -> tuple[Term, ...]:
+        """The existential terms of bindings; a variable absent from the
+        matrix takes the first constant."""
+        filler = self.terms_up_to(1)[0]
+        return tuple(bindings.get(v, filler) for v in self.existential_vars)
+
+    def _instance(self, bindings: dict[str, Term]) -> Instance:
+        combo = self.combo(bindings)
+        return combo, _substitute_many(self.skolem_matrix, dict(zip(self.existential_vars, combo)))
 
     def full_term_vector(self, combo: Sequence[Term]) -> list[Term]:
         """Terms for all prefix positions: existential positions from the
@@ -235,30 +258,53 @@ def _substitute_many(f: Formula, mapping: dict[str, Term]) -> Formula:
     return out
 
 
+def _match_term(pattern: Term, actual: Term, bindings: dict[str, Term]) -> bool:
+    """Whether actual is pattern under bindings, extended in place."""
+    if isinstance(pattern, Var):
+        bound = bindings.setdefault(pattern.name, actual)
+        return bound is actual or bound == actual
+    return (isinstance(actual, App) and pattern.name == actual.name
+            and len(pattern.args) == len(actual.args)
+            and all(_match_term(p, a, bindings) for p, a in zip(pattern.args, actual.args)))
+
+
+def _match_atom(pattern: Atom, actual: Atom, bindings: dict[str, Term]) -> bool:
+    return (pattern.pred == actual.pred and len(pattern.args) == len(actual.args)
+            and all(_match_term(p, a, bindings) for p, a in zip(pattern.args, actual.args)))
+
+
+def _match_all(pools: Sequence[tuple[Atom, Sequence[Atom]]],
+               bindings: dict[str, Term]) -> Iterator[dict[str, Term]]:
+    """Every extension of bindings that maps each pattern into its pool."""
+    if not pools:
+        yield bindings
+        return
+    pattern, pool = pools[0]
+    for actual in pool:
+        extended = dict(bindings)
+        if _match_atom(pattern, actual, extended):
+            yield from _match_all(pools[1:], extended)
+
+
 # ---------------------------------------------------------------------------
 # Closing a branch
 
 
-Instance = tuple[tuple[Term, ...], Formula]
-
-
 def compile_instances(instances: Sequence[Instance],
-                      atom_of: dict[str, Atom]) -> list[tuple[Instance, RankProgram]]:
-    """Each instance with its matrix compiled to a rank program, keyed by
-    the names in atom_of of the base atoms that the constraints order."""
-    index = {atom: name for name, atom in atom_of.items()}
+                      index: dict[Atom, int]) -> list[tuple[Instance, RankProgram]]:
+    """Each instance with its matrix compiled to a rank program that reads
+    the rank of base atom a from slot index[a] of an order."""
     return [(inst, compile_prop(inst[1], index)) for inst in instances]
 
 
-def closes(c: Constraint,
+def closes(order: Order,
            programs: Sequence[tuple[Instance, RankProgram]]) -> Optional[Instance]:
-    """First instance whose matrix gets the top rank at the class ranks
-    of c; by order-invariance this settles every interpretation that
-    fulfills the constraint."""
-    ranks = class_ranks(c)
-    top = len(c) - 1
+    """First instance whose matrix gets the top rank at the order's rank
+    vector; by order-invariance this settles every interpretation that
+    fulfills the order."""
+    top = order[0]
     for inst, prog in programs:
-        if prog(ranks, top) == top:
+        if prog(order, top) == top:
             return inst
     return None
 
@@ -316,23 +362,11 @@ def match_instance(problem: HerbrandProblem, ground: Formula) -> tuple[Term, ...
     matrix to the given ground formula."""
     bindings: dict[str, Term] = {}
 
-    def terms(pattern: Term, actual: Term) -> bool:
-        if isinstance(pattern, Var):
-            if pattern.name in bindings:
-                return bindings[pattern.name] == actual
-            bindings[pattern.name] = actual
-            return True
-        return (isinstance(actual, App) and pattern.name == actual.name
-                and len(pattern.args) == len(actual.args)
-                and all(terms(p, a) for p, a in zip(pattern.args, actual.args)))
-
     def go(pattern: Formula, actual: Formula) -> bool:
         if type(pattern) is not type(actual):
             return False
         if isinstance(pattern, Atom):
-            return (pattern.pred == actual.pred
-                    and len(pattern.args) == len(actual.args)
-                    and all(terms(p, a) for p, a in zip(pattern.args, actual.args)))
+            return _match_atom(pattern, actual, bindings)
         if isinstance(pattern, Bot):
             return True
         if isinstance(pattern, (And, Or, Imp)):
@@ -342,8 +376,7 @@ def match_instance(problem: HerbrandProblem, ground: Formula) -> tuple[Term, ...
     if not go(problem.skolem_matrix, ground):
         raise TraceConstructionError(
             f"{print_formula(ground)} is not an instance of the Herbrand matrix")
-    filler = problem.terms_up_to(1)[0]  # for variables absent from the matrix
-    return tuple(bindings.get(v, filler) for v in problem.existential_vars)
+    return problem.combo(bindings)
 
 
 # ---------------------------------------------------------------------------
@@ -379,44 +412,69 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
     elif mode != "uncountable":
         raise ValueError(f"unknown mode {mode!r}")
 
-    leaves: list[Leaf] = []
-    frontier: list[Constraint] = [ROOT]
-    atom_of: dict[str, Atom] = {}  # the base atoms the constraints order
+    closed: list = []  # (level, order, instance) of each leaf, in tree order
+    frontier: list[Order] = [ROOT]
+    index: dict[Atom, int] = {}  # base atom -> its slot in the orders
+    names: list[str] = []  # the base atoms' names, by slot
     nodes = 0
     for level in range(0, max_level + 1):
-        programs = compile_instances(problem.instances(level), atom_of)
-        still_open: list[Constraint] = []
-        for c in frontier:
-            nodes += 1
-            if nodes > node_budget:
-                raise ResourceBudgetError(
-                    f"semantic tree exceeded the budget of {node_budget} nodes at level {level}")
-            hit = closes(c, programs)
-            if hit is not None:
-                leaves.append(Leaf(level, c, hit[0], hit[1]))
-            else:
-                still_open.append(c)
+        # an open parent left every older instance below top, and the
+        # child's order keeps that, so only the level's new ones can close
+        programs = compile_instances(problem.new_instances(level), index)
+        nodes += len(frontier)
+        if nodes > node_budget:
+            raise ResourceBudgetError(
+                f"semantic tree exceeded the budget of {node_budget} nodes at level {level}")
+        still_open = frontier
+        if programs:
+            still_open = []
+            for order in frontier:
+                hit = closes(order, programs)
+                if hit is not None:
+                    closed.append((level, order, hit))
+                else:
+                    still_open.append(order)
         if not still_open:
-            seen: dict[str, int] = {}
-            disjuncts: list[Formula] = []
-            combos: list[tuple[Term, ...]] = []
-            for leaf in leaves:
-                key = print_formula(leaf.instance)
-                if key not in seen:
-                    seen[key] = len(disjuncts)
-                    disjuncts.append(leaf.instance)
-                    combos.append(leaf.combo)
-            cert = Certificate(problem.original, mode, tuple(disjuncts),
-                               tuple(combos), tuple(leaves))
-            return ProveResult("valid", cert, level, problem)
+            leaves = _leaves(closed, names)
+            return ProveResult("valid", _certificate(problem, mode, leaves), level, problem)
         if level == max_level:
             break
         next_atom = problem.base(level + 1)[level]
-        name = print_raw(next_atom)
-        atom_of[name] = next_atom
-        frontier = [child for c in still_open
-                    for child in extend(c, name, n_adm)]
+        index[next_atom] = level + 1
+        names.append(print_raw(next_atom))
+        frontier = [child for order in still_open for child in extend(order, n_adm)]
     return ProveResult("unknown", None, max_level, problem)
+
+
+def _leaves(closed: list, names: list[str]) -> list[Leaf]:
+    """closed with each (level, order, instance) replaced in place by its
+    leaf, so that the two never take memory at once; the leaves' equal
+    classes share one tuple."""
+    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+    for i, (level, order, inst) in enumerate(closed):
+        c = tuple([shared.setdefault(cls, cls) for cls in classes(order, names)])
+        closed[i] = Leaf(level, c, *inst)
+    return closed
+
+
+def _certificate(problem: HerbrandProblem, mode: str, leaves: list[Leaf]) -> Certificate:
+    """The leaves' instances, deduplicated by their text in tree order.
+    Leaves that closed on one instance share its formula object, so each
+    instance is printed once."""
+    printed: set[int] = set()  # ids of the instances already printed
+    seen: set[str] = set()
+    disjuncts: list[Formula] = []
+    combos: list[tuple[Term, ...]] = []
+    for leaf in leaves:
+        if id(leaf.instance) in printed:
+            continue
+        printed.add(id(leaf.instance))
+        text = print_formula(leaf.instance)
+        if text not in seen:
+            seen.add(text)
+            disjuncts.append(leaf.instance)
+            combos.append(leaf.combo)
+    return Certificate(problem.original, mode, tuple(disjuncts), tuple(combos), tuple(leaves))
 
 
 def verify_certificate(cert: Certificate, budget: int = 10 ** 7) -> bool:

@@ -63,6 +63,10 @@ class TailValueError(SemanticsError):
     """A tail descriptor's values cannot be certified to lie in the set."""
 
 
+class InterpretationFormatError(SemanticsError):
+    """A JSON interpretation document of the wrong shape."""
+
+
 # ---------------------------------------------------------------------------
 # Finite interpretations
 
@@ -280,9 +284,10 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
     and all tables into the finite set V.
 
     ``holds`` means "no countermodel at this scale"; it is a bounded check,
-    not a validity proof.  Entailment compares inf of the premises against
-    the conclusion; 1-entailment asks that all-1 premises force a 1
-    conclusion.  The first countermodel in the enumeration order of the
+    not a validity proof.  When no predicate takes an argument, only size
+    1 is searched, since the size cannot change any value.  Entailment
+    compares inf of the premises against the conclusion; 1-entailment
+    asks that all-1 premises force a 1 conclusion.  The first countermodel in the enumeration order of the
     tables (symbols sorted by name, argument tuples in product order,
     table values ascending, predicate tables before function tables) is
     returned.
@@ -296,6 +301,10 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
                 f"formula with free variables {sorted(free_vars(f))}: {print_formula(f)}")
     values = finite_elements(V)
     preds, funcs = _joint_signature(formulas)
+    if not any(preds.values()):
+        # no atom takes an argument, so no value depends on the universe:
+        # a quantifier ranges over one value and size 1 settles every size
+        max_universe = 1
 
     total = 0
     for m in range(1, max_universe + 1):
@@ -733,14 +742,41 @@ def _table_key(key: str) -> tuple[str, ...]:
     return tuple(k for k in key.split(",") if k) if key else ()
 
 
-def _descriptor_from_json(obj: Mapping) -> TailDescriptor:
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _expect(value, kind: type, what: str):
+    """value, when it has the JSON type kind; else a format error."""
+    if not isinstance(value, kind):
+        raise InterpretationFormatError(
+            f"{what} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _rational(value, what: str) -> Fraction:
+    """A truth value or limit given as "p/q", an integer or a float."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise InterpretationFormatError(f"{what} must be a rational, not {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise InterpretationFormatError(f"{what} is not a rational: {value!r}") from None
+
+
+def _descriptor_from_json(obj, what: str) -> TailDescriptor:
+    _expect(obj, dict, what)
     kind = obj.get("kind")
     if kind == "const":
-        return ConstTail(Fraction(obj["value"]))
+        return ConstTail(_rational(obj.get("value"), f"{what} value"))
     if kind == "harmonic":
-        sign = {"+": 1, "-": -1}[obj["sign"]]
-        return Harmonic(Fraction(obj["limit"]), sign, int(obj.get("offset", 0)))
-    raise ValueError(f"unknown tail descriptor kind {kind!r}")
+        sign, offset = obj.get("sign"), obj.get("offset", 0)
+        if sign not in ("+", "-"):
+            raise InterpretationFormatError(f'{what} sign must be "+" or "-"')
+        if isinstance(offset, bool) or not isinstance(offset, int):
+            raise InterpretationFormatError(f"{what} offset must be an integer")
+        return Harmonic(_rational(obj.get("limit"), f"{what} limit"),
+                        1 if sign == "+" else -1, offset)
+    raise InterpretationFormatError(f"unknown tail descriptor kind {kind!r}")
 
 
 def _descriptor_to_json(d: TailDescriptor) -> dict:
@@ -752,35 +788,47 @@ def _descriptor_to_json(d: TailDescriptor) -> dict:
 
 def load_interpretation(data: Mapping) -> Union[FiniteInterpretation, OmegaInterpretation]:
     """Interpretation from its JSON form (rationals as "p/q" strings,
-    tables keyed "P/1" with comma-joined argument keys)."""
-    universe = tuple(data["universe"])
-    truth_set = parse_set(data["truth_set"])
+    tables keyed "P/1" with comma-joined argument keys).  A document of
+    the wrong shape raises InterpretationFormatError."""
+    _expect(data, dict, "an interpretation")
+    if "universe" not in data or "truth_set" not in data:
+        raise InterpretationFormatError('an interpretation needs "universe" and "truth_set"')
+    universe = tuple(_expect(u, str, "a universe element")
+                     for u in _expect(data["universe"], list, '"universe"'))
+    truth_set = parse_set(_expect(data["truth_set"], str, '"truth_set"'))
     preds: dict[str, dict[tuple[str, ...], Fraction]] = {}
-    for key, table in data.get("predicates", {}).items():
+    for key, table in _expect(data.get("predicates", {}), dict, '"predicates"').items():
         name = key.split("/")[0]
-        preds[name] = {_table_key(k): Fraction(v) for k, v in table.items()}
+        preds[name] = {_table_key(k): _rational(v, f"a value of {key}")
+                       for k, v in _expect(table, dict, f"the table of {key}").items()}
     funcs: dict[str, dict[tuple[str, ...], str]] = {}
     successors = set()
-    for key, table in data.get("functions", {}).items():
+    for key, table in _expect(data.get("functions", {}), dict, '"functions"').items():
         name = key.split("/")[0]
         if table == "successor":
             successors.add(name)
             continue
-        funcs[name] = {_table_key(k): v for k, v in table.items()}
+        funcs[name] = {_table_key(k): _expect(v, str, f"a value of {key}")
+                       for k, v in _expect(table, dict, f"the table of {key}").items()}
+    variables = _expect(data.get("variables", {}), dict, '"variables"')
+    for v in variables.values():
+        _expect(v, str, "a variable's element")
     if "tail" not in data and not successors:
-        I = FiniteInterpretation(universe, truth_set, preds, funcs,
-                                 dict(data.get("variables", {})))
+        I = FiniteInterpretation(universe, truth_set, preds, funcs, dict(variables))
         I.validate()
         return I
     tails: dict[str, dict[tuple[str, ...], TailDescriptor]] = {}
-    for key, spec in data.get("tail", {}).items():
+    for key, spec in _expect(data.get("tail", {}), dict, '"tail"').items():
         name, _, arity = key.partition("/")
-        if "kind" in spec:  # shorthand: all slots are tail slots
+        what = f"the tail of {key}"
+        if "kind" in _expect(spec, dict, what):  # shorthand: all slots are tail slots
+            if arity and not arity.isdigit():
+                raise InterpretationFormatError(f"{what} needs a numeric arity")
             pattern = tuple(_STAR for _ in range(int(arity or 1)))
-            tails.setdefault(name, {})[pattern] = _descriptor_from_json(spec)
+            tails.setdefault(name, {})[pattern] = _descriptor_from_json(spec, what)
         else:
             for pat_key, sub in spec.items():
-                tails.setdefault(name, {})[_table_key(pat_key)] = _descriptor_from_json(sub)
+                tails.setdefault(name, {})[_table_key(pat_key)] = _descriptor_from_json(sub, what)
     omega = OmegaInterpretation(universe, truth_set, preds, tails, funcs,
                                 frozenset(successors))
     omega.validate()

@@ -8,11 +8,17 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from goedel_logics.decide import BOT_MARK, TOP_MARK, Constraint, class_ranks, compile_prop
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula,
-    Neg, ParseError, Term, Top, Var, free_vars,
+    Neg, ParseError, Term, Top, Var, atoms, free_vars, print_formula, print_raw,
+    substitute, term_size,
 )
 from goedel_logics.goedelset import GoedelSet, finite_elements
+from goedel_logics.herbrand import (
+    NODE_BUDGET, Certificate, HerbrandProblem, Leaf, ProveResult, ResourceBudgetError,
+    _atom_key,
+)
 from goedel_logics.semantics import (
     ONE, EntailmentResult, FiniteInterpretation, _joint_signature, evaluate,
 )
@@ -110,6 +116,153 @@ def reference_entails(premises: Sequence[Formula], conclusion: Formula,
             if bad:
                 return EntailmentResult(False, I)
     return EntailmentResult(True)
+
+
+# ---------------------------------------------------------------------------
+# The reference prover, the slow oracle for herbrand.prove_prenex: the
+# tree's nodes are orders as classes of names, and every node checks
+# every instance of its level, rebuilt from the full product of
+# candidate terms, at a class-rank dict built from its classes.
+
+
+REFERENCE_ROOT: Constraint = ((BOT_MARK,), (TOP_MARK,))
+
+
+def reference_extend(c: Constraint, atom_name: str,
+                     n_admissible: Optional[int] = None) -> list[Constraint]:
+    """All weak-order insertions of the next atom: join any class or sit in
+    a strict gap between adjacent classes (2k-1 children, bottom-up); in
+    finite-valued mode children with more than n classes are pruned."""
+    out: list[Constraint] = []
+    k = len(c)
+    for i in range(k):
+        out.append(c[:i] + (tuple(sorted(c[i] + (atom_name,))),) + c[i + 1:])
+        if i < k - 1:
+            if n_admissible is None or k + 1 <= n_admissible:
+                out.append(c[:i + 1] + ((atom_name,),) + c[i + 1:])
+    return out
+
+
+def reference_instances(problem: HerbrandProblem, level: int) -> list[tuple[tuple[Term, ...], Formula]]:
+    """The level-instances: ground substitutions of the existential
+    variables whose atoms all lie in {C_1..C_level}, in tuple order."""
+    allowed = {_atom_key(a): None for a in problem.base(level)} if level else {}
+    if not problem.existential_vars:
+        ground = problem.skolem_matrix
+        if all(_atom_key(a) in allowed for a in atoms(ground)):
+            return [((), ground)]
+        return []
+    # size 1 keeps a candidate available for variables that do not
+    # occur in the matrix
+    max_size = 1
+    for a in problem.base(level):
+        for t in a.args:
+            max_size = max(max_size, term_size(t))
+    candidates = problem.terms_up_to(max_size)
+    out = []
+    for combo in itertools.product(candidates, repeat=len(problem.existential_vars)):
+        ground = problem.skolem_matrix
+        for var, t in zip(problem.existential_vars, combo):
+            ground = substitute(ground, var, t)
+        if all(_atom_key(a) in allowed for a in atoms(ground)):
+            out.append((combo, ground))
+    return out
+
+
+def reference_closes(c: Constraint, programs):
+    ranks = class_ranks(c)
+    top = len(c) - 1
+    for inst, prog in programs:
+        if prog(ranks, top) == top:
+            return inst
+    return None
+
+
+def reference_prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
+                           node_budget: int = NODE_BUDGET) -> ProveResult:
+    """The breadth-first semantic tree as it was before each node checked
+    only its level's new instances."""
+    problem = HerbrandProblem(f)
+    n_adm: Optional[int] = None
+    if mode.startswith("finite:"):
+        n_adm = int(mode.split(":", 1)[1])
+        if n_adm < 2:
+            raise ValueError("finite mode needs n >= 2")
+    elif mode != "uncountable":
+        raise ValueError(f"unknown mode {mode!r}")
+
+    leaves: list[Leaf] = []
+    frontier: list[Constraint] = [REFERENCE_ROOT]
+    atom_of: dict[str, Atom] = {}  # the base atoms the constraints order
+    nodes = 0
+    for level in range(0, max_level + 1):
+        index = {atom: name for name, atom in atom_of.items()}
+        programs = [(inst, compile_prop(inst[1], index))
+                    for inst in reference_instances(problem, level)]
+        still_open: list[Constraint] = []
+        for c in frontier:
+            nodes += 1
+            if nodes > node_budget:
+                raise ResourceBudgetError(
+                    f"semantic tree exceeded the budget of {node_budget} nodes at level {level}")
+            hit = reference_closes(c, programs)
+            if hit is not None:
+                leaves.append(Leaf(level, c, hit[0], hit[1]))
+            else:
+                still_open.append(c)
+        if not still_open:
+            seen: dict[str, int] = {}
+            disjuncts: list[Formula] = []
+            combos: list[tuple[Term, ...]] = []
+            for leaf in leaves:
+                key = print_formula(leaf.instance)
+                if key not in seen:
+                    seen[key] = len(disjuncts)
+                    disjuncts.append(leaf.instance)
+                    combos.append(leaf.combo)
+            cert = Certificate(problem.original, mode, tuple(disjuncts),
+                               tuple(combos), tuple(leaves))
+            return ProveResult("valid", cert, level, problem)
+        if level == max_level:
+            break
+        next_atom = problem.base(level + 1)[level]
+        name = print_raw(next_atom)
+        atom_of[name] = next_atom
+        frontier = [child for c in still_open
+                    for child in reference_extend(c, name, n_adm)]
+    return ProveResult("unknown", None, max_level, problem)
+
+
+def random_prenex(rng: random.Random, n_quantifiers: int, preds: Sequence[str],
+                  size: int = 4) -> Formula:
+    """A closed prenex formula: n_quantifiers random quantifiers over
+    x0, x1, ... and a random matrix of the given number of connectives
+    whose atoms apply the monadic predicates to those variables (or sit
+    as 0-ary letter A), with bot now and then; half of the matrices get
+    a disjunct leaf -> leaf."""
+    names = [f"x{i}" for i in range(n_quantifiers)]
+
+    def leaf() -> Formula:
+        roll = rng.random()
+        if roll < 0.1:
+            return Bot()
+        if roll < 0.2:
+            return Atom("A")
+        return Atom(rng.choice(preds), (Var(rng.choice(names)),))
+
+    def matrix(n: int) -> Formula:
+        if n == 0:
+            return leaf()
+        k = rng.randint(0, n - 1)
+        return rng.choice(CONNECTIVES)(matrix(k), matrix(n - 1 - k))
+
+    f = matrix(size)
+    if rng.random() < 0.5:
+        # a chain-like disjunct P(u) -> P(v) makes closing trees common
+        f = Or(f, Imp(leaf(), leaf()))
+    for name in reversed(names):
+        f = (Forall if rng.random() < 0.5 else Exists)(name, f)
+    return f
 
 
 # ---------------------------------------------------------------------------

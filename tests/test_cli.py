@@ -153,6 +153,27 @@ def test_usage_error(capsys):
     assert code == 3
 
 
+def test_zero_denominator_in_a_set_is_an_input_error(capsys):
+    code, out, err = run(capsys, "classify", "{0,1/0,1}")
+    assert code == 3 and out == ""
+    assert "zero denominator" in err and "Traceback" not in err
+
+
+def test_malformed_interpretation_is_an_input_error(capsys, tmp_path):
+    docs = ["[1,2]", "null", '{"universe": "u0", "truth_set": "[0,1]"}',
+            '{"universe": ["u0"], "truth_set": "[0,1]", "predicates": {"P/1": ["1"]}}',
+            '{"universe": ["u0"], "truth_set": "[0,1]", "predicates": {"P/1": {"u0": "1/0"}}}',
+            '{"universe": ["u0"], "truth_set": "[0,1]", "variables": 3}',
+            '{"universe": ["u0"], "truth_set": "[0,1]", "tail": {"P/1": {"kind": "harmonic",'
+            ' "limit": "1", "sign": "*"}}}']
+    for doc in docs:
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "eval", "-i", str(path), "exists x. P(x)")
+        assert code == 3 and out == "", doc
+        assert err.startswith("error:"), doc
+
+
 def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("GOEDEL_BUDGET", "10")
     code, _, err = run(capsys, "decide", "--logic", "G5", "A1 | A2 | A3 | A4")

@@ -6,12 +6,13 @@ from fractions import Fraction as F
 import pytest
 
 from goedel_logics.decide import (
-    ROOT, QuantifierError, TooManyAtomsError, decide_Gm, decide_LC, eval_prop,
-    extend, pinned_orders, representative,
+    ROOT, QuantifierError, TooManyAtomsError, class_ranks, classes, decide_Gm,
+    decide_LC, eval_prop, extend, pinned_orders, representative,
 )
 from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse, print_formula
 from goedel_logics.semantics import FiniteInterpretation, evaluate
 from goedel_logics.goedelset import gm_values, unit_interval
+from helpers import reference_extend
 
 
 def test_gm_values():
@@ -144,11 +145,28 @@ def test_first_countermodel_is_lexicographic():
 def test_order_type_enumeration_counts():
     # 3 atoms: 13 weak orders, each with 0/1 gluing flags, minus the
     # impossible single-block glued-both-ways cases: 51 pinned weak orders
+    names = ("A", "B", "C")
     orders = [ROOT]
-    for name in ("A", "B", "C"):
-        orders = [child for c in orders for child in extend(c, name)]
-    reps = {tuple(sorted(representative(c).items())) for c in orders}
+    for _ in names:
+        orders = [child for o in orders for child in extend(o)]
+    reps = {tuple(sorted(representative(classes(o, names)).items())) for o in orders}
     assert len(orders) == len(reps) == pinned_orders(3) == 51  # no duplicates
+    # an order is its top rank and each letter's class index
+    for o in orders:
+        c = classes(o, names)
+        assert o == (len(c) - 1,) + tuple(class_ranks(c)[name] for name in names)
+
+
+def test_extend_matches_the_class_insertion_reference():
+    # children in the same order as inserting the name into the classes
+    names = ["C1", "C2", "C3", "C4"]
+    for n_admissible in (None, 3, 4):
+        orders = [ROOT]
+        for name in names:
+            for o in orders:
+                got = [classes(child, names) for child in extend(o, n_admissible)]
+                assert got == reference_extend(classes(o, names), name, n_admissible)
+            orders = [child for o in orders for child in extend(o, n_admissible)]
 
 
 def test_lc_agrees_with_gm_n_plus_2_random():

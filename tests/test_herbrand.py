@@ -10,13 +10,14 @@ from goedel_logics.formula import (
     App, Atom, Or, Var, alpha_eq, parse, print_formula, print_raw,
 )
 from goedel_logics.decide import (
-    BOT_MARK, ROOT, TOP_MARK, eval_prop, extend, representative, restrict,
+    BOT_MARK, ROOT, TOP_MARK, classes, eval_prop, extend, representative, restrict,
 )
 from goedel_logics.herbrand import (
-    Certificate, HerbrandProblem, NotPrenexError, TraceConstructionError,
-    certificate_from_json, closes, compile_instances, match_instance, prove_prenex,
-    reassemble, verify_certificate, verify_trace,
+    Certificate, HerbrandProblem, NotPrenexError, ResourceBudgetError,
+    TraceConstructionError, certificate_from_json, closes, compile_instances,
+    match_instance, prove_prenex, reassemble, verify_certificate, verify_trace,
 )
+from helpers import random_prenex, reference_instances, reference_prove_prenex
 
 C_DOWN_PRENEX = parse("exists x. forall y. (A(y) -> A(x))")
 TRIVIAL = parse("exists x. exists y. (P(x) -> P(y))")
@@ -60,8 +61,8 @@ def test_base_enumeration_order():
 
 def test_instances_need_all_atoms_inside():
     p = HerbrandProblem(C_DOWN_PRENEX)
-    assert p.instances(1) == []
-    inst = p.instances(2)
+    assert p.new_instances(1) == []
+    inst = p.new_instances(2)
     assert len(inst) == 1
     combo, ground = inst[0]
     assert print_formula(ground) == "A(f1(c0())) -> A(c0())"
@@ -69,18 +70,19 @@ def test_instances_need_all_atoms_inside():
 
 
 def test_extend_counts_and_prune():
-    kids = extend(ROOT, "C1")
+    kids = extend(ROOT)
     assert len(kids) == 3  # 2k-1 with k = 2
-    four = extend(kids[1], "C2")
+    four = extend(kids[1])
     assert len(four) == 5  # k = 3
-    pruned = extend(kids[1], "C2", n_admissible=3)
+    pruned = extend(kids[1], n_admissible=3)
     assert len(pruned) == 3  # the two gap children would make 4 classes
 
 
 def test_extension_restricted_to_parent():
-    kids = extend(ROOT, "C1")
-    for k in kids:
-        assert restrict(k, {BOT_MARK, TOP_MARK}) == ROOT
+    root = classes(ROOT, [])
+    assert root == ((BOT_MARK,), (TOP_MARK,))
+    for k in extend(ROOT):
+        assert restrict(classes(k, ["C1"]), {BOT_MARK, TOP_MARK}) == root
 
 
 def test_representative_values():
@@ -93,16 +95,12 @@ def test_representative_values():
 
 def test_closes_cases():
     p = HerbrandProblem(C_DOWN_PRENEX)
-    inst = p.instances(2)
-    atom_of = {print_raw(a): a for a in p.base(2)}
-    a1, a2 = "A(c0())", "A(f1(c0()))"
-    ordered = ((BOT_MARK,), (a2,), (a1,), (TOP_MARK,))   # A(f1 c0) <= A(c0)
-    programs = compile_instances(inst, atom_of)
-    assert closes(ordered, programs) is not None
-    increasing = ((BOT_MARK,), (a1,), (a2,), (TOP_MARK,))
-    assert closes(increasing, programs) is None
-    all_top = ((BOT_MARK,), (a1, a2, TOP_MARK))
-    assert closes(all_top, programs) is not None
+    inst = p.new_instances(2)
+    # orders (top, rank of A(c0()), rank of A(f1(c0())))
+    programs = compile_instances(inst, {a: j for j, a in enumerate(p.base(2), 1)})
+    assert closes((3, 2, 1), programs) is not None   # A(f1 c0) < A(c0)
+    assert closes((3, 1, 2), programs) is None       # A(c0) < A(f1 c0)
+    assert closes((1, 1, 1), programs) is not None   # both at top
 
 
 def test_representative_agreement_with_all_fulfilling_valuations():
@@ -112,16 +110,17 @@ def test_representative_agreement_with_all_fulfilling_valuations():
     rng = random.Random(6)
     frontier = [ROOT]
     atom_of = {}
+    instances = []
     for level in range(1, 5):
         atom = p.base(level)[level - 1]
         atom_of[print_raw(atom)] = atom
-        frontier = [k for c in frontier for k in extend(c, print_raw(atom))]
-        instances = p.instances(level)
+        frontier = [k for o in frontier for k in extend(o)]
+        instances += p.new_instances(level)
+        programs = compile_instances(instances, {a: j for j, a in enumerate(p.base(level), 1)})
         sample = frontier if len(frontier) <= 40 else rng.sample(frontier, 40)
-        for c in sample:
-            verdicts = [closes(c, [prog]) is not None
-                        for prog in compile_instances(instances, atom_of)]
-            for val in _fulfilling_valuations(c):
+        for o in sample:
+            verdicts = [closes(o, [prog]) is not None for prog in programs]
+            for val in _fulfilling_valuations(classes(o, list(atom_of))):
                 by_atom = {atom_of[name]: v for name, v in val.items() if name in atom_of}
                 got = [eval_prop(g, by_atom) == 1 for _, g in instances]
                 assert got == verdicts
@@ -192,11 +191,11 @@ def test_extension_coherence():
     # children's representative valuations restricted to the parent's
     # atoms fulfill the parent constraint
     p = HerbrandProblem(C_DOWN_PRENEX)
-    a1 = print_raw(p.base(1)[0])
-    for parent in extend(ROOT, a1):
-        a2 = print_raw(p.base(2)[1])
-        for child in extend(parent, a2):
-            rep = representative(child)
+    names = [print_raw(a) for a in p.base(2)]
+    for order in extend(ROOT):
+        parent = classes(order, names)
+        for child in extend(order):
+            rep = representative(classes(child, names))
             for x in _names(parent):
                 for y in _names(parent):
                     px = _class_index(parent, x)
@@ -402,3 +401,72 @@ def test_dual_chain_only_finite_mode():
     unk = prove_prenex(f, "uncountable", 6)
     assert unk.status == "unknown"
 
+
+
+PRENEX_CORPUS = [
+    C_DOWN_PRENEX, TRIVIAL,
+    parse("exists x. forall y. (A(x) -> A(y))"),
+    parse("exists x. forall y. exists z. ((A(y) -> B(x)) & (B(z) -> A(y)))"),
+    parse("exists x. forall y. (P(x) | Q(y) -> (P(x) -> A) | (P(x) | Q(y)) | Q(y))"),
+    parse("forall x. exists y. (P(x) -> P(y))"),
+    parse("forall x. forall y. ((P(x) -> P(y)) | (P(y) -> P(x)))"),
+    parse("exists x. exists y. ((P(x) & Q(x)) -> (P(y) | Q(y)))"),
+    parse("exists x. (P -> P)"),
+    parse("forall x. exists y. (Q(x) -> Q(x))"),
+    parse("exists x. (bot -> bot)"),
+    parse("exists x. bot"),
+    parse("forall x. (A -> B) | (B -> A)"),
+]
+
+
+def _outcome(prover, f, mode, max_level, node_budget):
+    try:
+        res = prover(f, mode, max_level, node_budget)
+    except ResourceBudgetError as e:
+        return "budget", str(e)
+    return res.status, res.level_reached, res.certificate and res.certificate.dumps()
+
+
+def test_new_instances_are_the_full_product_restricted():
+    # the instances new at a level are the reference product's instances
+    # that contain C_level, with the first constant for absent variables,
+    # in the product's order
+    from goedel_logics.formula import atoms, free_vars
+    for f in PRENEX_CORPUS[:10]:
+        p = HerbrandProblem(f)
+        filler = p.terms_up_to(1)[0]
+        absent = [v not in free_vars(p.skolem_matrix) for v in p.existential_vars]
+        for level in range(0, 6):
+            try:
+                p.base(level)
+            except ResourceBudgetError:
+                break  # a finite Herbrand base ends before this level
+            want = [(combo, g) for combo, g in reference_instances(p, level)
+                    if (level == 0 or p.base(level)[-1] in atoms(g))
+                    and all(t == filler for t, a in zip(combo, absent) if a)]
+            assert p.new_instances(level) == want, (print_formula(f), level)
+
+
+def test_prover_matches_reference_on_corpus():
+    for f in PRENEX_CORPUS:
+        for mode in ("uncountable", "finite:2", "finite:3", "finite:5"):
+            for max_level in (0, 3, 6):
+                args = (f, mode, max_level, 30_000)
+                assert _outcome(prove_prenex, *args) == \
+                    _outcome(reference_prove_prenex, *args), (print_formula(f), mode)
+
+
+def test_prover_matches_reference_on_random_prenex():
+    # status, level, certificate text and budget errors are those of the
+    # tree that checks every instance at every node
+    rng = random.Random(61)
+    modes = ["uncountable", "finite:2", "finite:3", "finite:4", "finite:5"]
+    closed = 0
+    for _ in range(200):
+        f = random_prenex(rng, rng.randint(1, 3), ["P", "Q"][:rng.randint(1, 2)],
+                          rng.randint(2, 5))
+        args = (f, rng.choice(modes), rng.randint(0, 6), rng.choice([40, 400, 4000]))
+        got = _outcome(prove_prenex, *args)
+        assert got == _outcome(reference_prove_prenex, *args), print_formula(f)
+        closed += got[0] == "valid"
+    assert closed >= 40

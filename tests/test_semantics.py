@@ -103,6 +103,22 @@ def test_budget_error_before_counting_huge_universes():
     assert time.perf_counter() - start < 5
 
 
+def test_argument_free_formulas_search_size_one_only():
+    # no value depends on the universe, so only size 1 is searched and
+    # counted: a huge max_universe is neither slow nor over the budget
+    start = time.perf_counter()
+    for text in ("bot -> bot", "forall x. A -> A"):
+        assert entails_bruteforce([], parse(text), V3, 10 ** 8).holds
+    assert time.perf_counter() - start < 1
+    # a countermodel is the reference's, which it finds at size 1
+    from helpers import reference_entails
+    premises, conclusion = [parse("exists x. B")], parse("forall y. A")
+    got = entails_bruteforce(premises, conclusion, V3, 10 ** 8)
+    want = reference_entails(premises, conclusion, V3, 3)
+    assert not got.holds
+    assert dump_interpretation(got.countermodel) == dump_interpretation(want.countermodel)
+
+
 def test_budget_bound_is_exact():
     # P(c()) over V3: 3 interpretations of size 1, 3^2 * 2 of size 2
     f = parse("P(c()) | ~P(c())")
