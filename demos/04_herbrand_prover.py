@@ -28,6 +28,9 @@ print("independent check:", verify_certificate(res.certificate))
 
 res_u = prove_prenex(c_down, "uncountable", max_level=6)
 print("uncountable:", res_u.status, "at level", res_u.level_reached)
+# "unknown" comes from the first branch still open at the level bound;
+# under its order every instance so far stays below 1
+print("   open order:", " < ".join(" = ".join(cls) for cls in res_u.open_order))
 
 # Reassembly: a machine-checkable trace from the Herbrand disjunction
 # back to the prenex formula, including the eigenvariable bookkeeping.

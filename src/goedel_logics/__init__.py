@@ -24,7 +24,7 @@ from .semantics import (
     dump_interpretation, map_h, one_entails_bruteforce, saturate_transfer,
     value_set,
 )
-from .decide import decide_Gm, decide_LC, extend, representative
+from .decide import decide_Gm, decide_LC, extend
 from .proofkit import (
     Builder, CheckResult, Derivation, Step, check, format_derivation,
     match_axiom, parse_derivation, soundness_sample,

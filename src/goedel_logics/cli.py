@@ -164,8 +164,16 @@ def _cmd_prove(args) -> int:
             f"  disjunct: {print_formula(d)}" for d in cert.disjuncts)
         _emit(args, cert.to_json(), text)
         return EXIT_OK
-    _emit(args, {"result": "unknown", "level_reached": result.level_reached},
-          f"unknown (open branches at level {result.level_reached})")
+    order = result.open_order
+    payload = {"result": result.status, "level_reached": result.level_reached,
+               "open_order": [list(cls) for cls in order]}
+    text = " < ".join(" = ".join(cls) for cls in order)
+    if result.status == "invalid":
+        _emit(args, payload, f"invalid (the Herbrand base ends at level "
+                             f"{result.level_reached})\n  countermodel order: {text}")
+        return EXIT_REJECTED
+    _emit(args, payload, f"unknown (open branches at level {result.level_reached})\n"
+                         f"  open order: {text}")
     return EXIT_UNKNOWN
 
 

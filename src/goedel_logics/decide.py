@@ -6,8 +6,7 @@ connectives (min, max, and the conditional that gives 1 when a <= b and
 b otherwise) depend only on the order of the values, so a formula is
 compiled once by compile_prop into a program over integer ranks: 0 is
 the value 0 and ``top`` the value 1.  Ranks map back to Fraction only
-in a reported countermodel or value; eval_prop is the reference tree
-walk over Fractions.
+in a reported countermodel or value.
 
 G_m is decided by exhaustive evaluation over the ranks 0..m-1 of the m
 truth values of V_m.  LC is decided by order-invariance: the value of a
@@ -32,8 +31,6 @@ from typing import Callable, Hashable, Mapping, Optional, Sequence
 from .formula import Atom, Bot, And, Or, Imp, Formula, atoms, print_formula
 from .goedelset import gm_values
 
-ONE = Fraction(1)
-
 BOT_MARK = "bot"
 TOP_MARK = "top"
 
@@ -51,25 +48,6 @@ class TooManyAtomsError(DecideError):
 
 
 PropValuation = dict[Atom, Fraction]
-
-
-def eval_prop(f: Formula, valuation: PropValuation) -> Fraction:
-    if isinstance(f, Atom):
-        try:
-            return valuation[f]
-        except KeyError:
-            raise DecideError(f"atom {print_formula(f)} unassigned") from None
-    if isinstance(f, Bot):
-        return Fraction(0)
-    if isinstance(f, And):
-        return min(eval_prop(f.left, valuation), eval_prop(f.right, valuation))
-    if isinstance(f, Or):
-        return max(eval_prop(f.left, valuation), eval_prop(f.right, valuation))
-    if isinstance(f, Imp):
-        a = eval_prop(f.left, valuation)
-        b = eval_prop(f.right, valuation)
-        return ONE if a <= b else b
-    raise QuantifierError(f"formula is not quantifier-free: {print_formula(f)}")
 
 
 RankProgram = Callable[..., int]
@@ -162,27 +140,10 @@ def classes(order: Order, names: Sequence[str]) -> Constraint:
     return tuple([tuple(sorted(cls)) for cls in out])
 
 
-def restrict(c: Constraint, names: set[str]) -> Constraint:
-    """The constraint induced on a subset of the elements."""
-    out = []
-    for cls in c:
-        kept = tuple(x for x in cls if x in names)
-        if kept:
-            out.append(kept)
-    return tuple(out)
-
-
 def class_ranks(c: Constraint) -> dict[str, int]:
     """Each name's class index in c: the bot class has rank 0 and the top
     class rank len(c) - 1."""
     return {name: i for i, cls in enumerate(c) for name in cls}
-
-
-def representative(c: Constraint) -> dict[str, Fraction]:
-    """The canonical valuation fulfilling the constraint: class i of k maps
-    to i/(k-1), so the bottom class sits at 0 and the top class at 1."""
-    top = len(c) - 1
-    return {name: Fraction(r, top) for name, r in class_ranks(c).items()}
 
 
 def pinned_orders(n: int) -> int:

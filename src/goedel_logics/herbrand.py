@@ -16,7 +16,16 @@ place relative to 0 and 1, so it stays below top.  The first instance
 that closes, and with it the leaf, is the one a check of every
 instance would find.  New instances are generated by matching the
 matrix atoms against the base, and each is compiled once by
-``decide.compile_prop``.
+``decide.compile_prop`` the first time the walk reaches its level.
+
+The tree is walked depth first, so the walk stops at the first branch
+still open at the level bound and answers "unknown" with that branch's
+order, under which every instance so far stays below 1.  When no
+predicate takes an argument the Herbrand base is finite, and a branch
+open at its last atom is a countermodel: the answer is "invalid".  A
+walk that closes every branch has visited the nodes of the
+breadth-first tree, and its leaves, sorted stably by level, come out in
+breadth-first order, which fixes the certificate.
 
 Finite-valued mode prunes orders with more than n classes.  A closed
 tree yields a certificate whose disjunction is checked independently by
@@ -128,6 +137,10 @@ class HerbrandProblem:
             hu_funcs[fresh("g0")] = 1
         self.hu_functions = dict(sorted(hu_funcs.items()))
         self.predicates = dict(sorted(hu_preds.items()))
+        # the number of atoms in the base when it is finite: with no
+        # predicate taking an argument it holds the 0-ary atoms alone
+        self.base_length: Optional[int] = (
+            None if any(self.predicates.values()) else len(self.predicates))
 
         self._terms_by_size: list[list[Term]] = [[]]  # index = size
         self._base: list[Atom] = []
@@ -159,12 +172,11 @@ class HerbrandProblem:
         return out
 
     def base(self, count: int) -> list[Atom]:
-        """C_1 .. C_count of the Herbrand base (non-repetitive)."""
-        while len(self._base) < count:
+        """C_1 .. C_count of the Herbrand base (non-repetitive), or the
+        whole base when it is finite and shorter."""
+        while len(self._base) < count and len(self._base) != self.base_length:
             self._base_size += 1
             size = self._base_size
-            if size > 40:
-                raise ResourceBudgetError("Herbrand base enumeration stalled")
             block: list[Atom] = []
             for pred, arity in self.predicates.items():
                 if arity == 0:
@@ -195,6 +207,8 @@ class HerbrandProblem:
         if level == 0:
             return [] if patterns else [self._instance({})]
         base = self.base(level)
+        if len(base) < level:
+            return []  # the level lies beyond a finite base
         found: list[dict[str, Term]] = []
         for j, pattern in enumerate(patterns):
             bound: dict[str, Term] = {}
@@ -385,10 +399,13 @@ def match_instance(problem: HerbrandProblem, ground: Formula) -> tuple[Term, ...
 
 @dataclass
 class ProveResult:
-    status: str                    # "valid" | "unknown"
+    status: str                    # "valid" | "unknown" | "invalid"
     certificate: Optional[Certificate] = None
     level_reached: Optional[int] = None
     problem: Optional[HerbrandProblem] = None
+    # for "unknown" and "invalid": the open branch's order, under which
+    # every instance up to level_reached stays below 1
+    open_order: Optional[Constraint] = None
 
 
 NODE_BUDGET = 200_000
@@ -396,12 +413,13 @@ NODE_BUDGET = 200_000
 
 def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
                  node_budget: int = NODE_BUDGET) -> ProveResult:
-    """Breadth-first semantic tree for a closed prenex formula.
+    """Depth-first semantic tree for a closed prenex formula.
 
-    mode is "uncountable" or "finite:<n>".  A finite tree yields a
-    certificate; hitting max_level with open branches yields "unknown".
-    The procedure never reports invalidity (countermodels come from the
-    semantics or decide modules).
+    mode is "uncountable" or "finite:<n>".  A closed tree yields a
+    certificate ("valid").  The walk stops at the first branch still open
+    at max_level ("unknown"), or at the last level of a finite Herbrand
+    base, where the open order is a countermodel ("invalid"); both
+    report that order.  node_budget caps the nodes the walk visits.
     """
     problem = HerbrandProblem(f)
     n_adm: Optional[int] = None
@@ -411,39 +429,64 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
             raise ValueError("finite mode needs n >= 2")
     elif mode != "uncountable":
         raise ValueError(f"unknown mode {mode!r}")
+    if max_level < 0:
+        raise ValueError("max_level must be >= 0")
+    last = problem.base_length
+    stop, open_status = ((last, "invalid") if last is not None and last <= max_level
+                         else (max_level, "unknown"))
 
-    closed: list = []  # (level, order, instance) of each leaf, in tree order
-    frontier: list[Order] = [ROOT]
+    closed: list = []  # (level, order, instance) of each leaf, in visit order
     index: dict[Atom, int] = {}  # base atom -> its slot in the orders
     names: list[str] = []  # the base atoms' names, by slot
+    # levels[L]: the instances new at L, compiled when the walk first gets there
+    levels = [compile_instances(problem.new_instances(0), index)]
+    stack: list[Order] = []  # open nodes not yet extended; an order's level is len - 1
+    level, batch = 0, [ROOT]  # the children of one parent, all at one level
     nodes = 0
-    for level in range(0, max_level + 1):
-        # an open parent left every older instance below top, and the
-        # child's order keeps that, so only the level's new ones can close
-        programs = compile_instances(problem.new_instances(level), index)
-        nodes += len(frontier)
+    while True:
+        nodes += len(batch)
         if nodes > node_budget:
             raise ResourceBudgetError(
-                f"semantic tree exceeded the budget of {node_budget} nodes at level {level}")
-        still_open = frontier
+                f"semantic tree exceeded the budget of {node_budget} nodes: "
+                f"{nodes} nodes counted, deepest level {len(levels) - 1}")
+        # an open parent left every older instance below top, and the
+        # child's order keeps that, so only the level's new ones can close
+        programs = levels[level]
+        still_open = batch
         if programs:
             still_open = []
-            for order in frontier:
+            for order in batch:
                 hit = closes(order, programs)
                 if hit is not None:
                     closed.append((level, order, hit))
                 else:
                     still_open.append(order)
-        if not still_open:
-            leaves = _leaves(closed, names)
-            return ProveResult("valid", _certificate(problem, mode, leaves), level, problem)
-        if level == max_level:
+        if still_open:
+            if level == stop:
+                return ProveResult(open_status, None, level, problem,
+                                   classes(still_open[0], names))
+            still_open.reverse()  # the first child is extended first
+            stack.extend(still_open)
+        if not stack:
             break
-        next_atom = problem.base(level + 1)[level]
-        index[next_atom] = level + 1
-        names.append(print_raw(next_atom))
-        frontier = [child for order in still_open for child in extend(order, n_adm)]
-    return ProveResult("unknown", None, max_level, problem)
+        parent = stack.pop()
+        level = len(parent)
+        if level == len(levels):
+            try:
+                next_atom = problem.base(level)[-1]
+                index[next_atom] = level
+                names.append(print_raw(next_atom))
+                levels.append(compile_instances(problem.new_instances(level), index))
+            except RecursionError:
+                # a deep walk grows terms past what the recursive term code takes
+                raise ResourceBudgetError(
+                    f"Herbrand base atom {level} is nested too deeply") from None
+        batch = extend(parent, n_adm)
+    # depth first visits each level's nodes in breadth-first order
+    closed.sort(key=lambda leaf: leaf[0])
+    level = closed[-1][0]
+    return ProveResult("valid", _certificate(problem, mode, _leaves(closed, names)),
+                       level, problem)
 
 
 def _leaves(closed: list, names: list[str]) -> list[Leaf]:

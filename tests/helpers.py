@@ -6,9 +6,12 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from goedel_logics.decide import BOT_MARK, TOP_MARK, Constraint, class_ranks, compile_prop
+from goedel_logics.decide import (
+    BOT_MARK, TOP_MARK, Constraint, DecideError, QuantifierError, class_ranks, compile_prop,
+)
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula,
     Neg, ParseError, Term, Top, Var, atoms, free_vars, print_formula, print_raw,
@@ -119,6 +122,48 @@ def reference_entails(premises: Sequence[Formula], conclusion: Formula,
 
 
 # ---------------------------------------------------------------------------
+# Reference propositional evaluation: the tree walk over Fractions that
+# decide.compile_prop's rank programs are compared against, and the
+# valuation that stands for a pinned weak order given as classes.
+
+
+def eval_prop(f: Formula, valuation: dict[Atom, Fraction]) -> Fraction:
+    if isinstance(f, Atom):
+        try:
+            return valuation[f]
+        except KeyError:
+            raise DecideError(f"atom {print_formula(f)} unassigned") from None
+    if isinstance(f, Bot):
+        return Fraction(0)
+    if isinstance(f, And):
+        return min(eval_prop(f.left, valuation), eval_prop(f.right, valuation))
+    if isinstance(f, Or):
+        return max(eval_prop(f.left, valuation), eval_prop(f.right, valuation))
+    if isinstance(f, Imp):
+        a = eval_prop(f.left, valuation)
+        b = eval_prop(f.right, valuation)
+        return ONE if a <= b else b
+    raise QuantifierError(f"formula is not quantifier-free: {print_formula(f)}")
+
+
+def restrict(c: Constraint, names: set[str]) -> Constraint:
+    """The constraint induced on a subset of the elements."""
+    out = []
+    for cls in c:
+        kept = tuple(x for x in cls if x in names)
+        if kept:
+            out.append(kept)
+    return tuple(out)
+
+
+def representative(c: Constraint) -> dict[str, Fraction]:
+    """The canonical valuation fulfilling the constraint: class i of k maps
+    to i/(k-1), so the bottom class sits at 0 and the top class at 1."""
+    top = len(c) - 1
+    return {name: Fraction(r, top) for name, r in class_ranks(c).items()}
+
+
+# ---------------------------------------------------------------------------
 # The reference prover, the slow oracle for herbrand.prove_prenex: the
 # tree's nodes are orders as classes of names, and every node checks
 # every instance of its level, rebuilt from the full product of
@@ -181,7 +226,8 @@ def reference_closes(c: Constraint, programs):
 def reference_prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
                            node_budget: int = NODE_BUDGET) -> ProveResult:
     """The breadth-first semantic tree as it was before each node checked
-    only its level's new instances."""
+    only its level's new instances; an "unknown" or "invalid" answer
+    reports the first open order of the last level."""
     problem = HerbrandProblem(f)
     n_adm: Optional[int] = None
     if mode.startswith("finite:"):
@@ -190,12 +236,16 @@ def reference_prove_prenex(f: Formula, mode: str = "uncountable", max_level: int
             raise ValueError("finite mode needs n >= 2")
     elif mode != "uncountable":
         raise ValueError(f"unknown mode {mode!r}")
+    if max_level < 0:
+        raise ValueError("max_level must be >= 0")
+    last = problem.base_length
+    stop = max_level if last is None else min(last, max_level)
 
     leaves: list[Leaf] = []
     frontier: list[Constraint] = [REFERENCE_ROOT]
     atom_of: dict[str, Atom] = {}  # the base atoms the constraints order
     nodes = 0
-    for level in range(0, max_level + 1):
+    for level in range(0, stop + 1):
         index = {atom: name for name, atom in atom_of.items()}
         programs = [(inst, compile_prop(inst[1], index))
                     for inst in reference_instances(problem, level)]
@@ -223,14 +273,28 @@ def reference_prove_prenex(f: Formula, mode: str = "uncountable", max_level: int
             cert = Certificate(problem.original, mode, tuple(disjuncts),
                                tuple(combos), tuple(leaves))
             return ProveResult("valid", cert, level, problem)
-        if level == max_level:
-            break
+        if level == stop:
+            # at the last atom of a finite base an open order is a countermodel
+            status = "invalid" if level == last else "unknown"
+            return ProveResult(status, None, level, problem, still_open[0])
         next_atom = problem.base(level + 1)[level]
         name = print_raw(next_atom)
         atom_of[name] = next_atom
         frontier = [child for c in still_open
                     for child in reference_extend(c, name, n_adm)]
-    return ProveResult("unknown", None, max_level, problem)
+
+
+def open_order_refutes(res: ProveResult) -> bool:
+    """Whether res.open_order orders exactly C_1..C_level_reached and every
+    instance up to that level evaluates below 1 under eval_prop at its
+    representative valuation."""
+    problem, level = res.problem, res.level_reached
+    atom_of = {print_raw(a): a for a in problem.base(level)}
+    rep = representative(res.open_order)
+    if set(rep) != set(atom_of) | {BOT_MARK, TOP_MARK}:
+        return False
+    valuation = {atom: rep[name] for name, atom in atom_of.items()}
+    return all(eval_prop(g, valuation) < 1 for _, g in reference_instances(problem, level))
 
 
 def random_prenex(rng: random.Random, n_quantifiers: int, preds: Sequence[str],

@@ -68,6 +68,27 @@ def test_prove_unknown_exit_2(capsys):
     code, out, _ = run(capsys, "prove", "--mode", "uncountable",
                        "--max-level", "6", "exists x. forall y. (A(y) -> A(x))")
     assert code == 2 and "unknown" in out
+    assert "open order: A(c0()) = bot < " in out and out.rstrip().endswith("< top")
+    code, out, _ = run(capsys, "--json", "prove", "--max-level", "6",
+                       "exists x. forall y. (A(y) -> A(x))")
+    data = json.loads(out)
+    assert code == 2 and data["result"] == "unknown" and data["level_reached"] == 6
+    assert data["open_order"][0] == ["A(c0())", "bot"] and data["open_order"][-1] == ["top"]
+    assert len([name for cls in data["open_order"] for name in cls]) == 8
+
+
+def test_prove_finite_base_invalid_exit_1(capsys):
+    code, out, _ = run(capsys, "prove", "A | ~A")
+    assert code == 1 and out == ("invalid (the Herbrand base ends at level 1)\n"
+                                 "  countermodel order: bot < A < top\n")
+    code, out, _ = run(capsys, "--json", "prove", "exists x. bot")
+    assert code == 1 and json.loads(out) == {
+        "result": "invalid", "level_reached": 0, "open_order": [["bot"], ["top"]],
+        "schema": "goedel-workbench/1"}
+    code, out, _ = run(capsys, "prove", "--mode", "finite:2", "A | ~A")
+    assert code == 0 and out.startswith("valid")
+    code, _, err = run(capsys, "prove", "--max-level", "-1", "A | ~A")
+    assert code == 3 and err.startswith("error:")
 
 
 def test_prove_json_roundtrips(capsys):

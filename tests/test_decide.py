@@ -7,12 +7,12 @@ import pytest
 
 from goedel_logics.decide import (
     ROOT, QuantifierError, TooManyAtomsError, class_ranks, classes, decide_Gm,
-    decide_LC, eval_prop, extend, pinned_orders, representative,
+    decide_LC, extend, pinned_orders,
 )
 from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse, print_formula
 from goedel_logics.semantics import FiniteInterpretation, evaluate
 from goedel_logics.goedelset import gm_values, unit_interval
-from helpers import reference_extend
+from helpers import eval_prop, reference_extend, representative
 
 
 def test_gm_values():

@@ -1,7 +1,9 @@
 """Herbrand forms, the semantic-tree prover, certificates and traces."""
 
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -10,14 +12,17 @@ from goedel_logics.formula import (
     App, Atom, Or, Var, alpha_eq, parse, print_formula, print_raw,
 )
 from goedel_logics.decide import (
-    BOT_MARK, ROOT, TOP_MARK, classes, eval_prop, extend, representative, restrict,
+    BOT_MARK, ROOT, TOP_MARK, classes, extend,
 )
 from goedel_logics.herbrand import (
     Certificate, HerbrandProblem, NotPrenexError, ResourceBudgetError,
     TraceConstructionError, certificate_from_json, closes, compile_instances,
     match_instance, prove_prenex, reassemble, verify_certificate, verify_trace,
 )
-from helpers import random_prenex, reference_instances, reference_prove_prenex
+from helpers import (
+    eval_prop, open_order_refutes, random_prenex, reference_instances, reference_prove_prenex,
+    representative, restrict,
+)
 
 C_DOWN_PRENEX = parse("exists x. forall y. (A(y) -> A(x))")
 TRIVIAL = parse("exists x. exists y. (P(x) -> P(y))")
@@ -162,6 +167,67 @@ def test_prove_c_down_uncountable_unknown():
     assert res.status == "unknown"
     assert res.level_reached == 6
     assert res.certificate is None
+    # the open branch explains itself: every instance stays below 1
+    assert open_order_refutes(res)
+
+
+THREE_QUANTIFIER = parse("exists x. forall y. exists z. ((A(y) -> B(x)) & (B(z) -> A(y)))")
+
+
+def test_first_open_branch_answers_unknown_within_budget():
+    # breadth first needs more than the default budget to finish level 8;
+    # depth first stops at the first branch open there
+    with pytest.raises(ResourceBudgetError, match="budget of 200000 nodes"):
+        reference_prove_prenex(THREE_QUANTIFIER, "uncountable", 8)
+    res = prove_prenex(THREE_QUANTIFIER, "uncountable", 8)
+    assert (res.status, res.level_reached) == ("unknown", 8)
+    assert open_order_refutes(res)
+    deep = prove_prenex(THREE_QUANTIFIER, "uncountable", 12)
+    assert (deep.status, deep.level_reached) == ("unknown", 12)
+    assert open_order_refutes(deep)
+
+
+def test_budget_error_names_budget_nodes_and_level():
+    with pytest.raises(ResourceBudgetError) as e:
+        prove_prenex(THREE_QUANTIFIER, "uncountable", 8, node_budget=20)
+    assert str(e.value) == ("semantic tree exceeded the budget of 20 nodes: "
+                            "27 nodes counted, deepest level 6")
+
+
+def test_deep_walk_stops_with_a_budget_error():
+    # the chain's walk opens one level per base atom and soon reaches
+    # atoms nested deeper than the recursive term code takes (about level
+    # 250 at the default recursion limit, lowered here to keep it quick)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        with pytest.raises(ResourceBudgetError, match="nested too deeply"):
+            prove_prenex(C_DOWN_PRENEX, "uncountable", 400)
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_finite_herbrand_base_gives_invalid_or_valid():
+    # with no predicate taking an argument the base ends, and a branch
+    # open at its last atom is a countermodel order
+    for text, mode, level in (("A | ~A", "uncountable", 1), ("A | ~A", "finite:3", 1),
+                              ("exists x. (A -> B)", "uncountable", 2),
+                              ("exists x. (A -> B)", "finite:3", 2),
+                              ("exists x. bot", "uncountable", 0),
+                              ("exists x. bot", "finite:3", 0)):
+        p = HerbrandProblem(parse(text))
+        assert len(p.base(level + 5)) == level == p.base_length
+        res = prove_prenex(parse(text), mode, 8)
+        assert (res.status, res.level_reached, res.certificate) == ("invalid", level, None)
+        assert open_order_refutes(res), (text, mode)
+    # two classes make A | ~A classical
+    assert prove_prenex(parse("A | ~A"), "finite:2", 8).status == "valid"
+    # at a bound below the base's end the answer stays unknown
+    assert prove_prenex(parse("exists x. (A -> B)"), "uncountable", 1).status == "unknown"
+    for mode in ("uncountable", "finite:3"):
+        res = prove_prenex(parse("forall x. (A -> B) | (B -> A)"), mode, 8)
+        assert (res.status, res.level_reached) == ("valid", 2)
+        assert verify_certificate(res.certificate)
 
 
 def test_prover_is_deterministic():
@@ -420,11 +486,29 @@ PRENEX_CORPUS = [
 
 
 def _outcome(prover, f, mode, max_level, node_budget):
+    """The prover's outcome, with its result when it finished."""
     try:
         res = prover(f, mode, max_level, node_budget)
     except ResourceBudgetError as e:
-        return "budget", str(e)
-    return res.status, res.level_reached, res.certificate and res.certificate.dumps()
+        return ("budget", str(e).partition(" nodes")[0]), None  # the budget it names
+    return (res.status, res.level_reached, res.certificate and res.certificate.dumps(),
+            res.open_order), res
+
+
+def _check_against_reference(f, mode, max_level, node_budget):
+    """The depth-first prover's outcome equals the breadth-first
+    reference's whenever the reference finishes within its budget.  Where
+    the reference runs out, the depth-first walk may instead stop at its
+    first open branch.  An open branch's order refutes every instance."""
+    want, _ = _outcome(reference_prove_prenex, f, mode, max_level, node_budget)
+    got, res = _outcome(prove_prenex, f, mode, max_level, node_budget)
+    if want[0] != "budget" or got[0] == "budget":
+        assert got == want, (print_formula(f), mode, max_level, node_budget)
+    else:
+        assert got[:2] in (("unknown", max_level), ("invalid", res.problem.base_length))
+    if got[0] in ("unknown", "invalid"):
+        assert open_order_refutes(res), print_formula(f)
+    return got
 
 
 def test_new_instances_are_the_full_product_restricted():
@@ -437,10 +521,9 @@ def test_new_instances_are_the_full_product_restricted():
         filler = p.terms_up_to(1)[0]
         absent = [v not in free_vars(p.skolem_matrix) for v in p.existential_vars]
         for level in range(0, 6):
-            try:
-                p.base(level)
-            except ResourceBudgetError:
-                break  # a finite Herbrand base ends before this level
+            if p.base_length is not None and level > p.base_length:
+                assert p.new_instances(level) == []
+                break
             want = [(combo, g) for combo, g in reference_instances(p, level)
                     if (level == 0 or p.base(level)[-1] in atoms(g))
                     and all(t == filler for t, a in zip(combo, absent) if a)]
@@ -451,14 +534,12 @@ def test_prover_matches_reference_on_corpus():
     for f in PRENEX_CORPUS:
         for mode in ("uncountable", "finite:2", "finite:3", "finite:5"):
             for max_level in (0, 3, 6):
-                args = (f, mode, max_level, 30_000)
-                assert _outcome(prove_prenex, *args) == \
-                    _outcome(reference_prove_prenex, *args), (print_formula(f), mode)
+                _check_against_reference(f, mode, max_level, 30_000)
 
 
 def test_prover_matches_reference_on_random_prenex():
-    # status, level, certificate text and budget errors are those of the
-    # tree that checks every instance at every node
+    # status, level, certificate text, open order and budget errors are
+    # those of the tree that checks every instance at every node
     rng = random.Random(61)
     modes = ["uncountable", "finite:2", "finite:3", "finite:4", "finite:5"]
     closed = 0
@@ -466,7 +547,6 @@ def test_prover_matches_reference_on_random_prenex():
         f = random_prenex(rng, rng.randint(1, 3), ["P", "Q"][:rng.randint(1, 2)],
                           rng.randint(2, 5))
         args = (f, rng.choice(modes), rng.randint(0, 6), rng.choice([40, 400, 4000]))
-        got = _outcome(prove_prenex, *args)
-        assert got == _outcome(reference_prove_prenex, *args), print_formula(f)
+        got = _check_against_reference(*args)
         closed += got[0] == "valid"
     assert closed >= 40

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goedel_logics.decide import (
-    DecideError, QuantifierError, compile_prop, decide_Gm, decide_LC, eval_prop,
+    DecideError, QuantifierError, compile_prop, decide_Gm, decide_LC,
 )
 from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse
+from helpers import eval_prop
 
 LETTERS = [Atom(f"A{i}") for i in range(1, 6)]
 
