@@ -187,8 +187,9 @@ def _cmd_check_proof(args) -> int:
                      "conclusion": print_formula(d.conclusion)},
               f"accepted: {print_formula(d.conclusion)}")
         return EXIT_OK
+    where = "" if result.step is None else f" at step {result.step}"
     _emit(args, {"result": "rejected", "step": result.step, "reason": result.reason},
-          f"rejected at step {result.step}: {result.reason}")
+          f"rejected{where}: {result.reason}")
     return EXIT_REJECTED
 
 

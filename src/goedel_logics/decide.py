@@ -186,10 +186,11 @@ def decide_Gm(f: Formula, m: int, budget: int = 10 ** 7) -> DecideResult:
     """Exhaustively decide validity over V_m; returns the first
     countermodel in lexicographic order when there is one."""
     letters = list(_letters(f).values())
+    # at least one letter's worth: building V_m alone takes m values
+    n = max(len(letters), 1)
+    if m ** n > budget:
+        raise TooManyAtomsError(f"{m}^{n} valuations exceed the budget of {budget}")
     values = gm_values(m)
-    if m ** len(letters) > budget:
-        raise TooManyAtomsError(
-            f"{m}^{len(letters)} valuations exceed the budget of {budget}")
     prog = compile_prop(f, {a: i for i, a in enumerate(letters)})
     top = m - 1
     for ranks in itertools.product(range(m), repeat=len(letters)):

@@ -9,6 +9,10 @@ variables are bare lowercase identifiers.
 
 The parser tokenizes a text in one regex scan.  Positions are computed
 only on error: a token's ``line:column`` is then found by a second scan.
+A ParseMemo parses a batch of texts that repeat subformulas (the lines of
+one proof file): every formula part it has seen, keyed by its tokens, is
+parsed once and shared, so equal parts are one AST and ``alpha_eq`` stops
+at them.  A standalone ``parse`` does no memo work.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 
 class FormulaError(Exception):
@@ -278,7 +282,9 @@ def substitute(f: Formula, var: str, t: Term) -> Formula:
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:
-    """Structural equality up to renaming of bound variables."""
+    """Structural equality up to renaming of bound variables.  A subtree
+    shared by both sides (see ParseMemo) is equal at once when the binders
+    above it map its names alike."""
 
     def terms_eq(s: Term, t: Term, env1: dict[str, int], env2: dict[str, int]) -> bool:
         if isinstance(s, Var) and isinstance(t, Var):
@@ -289,6 +295,8 @@ def alpha_eq(f: Formula, g: Formula) -> bool:
         return False
 
     def go(a: Formula, b: Formula, env1: dict[str, int], env2: dict[str, int], depth: int) -> bool:
+        if a is b and env1 == env2:
+            return True
         if type(a) is not type(b):
             return False
         if isinstance(a, Atom):
@@ -409,6 +417,13 @@ class _Parser:
             raise ArityConflictError(
                 f"{line}:{col}: symbol {name} used with arities {old} and {arity}")
 
+    def whole(self) -> Formula:
+        """The formula that all the tokens form."""
+        f = self.formula()
+        if self.toks[self.pos] is not None:
+            raise self.error(f"trailing input {self.toks[self.pos]!r}")
+        return f
+
     # formula := quant | imp ; imp := or ("->" formula)?
     def formula(self) -> Formula:
         if self.toks[self.pos] in ("forall", "exists"):
@@ -498,11 +513,112 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a raw AST (bound names kept as written)."""
-    p = _Parser(text)
-    f = p.formula()
-    if p.toks[p.pos] is not None:
-        raise p.error(f"trailing input {p.toks[p.pos]!r}")
-    return f
+    return _Parser(text).whole()
+
+
+_PAREN_DELTA = {"(": 1, ")": -1}
+
+
+class _Unshared(Exception):
+    """A shared parse that the memo cannot vouch for: a symbol's arity
+    clashes, or a part did not end where its tokens do.  The text is
+    parsed again without the memo, which raises the standalone error."""
+
+
+class _SharedParser(_Parser):
+    """The parser of one text in a ParseMemo.
+
+    A formula that runs to the end of its group or text (a whole text, a
+    parenthesized group, the right side of ``->``, a quantifier body) and
+    an atom with arguments are looked up by their tokens before they are
+    parsed: a hit returns the stored AST and skips the tokens.  Each entry
+    carries the symbols its AST uses with their arities, and a hit merges
+    them into the formula's arity table.
+    """
+
+    def __init__(self, text: str, entries: dict):
+        super().__init__(text)
+        self.entries = entries
+        # predicates start upper-case and functions lower-case, so one
+        # table can hold both arities
+        self.funcs = self.preds
+        # paren depth after each token: the ')' closing a '(' is the
+        # first later token back at the depth before that '('
+        self.depth = list(itertools.accumulate(
+            map(_PAREN_DELTA.get, self.toks, itertools.repeat(0))))
+
+    def shared(self, end: int, parse_part: Callable[[], Formula]) -> Formula:
+        """The AST of the tokens from pos to end: stored, or parsed by
+        parse_part() with an arity table of its own and stored."""
+        key = tuple(self.toks[self.pos:end])
+        entry = self.entries.get(key)
+        if entry is None:
+            outer = self.preds
+            self.preds = self.funcs = {}
+            f = parse_part()
+            if self.pos != end:
+                raise _Unshared
+            entry = self.entries[key] = (f, self.preds)
+            self.preds = self.funcs = outer
+        else:
+            self.pos = end
+        used = entry[1]
+        if not used.items() <= self.preds.items():
+            for name, arity in used.items():
+                if self.preds.setdefault(name, arity) != arity:
+                    raise _Unshared
+        return entry[0]
+
+    def formula(self) -> Formula:
+        i = self.pos
+        try:
+            end = self.depth.index(self.depth[i - 1] - 1 if i else -1, i)
+        except ValueError:
+            end = len(self.toks) - 1
+        return self.shared(end, super().formula)
+
+    def unary(self) -> Formula:
+        i = self.pos
+        tok = self.toks[i]
+        if tok is not None and tok[0].isupper() and self.toks[i + 1] == "(":
+            try:
+                end = self.depth.index(self.depth[i], i + 2) + 1
+            except ValueError:  # unclosed: the plain parse reports it
+                return self.atom()
+            return self.shared(end, self.atom)
+        return super().unary()
+
+
+class ParseMemo:
+    """Parses a batch of texts that repeat subformulas, such as the lines
+    of one proof file.
+
+    ``memo.parse(text)`` equals ``parse(text)`` and raises the same
+    errors, but each distinct text, and each formula that runs to the
+    end of a group or text, and each atom with arguments, is parsed once
+    per memo and shared by every formula it occurs in.  Parts are keyed
+    by their tokens, so a binding ``A -> B`` and the group ``(A -> B)`` of
+    a step formula are one AST.  Arity conflicts stay per formula: a
+    formula whose shared parts clash is parsed again without the memo,
+    which raises the standalone error.  A memo keeps every AST it made
+    alive, so create one per batch and drop it after.
+    """
+
+    def __init__(self) -> None:
+        self.texts: dict[str, Formula] = {}
+        self.entries: dict[tuple[str, ...], tuple[Formula, dict[str, int]]] = {}
+
+    def parse(self, text: str) -> Formula:
+        f = self.texts.get(text)
+        if f is None:
+            try:
+                f = _SharedParser(text, self.entries).whole()
+            except (FormulaError, _Unshared, RecursionError):
+                # raises the standalone error; a RecursionError may be the
+                # shared parser's alone, as it nests deeper per level
+                f = parse(text)
+            self.texts[text] = f
+        return f
 
 
 def parse_term(text: str) -> Term:

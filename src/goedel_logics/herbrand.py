@@ -67,6 +67,10 @@ class TraceConstructionError(HerbrandError):
     pass
 
 
+class CertificateFormatError(HerbrandError):
+    """A JSON certificate document of the wrong shape."""
+
+
 # ---------------------------------------------------------------------------
 # Herbrand form
 
@@ -358,17 +362,51 @@ class Certificate:
         return json.dumps(self.to_json(), indent=2)
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
+
+
+def _expect(value, kind: type, what: str):
+    """value, when it has the JSON type kind; else a format error."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise CertificateFormatError(
+            f"{what} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _get(obj: dict, key: str, kind: type, what: str):
+    if key not in obj:
+        raise CertificateFormatError(f'{what} needs "{key}"')
+    return _expect(obj[key], kind, f'"{key}"')
+
+
+def _leaf_from_json(entry) -> Leaf:
+    _expect(entry, dict, "a leaf")
+    order = tuple(tuple(_expect(name, str, "an order entry")
+                        for name in _expect(cls, list, "an order class"))
+                  for cls in _get(entry, "order", list, "a leaf"))
+    return Leaf(_get(entry, "level", int, "a leaf"), order, (), Bot())
+
+
 def certificate_from_json(data: Union[str, dict]) -> Certificate:
+    """A certificate from its JSON form; a document of the wrong shape
+    raises CertificateFormatError."""
     if isinstance(data, str):
         data = json.loads(data)
-    formula = parse(data["formula"])
+    _expect(data, dict, "a certificate")
+    formula = parse(_get(data, "formula", str, "a certificate"))
+    mode = _get(data, "mode", str, "a certificate")
+    if mode != "uncountable":
+        kind, _, n = mode.partition(":")
+        if kind != "finite" or not n.isdecimal() or int(n) < 2:
+            raise CertificateFormatError(
+                f'"mode" must be "uncountable" or "finite:<n>" with n >= 2, not {mode!r}')
     problem = HerbrandProblem(formula)
-    disjuncts = tuple(parse(d) for d in data["disjuncts"])
+    disjuncts = tuple(parse(_expect(d, str, "a disjunct"))
+                      for d in _get(data, "disjuncts", list, "a certificate"))
     combos = tuple(match_instance(problem, d) for d in disjuncts)
-    leaves = tuple(
-        Leaf(entry["level"], tuple(tuple(cls) for cls in entry["order"]), (), Bot())
-        for entry in data.get("leaves", ()))
-    return Certificate(formula, data["mode"], disjuncts, combos, leaves)
+    leaves = tuple(_leaf_from_json(entry)
+                   for entry in _expect(data.get("leaves", []), list, '"leaves"'))
+    return Certificate(formula, mode, disjuncts, combos, leaves)
 
 
 def match_instance(problem: HerbrandProblem, ground: Formula) -> tuple[Term, ...]:

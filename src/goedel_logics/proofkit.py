@@ -6,6 +6,13 @@ bindings, the checker instantiates the schema and compares with the step
 formula up to alpha-equivalence.  That keeps checking linear and makes
 the proof files self-documenting.
 
+A proof file repeats its subformulas: a binding such as ``A := P(x) ->
+~P(x)`` comes back as a group in its step formula, in later steps and in
+the rules that cite them.  ``parse_derivation`` parses all the formulas
+of one file through one ``formula.ParseMemo``, so each repeated part is
+parsed once and all its occurrences are one AST; ``check`` compares with
+``alpha_eq``, which stops where both sides share a subtree.
+
 Axiom lines that list two schemas in the source system are split into
 separate names (I3a/I3b, I4a/I4b, I5a/I5b); this is an artifact naming
 convention only.  Systems: IL is the intuitionistic base, H = IL + QS +
@@ -20,7 +27,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .formula import (
     And, App, Atom, Bot, Exists, Forall, Formula, Imp, Neg, Or, Term, Top, Var,
-    alpha_eq, free_vars, parse, parse_term, print_formula, print_term, substitute,
+    ParseMemo, alpha_eq, free_vars, parse_term, print_formula, print_term, substitute,
 )
 from .goedelset import GoedelSet
 from . import semantics
@@ -350,31 +357,31 @@ def soundness_sample(d: Derivation, V: GoedelSet, max_universe: int,
 # '#' starts a comment; a 'system: <tag>' header line selects the system.
 
 
+_SYSTEM_LINE = re.compile(r"system\s*:\s*(\S+)")
+_STEP_LINE = re.compile(r"(\d+)\.\s*(.*?)\s*;\s*(.*)")
+_AXIOM_JUST = re.compile(r"axiom\s+(\S+)\s*(\[.*\])?")
+_RULE_JUST = re.compile(r"rule\s+(\S+)\s+([\d\s,]+?)\s*(\[.*\])?")
+
+
 def _split_bindings(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
+    """The parts of text between the commas outside parentheses; a last
+    empty part is dropped.  Splits at every comma, then joins the pieces
+    that a comma inside parentheses cut apart."""
+    parts, cur, depth = [], [], 0
+    for piece in text.split(","):
+        cur.append(piece)
+        depth += piece.count("(") - piece.count(")")
+        if depth == 0:
+            parts.append(",".join(cur))
             cur = []
-        else:
-            cur.append(ch)
     if cur:
-        parts.append("".join(cur))
+        parts.append(",".join(cur))
+    if not parts[-1]:
+        parts.pop()
     return parts
 
 
-def _parse_memo(memo: dict[str, Formula], text: str) -> Formula:
-    f = memo.get(text)
-    if f is None:
-        f = memo[text] = parse(text)
-    return f
-
-
-def _parse_bindings(text: str, memo: dict[str, Formula]) -> tuple[tuple[str, object], ...]:
+def _parse_bindings(text: str, memo: ParseMemo) -> tuple[tuple[str, object], ...]:
     text = text.strip()
     if not text:
         return ()
@@ -388,7 +395,7 @@ def _parse_bindings(text: str, memo: dict[str, Formula]) -> tuple[tuple[str, obj
         key = key.strip()
         value = value.strip()
         if key and key[0].isupper():
-            out.append((key, _parse_memo(memo, value)))
+            out.append((key, memo.parse(value)))
         elif key == "t":
             out.append((key, parse_term(value)))
         else:
@@ -397,10 +404,10 @@ def _parse_bindings(text: str, memo: dict[str, Formula]) -> tuple[tuple[str, obj
 
 
 def parse_derivation(text: str, system: Optional[str] = None) -> Derivation:
-    """Parse a proof file.  A formula text that recurs (a binding such as
-    ``A := P(x) -> ~P(x)`` is often repeated) is parsed once per call;
-    the ASTs are frozen, so steps and bindings may share them."""
-    memo: dict[str, Formula] = {}
+    """Parse a proof file.  The formulas of one call share a ParseMemo,
+    which dies with the call; the ASTs are frozen, so steps and bindings
+    may share them."""
+    memo = ParseMemo()
     steps: list[Step] = []
     premises: list[Formula] = []
     expected = 1
@@ -408,30 +415,30 @@ def parse_derivation(text: str, system: Optional[str] = None) -> Derivation:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = re.fullmatch(r"system\s*:\s*(\S+)", line)
+        m = _SYSTEM_LINE.fullmatch(line)
         if m:
             if system is None:
                 system = m.group(1)
             continue
-        m = re.fullmatch(r"(\d+)\.\s*(.*?)\s*;\s*(.*)", line)
+        m = _STEP_LINE.fullmatch(line)
         if m is None:
             raise ProofError(f"cannot parse proof line: {raw!r}")
         num = int(m.group(1))
         if num != expected:
             raise ProofError(f"expected step {expected}, found {num}")
         expected += 1
-        formula = _parse_memo(memo, m.group(2))
+        formula = memo.parse(m.group(2))
         just = m.group(3).strip()
         if just == "premise":
             premises.append(formula)
             steps.append(Step(formula, "premise"))
             continue
-        jm = re.fullmatch(r"axiom\s+(\S+)\s*(\[.*\])?", just)
+        jm = _AXIOM_JUST.fullmatch(just)
         if jm:
             steps.append(Step(formula, "axiom", jm.group(1), (),
                               _parse_bindings(jm.group(2) or "", memo)))
             continue
-        jm = re.fullmatch(r"rule\s+(\S+)\s+([\d\s,]+?)\s*(\[.*\])?", just)
+        jm = _RULE_JUST.fullmatch(just)
         if jm:
             cites = tuple(int(c) for c in jm.group(2).replace(" ", "").split(",") if c)
             steps.append(Step(formula, "rule", jm.group(1), cites,

@@ -499,3 +499,22 @@ def reference_parse_term(text: str) -> Term:
     if p.pos != len(p.toks):
         raise p.error(f"trailing input {p.peek()!r}")
     return t
+
+
+def reference_split_bindings(text: str) -> list[str]:
+    """The character loop that proofkit._split_bindings replaced: the parts
+    between the commas at parenthesis depth 0, a last empty part dropped."""
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    if cur:
+        parts.append("".join(cur))
+    return parts

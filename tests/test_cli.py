@@ -1,14 +1,18 @@
 """Command-line interface: exit codes, output shapes, JSON round-trips."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
+
 import goedel_logics
 from goedel_logics.cli import main
-from goedel_logics.herbrand import certificate_from_json, verify_certificate
+from goedel_logics.formula import parse
+from goedel_logics.herbrand import certificate_from_json, prove_prenex, verify_certificate
 
 
 def run(capsys, *argv):
@@ -134,6 +138,11 @@ def test_check_proof(capsys, tmp_path):
 """)
     code, out, _ = run(capsys, "check-proof", str(bad))
     assert code == 1 and "rejected at step 3" in out
+    # a rejection of the whole derivation names no step
+    code, out, _ = run(capsys, "check-proof", "--system", "H7x", str(good))
+    assert code == 1 and out == "rejected: unknown system 'H7x'\n"
+    code, out, _ = run(capsys, "--json", "check-proof", "--system", "H7x", str(good))
+    assert code == 1 and json.loads(out)["step"] is None
 
 
 def test_transform_kinds(capsys):
@@ -247,3 +256,93 @@ def test_deep_nesting_is_an_input_error(capsys):
          "~" * 980 + "A"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 1 and proc.stdout.startswith("countermodel: {A=0}")
+
+
+def test_verify_rejects_malformed_certificates(capsys, tmp_path):
+    cert = tmp_path / "c.json"
+    for doc, message in [
+            ({"formula": 1, "mode": "uncountable", "disjuncts": []},
+             '"formula" must be a string, not int'),
+            ([1], "a certificate must be an object, not list"),
+            ({"formula": "top", "mode": "uncountable"}, 'a certificate needs "disjuncts"'),
+            ({"formula": "top", "mode": "finite:1", "disjuncts": []}, '"mode" must be'),
+            ({"formula": "top", "mode": "uncountable", "disjuncts": [["top"]]},
+             "a disjunct must be a string, not list"),
+            ({"formula": "top", "mode": "uncountable", "disjuncts": [], "leaves": {}},
+             '"leaves" must be an array, not dict'),
+            ({"formula": "top", "mode": "uncountable", "disjuncts": [],
+              "leaves": [{"level": True, "order": []}]}, '"level" must be an integer')]:
+        cert.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "prove", "--verify", str(cert))
+        assert code == 3 and out == "" and err.startswith(f"error: {message}"), doc
+    # V_m counts against the budget even when the disjunction has no letters
+    cert.write_text(json.dumps({"formula": "top", "mode": "finite:1000000000000",
+                                "disjuncts": ["top"]}))
+    code, _, err = run(capsys, "prove", "--verify", str(cert))
+    assert code == 2 and "exceed the budget" in err
+
+
+# valid certificates to mangle: uncountable and finite mode, one and three disjuncts
+CERTIFICATES = [prove_prenex(parse(f), mode).certificate.to_json() for f, mode in [
+    ("exists x. (P(x) -> P(x))", "uncountable"),
+    ("exists x. forall y. (A(y) -> A(x))", "finite:3")]]
+CERT_KEYS = ["formula", "mode", "disjuncts", "leaves", "level", "order", "schema"]
+CERT_STRINGS = ["uncountable", "finite:2", "finite:3", "finite:1", "finite:x", "finite:",
+                "finite:" + "9" * 13, "top", "bot", "(", "A(c0())", "P(c0()) -> P(c0())",
+                "A(f1(c0())) -> A(c0())", "exists x. forall y. (A(y) -> A(x))",
+                "forall x. A(x)", "P(x)", "bot"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(allow_nan=False)
+    | st.sampled_from(CERT_STRINGS) | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(CERT_KEYS), kids, max_size=3),
+    max_leaves=6)
+
+
+def _paths(doc, here=()):
+    yield here
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, here + (key,))
+
+
+def _mangle(doc, where: int, delete: bool, value):
+    """doc with the value at one of its paths replaced or deleted."""
+    paths = list(_paths(doc))
+    path = paths[where % len(paths)]
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(range(len(CERTIFICATES))),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(), json_values),
+                min_size=1, max_size=3),
+       st.none() | st.integers(0, 10 ** 6))
+def test_mangled_certificates_get_a_verdict_or_a_typed_error(tmp_path_factory, which,
+                                                             changes, cut):
+    doc = json.loads(json.dumps(CERTIFICATES[which]))
+    for where, delete, value in changes:
+        doc = _mangle(doc, where, delete, value)
+    text = json.dumps(doc)
+    if cut is not None:
+        text = text[:cut % (len(text) + 1)]
+    cert = tmp_path_factory.mktemp("cert") / "c.json"
+    cert.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["prove", "--budget", "10000", "--verify", str(cert)])
+    if code in (0, 1):
+        assert out.getvalue() == ("certificate verified\n" if code == 0
+                                  else "certificate rejected\n")
+    else:
+        assert code in (2, 3) and err.getvalue().startswith("error:")

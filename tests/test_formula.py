@@ -3,11 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, Bot, And, Or, Imp, Forall, Exists, Neg,
-    ParseError, Top, Var, alpha_eq, free_vars, is_crisp, is_prenex,
+    ParseError, ParseMemo, Top, Var, alpha_eq, free_vars, is_crisp, is_prenex,
     normalize, parse, parse_term, print_formula, signature, substitute,
 )
 from goedel_logics.transforms import relativize_dneg
@@ -185,6 +185,13 @@ def test_alpha_eq():
     assert not alpha_eq(parse("forall x. A(x)"), parse("forall y. B(y)"))
 
 
+def test_alpha_eq_on_a_shared_body_compares_binders():
+    body = parse("P(x,y)")
+    assert alpha_eq(Forall("x", body), Forall("x", body))
+    assert not alpha_eq(Forall("x", body), Forall("y", body))
+    assert not alpha_eq(Exists("x", Forall("y", body)), Exists("y", Forall("x", body)))
+
+
 def test_roundtrip_random_asts():
     # parse . print == normalize on 10^4 random ASTs of depth <= 6
     rng = random.Random(2024)
@@ -274,3 +281,28 @@ def test_parse_matches_reference_on_printed_formulas(f, blank):
     assert outcome(parse, text) == outcome(reference_parse, text)
     for cut in (len(text) // 3, len(text) // 2):
         assert outcome(parse, text[:cut]) == outcome(reference_parse, text[:cut])
+
+
+# formula parts that recur, so a batch hits its memo, and parts that use
+# P, Q, f and A with other arities, so hits clash with the rest of a text
+MEMO_FRAGMENTS = [
+    "P(x)", "(P(x))", "P", "P(x,x)", "Q(f(x))", "Q(f(x,y))", "A", "A(x)", "c()",
+    "(", ")", " -> ", " & ", " | ", "~", "forall x. ", "exists y. ", "bot", "top",
+    "(P(x) -> ~P(x))", "P(x) -> ~P(x)", ",", " ", "\n", "x",
+]
+memo_texts = st.lists(st.sampled_from(MEMO_FRAGMENTS), max_size=10).map("".join) | texts
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(st.lists(memo_texts, max_size=6))
+@example(["(P(x))", "P & (P(x))"])
+@example(["Q(f(x))", "R(f(x,y)) & Q(f(x))"])
+@example(["P(x) -> ~P(x)", "A(x) & (P(x) -> ~P(x))", "P & (P(x) -> ~P(x))", "A & P(x)"])
+def test_parse_memo_matches_standalone_parse(batch):
+    memo = ParseMemo()
+    shared = [outcome(memo.parse, text) for text in batch]
+    assert shared == [outcome(parse, text) for text in batch]
+    # a text given again returns its first AST
+    for text, got in zip(batch, shared):
+        if not isinstance(got, tuple):
+            assert memo.parse(text) is got

@@ -18,6 +18,7 @@ from goedel_logics.proofkit import (
 from goedel_logics.goedelset import v_m
 
 from corpus import CORPUS, P_c, P_x, Q_c, Q_x, d_modus_ponens
+from helpers import reference_split_bindings
 
 V3, V4 = v_m(3), v_m(4)
 
@@ -258,8 +259,8 @@ PROOF_TEXTS = ([p.read_text() for p in DEMO_PROOFS]
 
 def test_memo_shares_asts_without_changing_derivations(monkeypatch):
     memoized = [parse_derivation(text) for text in PROOF_TEXTS]
-    # each formula text parsed on its own, as before the memo
-    monkeypatch.setattr(proofkit, "_parse_memo", lambda memo, text: parse(text))
+    # each formula text parsed on its own, without a memo
+    monkeypatch.setattr(proofkit.ParseMemo, "parse", lambda memo, text: parse(text))
     separate = [parse_derivation(text) for text in PROOF_TEXTS]
     assert len(PROOF_TEXTS) == len(DEMO_PROOFS) + len(CORPUS) + 20
     for d, e in zip(memoized, separate):
@@ -269,6 +270,17 @@ def test_memo_shares_asts_without_changing_derivations(monkeypatch):
     shift = memoized[[p.name for p in DEMO_PROOFS].index("neg_forall_shift_h0.proof")]
     a2, a3 = (dict(shift.steps[i].bindings)["A"] for i in (1, 2))
     assert a2 is a3
+    # 2. (P(x) -> ~P(x)) & (P(x) -> ~P(x)) -> P(x) -> ~P(x) ; axiom I4b [A := P(x) -> ~P(x), ...]
+    # the binding, both groups of the step formula and its right side
+    # (which runs to the end of the text) are one AST
+    step = shift.steps[1].formula
+    assert step.left.left is step.left.right is step.right is a2
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(st.text(alphabet="(),a :=", max_size=40))
+def test_split_bindings_matches_the_character_loop(text):
+    assert proofkit._split_bindings(text) == reference_split_bindings(text)
 
 
 INSERTS = ["[", "]", ":=", ",", "(", ")", ";", ".", " ", "\n", "#", "~", "->",
