@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import decide, herbrand, proofkit, semantics, transforms
@@ -19,8 +18,8 @@ from .formula import (
     ArityConflictError, FormulaError, parse, parse_term, print_formula,
 )
 from .goedelset import (
-    Cantor, EmptyKernelError, GoedelSet, Interval, SetSyntaxError, classify,
-    embed_into_perfect, parse_set, print_set, saturate_above_kernel_inf,
+    Cantor, EmptyKernelError, Interval, SetSyntaxError, _rat, classify,
+    embed_into_perfect, parse_set, print_set,
 )
 
 EXIT_OK = 0
@@ -45,7 +44,7 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _default_budget(args, default: int = 10 ** 7) -> int:
+def _default_budget(args, default: int = decide.BUDGET) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("GOEDEL_BUDGET")
@@ -197,15 +196,8 @@ def _cmd_transform(args) -> int:
     f = parse(_read_formula(args.formula))
     kind = args.kind
     try:
-        if kind == "ag":
-            out = transforms.to_Ag(f)
-            text = f"# {out.provenance}\n{print_formula(out.formula)}"
-            payload = {"formula": print_formula(out.formula),
-                       "fresh_predicates": out.fresh_predicates,
-                       "fresh_functions": out.fresh_functions,
-                       "provenance": out.provenance}
-        elif kind == "ah":
-            out = transforms.to_Ah(f)
+        if kind in ("ag", "ah"):
+            out = (transforms.to_Ag if kind == "ag" else transforms.to_Ah)(f)
             text = f"# {out.provenance}\n{print_formula(out.formula)}"
             payload = {"formula": print_formula(out.formula),
                        "fresh_predicates": out.fresh_predicates,
@@ -237,7 +229,7 @@ def _cmd_embed(args) -> int:
     perfect = [a for a in target_set.atoms if isinstance(a, (Interval, Cantor))]
     if len(perfect) != 1:
         raise _Failure("target must denote a single interval or cantor atom")
-    points = [Fraction(p) for p in args.points.split(",")]
+    points = [_rat(p) for p in args.points.split(",")]
     image = embed_into_perfect(points, perfect[0])
     _emit(args, {"image": [str(q) for q in image]},
           ", ".join(str(q) for q in image))
@@ -321,8 +313,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _Failure as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (decide.TooManyAtomsError, semantics.BudgetExceededError,
-            herbrand.ResourceBudgetError) as e:
+    except decide.BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
     except RecursionError:

@@ -9,16 +9,18 @@ the value 0 and ``top`` the value 1.  Ranks map back to Fraction only
 in a reported countermodel or value.
 
 G_m is decided by exhaustive evaluation over the ranks 0..m-1 of the m
-truth values of V_m.  LC is decided by order-invariance: the value of a
-formula depends only on how its atom values are ordered among
-themselves and relative to 0 and 1.  Such an order is a pinned weak
-order, a weak linear order of {bot, letters, top} whose least class
-holds bot and whose greatest holds top; evaluating once at the class
-ranks of every pinned weak order settles validity over every infinite
-truth-value set.  The enumerator (ROOT, extend) represents an order by
-the rank vector of its letters, which a compiled program reads
-directly; the same enumerator grows the Herbrand semantic tree.  The paper's finite reduction, validity in
-G_{n+2} for n atoms, is an independent route to the same verdict.
+truth values of V_m, in first_countermodel, the loop that the finite
+entailment search of semantics runs as well.  LC is decided by
+order-invariance: the value of a formula depends only on how its atom
+values are ordered among themselves and relative to 0 and 1.  Such an
+order is a pinned weak order, a weak linear order of {bot, letters, top}
+whose least class holds bot and whose greatest holds top; evaluating
+once at the class ranks of every pinned weak order settles validity over
+every infinite truth-value set.  The enumerator (ROOT, extend)
+represents an order by the rank vector of its letters, which a compiled
+program reads directly; the same enumerator grows the Herbrand semantic
+tree.  The paper's finite reduction, validity in G_{n+2} for n atoms, is
+an independent route to the same verdict.
 """
 
 from __future__ import annotations
@@ -43,8 +45,13 @@ class QuantifierError(DecideError):
     pass
 
 
-class TooManyAtomsError(DecideError):
-    pass
+class BudgetError(Exception):
+    """A search would exceed its budget: the one error decide, semantics
+    and herbrand raise for an exhausted bound (the CLI's exit 2)."""
+
+
+# the default budget of valuations, orders or interpretations
+BUDGET = 10 ** 7
 
 
 PropValuation = dict[Atom, Fraction]
@@ -140,12 +147,6 @@ def classes(order: Order, names: Sequence[str]) -> Constraint:
     return tuple([tuple(sorted(cls)) for cls in out])
 
 
-def class_ranks(c: Constraint) -> dict[str, int]:
-    """Each name's class index in c: the bot class has rank 0 and the top
-    class rank len(c) - 1."""
-    return {name: i for i, cls in enumerate(c) for name in cls}
-
-
 def pinned_orders(n: int) -> int:
     """The number of pinned weak orders of n letters (3, 11, 51, 299, ...
     for n = 1, 2, 3, 4): the leaves of the depth-n tree that extend
@@ -182,26 +183,43 @@ def _letters(f: Formula) -> dict[str, Atom]:
     return {name: by_name[name] for name in sorted(by_name)}
 
 
-def decide_Gm(f: Formula, m: int, budget: int = 10 ** 7) -> DecideResult:
+def first_countermodel(goal: RankProgram, m: int, n: int,
+                       guard: Optional[RankProgram] = None,
+                       limit: Optional[int] = None) -> Optional[tuple[int, tuple[int, ...]]]:
+    """(i, ranks) for the first point ranks of range(m)^n, in product
+    order and among its first limit points, where goal has rank below
+    the top rank m - 1 and guard (if any) the top rank; i is its index in
+    that order.  None if there is no such point."""
+    top = m - 1
+    for ranks in itertools.islice(itertools.product(range(m), repeat=n), limit):
+        if goal(ranks, top) < top and (guard is None or guard(ranks, top) == top):
+            # the index is worked out once, not counted per point
+            i = 0
+            for r in ranks:
+                i = i * m + r
+            return i, ranks
+    return None
+
+
+def decide_Gm(f: Formula, m: int, budget: int = BUDGET) -> DecideResult:
     """Exhaustively decide validity over V_m; returns the first
     countermodel in lexicographic order when there is one."""
     letters = list(_letters(f).values())
     # at least one letter's worth: building V_m alone takes m values
     n = max(len(letters), 1)
     if m ** n > budget:
-        raise TooManyAtomsError(f"{m}^{n} valuations exceed the budget of {budget}")
+        raise BudgetError(f"{m}^{n} valuations exceed the budget of {budget}")
     values = gm_values(m)
     prog = compile_prop(f, {a: i for i, a in enumerate(letters)})
-    top = m - 1
-    for ranks in itertools.product(range(m), repeat=len(letters)):
-        v = prog(ranks, top)
-        if v < top:
-            return DecideResult(False, f"G{m}",
-                                {a: values[r] for a, r in zip(letters, ranks)}, values[v])
-    return DecideResult(True, f"G{m}")
+    found = first_countermodel(prog, m, len(letters))
+    if found is None:
+        return DecideResult(True, f"G{m}")
+    ranks = found[1]
+    return DecideResult(False, f"G{m}", {a: values[r] for a, r in zip(letters, ranks)},
+                        values[prog(ranks, m - 1)])
 
 
-def decide_LC(f: Formula, budget: int = 10 ** 7) -> DecideResult:
+def decide_LC(f: Formula, budget: int = BUDGET) -> DecideResult:
     """Decide Goedel-Dummett LC by evaluating at the class ranks of
     every pinned weak order of the letters, depth first with the last
     letter innermost; returns the first countermodel found."""
@@ -210,7 +228,7 @@ def decide_LC(f: Formula, budget: int = 10 ** 7) -> DecideResult:
     n = len(names)
     count = pinned_orders(n)
     if count > budget:
-        raise TooManyAtomsError(
+        raise BudgetError(
             f"{count} pinned weak orders of {n} letters exceed the budget of {budget}")
     prog = compile_prop(f, {a: j for j, a in enumerate(atom_of.values(), 1)})
     stack = [ROOT]

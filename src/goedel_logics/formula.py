@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Union
+from typing import AbstractSet, Callable, Iterator, Mapping, Optional, Union
 
 
 class FormulaError(Exception):
@@ -250,7 +250,7 @@ def prefix_and_matrix(f: Formula) -> tuple[list[tuple[str, str]], Formula]:
 # Substitution and alpha-equivalence
 
 
-def fresh_name(base: str, avoid: frozenset[str]) -> str:
+def fresh_name(base: str, avoid: AbstractSet[str]) -> str:
     if base not in avoid:
         return base
     i = 1

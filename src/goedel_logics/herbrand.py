@@ -42,12 +42,12 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Term, Var,
-    alpha_eq, atoms, free_vars, is_prenex, normalize, parse, prefix_and_matrix,
+    alpha_eq, atoms, free_vars, fresh_name, is_prenex, normalize, parse, prefix_and_matrix,
     print_formula, print_raw, print_term, signature, substitute, term_size,
 )
 from .decide import (
-    ROOT, Constraint, Order, RankProgram, classes, compile_prop, decide_Gm, decide_LC,
-    extend,
+    BUDGET, ROOT, BudgetError, Constraint, Order, RankProgram, classes, compile_prop,
+    decide_Gm, decide_LC, extend,
 )
 
 
@@ -56,10 +56,6 @@ class HerbrandError(Exception):
 
 
 class NotPrenexError(HerbrandError):
-    pass
-
-
-class ResourceBudgetError(HerbrandError):
     pass
 
 
@@ -96,11 +92,7 @@ class HerbrandProblem:
         used = set(funcs)
 
         def fresh(base: str) -> str:
-            name = base
-            i = 1
-            while name in used:
-                name = f"{base}_{i}"
-                i += 1
+            name = fresh_name(base, used)
             used.add(name)
             return name
 
@@ -239,11 +231,9 @@ class HerbrandProblem:
         tuple, universal positions as the matching Skolem applications."""
         emap = dict(zip(self.existential_vars, combo))
         out: list[Optional[Term]] = [None] * len(self.prefix)
-        e_index = 0
         for pos, (kind, var) in enumerate(self.prefix):
             if kind == "exists":
                 out[pos] = emap[var]
-                e_index += 1
         for pos, name, args in self.universal_terms:
             out[pos] = App(name, tuple(emap[v] for v in args))
         return [t for t in out if t is not None]
@@ -484,7 +474,7 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
     while True:
         nodes += len(batch)
         if nodes > node_budget:
-            raise ResourceBudgetError(
+            raise BudgetError(
                 f"semantic tree exceeded the budget of {node_budget} nodes: "
                 f"{nodes} nodes counted, deepest level {len(levels) - 1}")
         # an open parent left every older instance below top, and the
@@ -517,7 +507,7 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
                 levels.append(compile_instances(problem.new_instances(level), index))
             except RecursionError:
                 # a deep walk grows terms past what the recursive term code takes
-                raise ResourceBudgetError(
+                raise BudgetError(
                     f"Herbrand base atom {level} is nested too deeply") from None
         batch = extend(parent, n_adm)
     # depth first visits each level's nodes in breadth-first order
@@ -558,7 +548,7 @@ def _certificate(problem: HerbrandProblem, mode: str, leaves: list[Leaf]) -> Cer
     return Certificate(problem.original, mode, tuple(disjuncts), tuple(combos), tuple(leaves))
 
 
-def verify_certificate(cert: Certificate, budget: int = 10 ** 7) -> bool:
+def verify_certificate(cert: Certificate, budget: int = BUDGET) -> bool:
     """Check the Herbrand disjunction propositionally, independently of the
     tree that produced it: LC for uncountable mode, G_n for finite mode."""
     if not cert.disjuncts:
@@ -626,21 +616,6 @@ def _replace_term(x, old: Term, new: Term):
     if isinstance(x, (Forall, Exists)):
         return type(x)(x.var, _replace_term(x.body, old, new))
     return x  # a variable other than old, or bot
-
-
-def _contains_term(f: Formula, t: Term) -> bool:
-    def in_term(s: Term) -> bool:
-        if s == t:
-            return True
-        return isinstance(s, App) and any(in_term(a) for a in s.args)
-
-    if isinstance(f, Atom):
-        return any(in_term(s) for s in f.args)
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, (And, Or, Imp)):
-        return _contains_term(f.left, t) or _contains_term(f.right, t)
-    return _contains_term(f.body, t)
 
 
 def reassemble(cert: Certificate, f: Optional[Formula] = None) -> Trace:
@@ -753,7 +728,7 @@ def reassemble(cert: Certificate, f: Optional[Formula] = None) -> Trace:
                 if not isinstance(t_j, Var):
                     raise TraceConstructionError(
                         f"universal position {j} still holds the term {print_term(t_j)}")
-                if rest is not None and _contains_term(rest, t_j):
+                if rest is not None and any(s == t_j for s in _subterms_of_formula(rest)):
                     raise TraceConstructionError(
                         f"eigenvariable {t_j.name} occurs outside its disjunct")
                 if rest is None:
@@ -780,13 +755,8 @@ def reassemble(cert: Certificate, f: Optional[Formula] = None) -> Trace:
                 tail = _or_fold(grounds[index + 1:])
                 emit(2, Or(tail, Or(target, target)))
                 emit(3, Or(tail, target))
-                if remaining >= 2:
-                    emit(2, Or(grounds[index + 1],
-                               Or(_or_fold(grounds[index + 2:]), target)))
-        else:
-            if remaining >= 2:
-                emit(2, Or(grounds[index + 1],
-                           Or(_or_fold(grounds[index + 2:]), target)))
+        if remaining >= 2:
+            emit(2, Or(grounds[index + 1], Or(_or_fold(grounds[index + 2:]), target)))
         have_target_copy = True
 
     if not alpha_eq(cur, target):
@@ -832,10 +802,10 @@ def verify_trace(trace: Trace, cert: Certificate) -> bool:
                 return False
             if Var(v) in _subterms_of_formula(prev) or v in free_vars(prev):
                 return False
-            if _contains_term(step.formula, t):
+            if any(s == t for s in _subterms_of_formula(step.formula)):
                 return False  # a Skolem occurrence survived
-            if _replace_term(step.formula, Var(v), t) != prev and \
-                    not alpha_eq(_replace_term(step.formula, Var(v), t), prev):
+            restored = _replace_term(step.formula, Var(v), t)
+            if restored != prev and not alpha_eq(restored, prev):
                 return False
             prev = step.formula
             continue

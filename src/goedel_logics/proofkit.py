@@ -29,6 +29,7 @@ from .formula import (
     And, App, Atom, Bot, Exists, Forall, Formula, Imp, Neg, Or, Term, Top, Var,
     ParseMemo, alpha_eq, free_vars, parse_term, print_formula, print_term, substitute,
 )
+from .decide import BUDGET
 from .goedelset import GoedelSet
 from . import semantics
 
@@ -335,7 +336,7 @@ def check(d: Derivation) -> CheckResult:
 
 
 def soundness_sample(d: Derivation, V: GoedelSet, max_universe: int,
-                     budget: int = 10 ** 7) -> semantics.EntailmentResult:
+                     budget: int = BUDGET) -> semantics.EntailmentResult:
     """Meta-test: brute-force that the premises entail the conclusion at the
     given finite scale; a violation would indicate a checker bug."""
     result = check(d)

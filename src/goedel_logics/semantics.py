@@ -8,7 +8,8 @@ The finite entailment search does not call it: for each universe size
 and function table it grounds the formulas once (quantifiers expanded
 over the universe, terms evaluated under the table), compiles them with
 decide.compile_prop, and runs the programs over the integer rank vectors
-of the ground atoms' tables.  Only the countermodel it returns is built
+of the ground atoms' tables in decide.first_countermodel, the loop that
+decides G_m.  Only the countermodel it returns is built
 as an interpretation.
 
 Besides finite structures there is a restricted countable shape, the
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .decide import compile_prop
+from .decide import BUDGET, BudgetError, compile_prop, first_countermodel
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Term, Var,
     free_vars, print_formula, signature,
@@ -43,10 +44,6 @@ class SemanticsError(Exception):
 
 
 class UnassignedSymbolError(SemanticsError):
-    pass
-
-
-class BudgetExceededError(SemanticsError):
     pass
 
 
@@ -278,7 +275,7 @@ def _joint_signature(formulas: Sequence[Formula]) -> tuple[dict[str, int], dict[
 
 def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
                        V: GoedelSet, max_universe: int,
-                       budget: int = 10 ** 7,
+                       budget: int = BUDGET,
                        one_entailment: bool = False) -> EntailmentResult:
     """Exhaustive countermodel search over universes of size 1..max_universe
     and all tables into the finite set V.
@@ -310,7 +307,7 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
     for m in range(1, max_universe + 1):
         total += _count_interpretations(m, preds, funcs, len(values), budget)
         if total > budget:
-            raise BudgetExceededError(
+            raise BudgetError(
                 f"the interpretations of universe sizes 1..{m} exceed the budget of {budget}")
 
     # a countermodel makes goal < 1 (and, for 1-entailment, guard = 1);
@@ -362,7 +359,6 @@ def _search_size(goal: Formula, guard: Optional[Formula], preds: dict[str, int],
     for g in sorted(funcs):
         offsets[g] = n_func_slots
         n_func_slots += size ** funcs[g]
-    top = n_values - 1
     best = None
     for table in itertools.product(range(size), repeat=n_func_slots):
         limit = None if best is None else best[0]
@@ -371,12 +367,9 @@ def _search_size(goal: Formula, guard: Optional[Formula], preds: dict[str, int],
         ground = _grounder(elems, offsets, table)
         goal_prog = compile_prop(ground(goal, {}), index)
         guard_prog = None if guard is None else compile_prop(ground(guard, {}), index)
-        points = itertools.product(range(n_values), repeat=len(index))
-        for i, ranks in enumerate(itertools.islice(points, limit)):
-            if goal_prog(ranks, top) < top and (
-                    guard_prog is None or guard_prog(ranks, top) == top):
-                best = (i, ranks, table)
-                break
+        found = first_countermodel(goal_prog, n_values, len(index), guard_prog, limit)
+        if found is not None:
+            best = found + (table,)
     return None if best is None else best[1:]
 
 
@@ -428,7 +421,7 @@ def _interpretation(preds: dict[str, int], funcs: dict[str, int], size: int,
 
 def one_entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
                            V: GoedelSet, max_universe: int,
-                           budget: int = 10 ** 7) -> EntailmentResult:
+                           budget: int = BUDGET) -> EntailmentResult:
     return entails_bruteforce(premises, conclusion, V, max_universe, budget,
                               one_entailment=True)
 
@@ -511,19 +504,25 @@ def tail_sup(d: TailDescriptor, start: int) -> Fraction:
     return tail_value(d, start) if d.sign > 0 else d.limit
 
 
-def _certify_tail(d: TailDescriptor, V: GoedelSet, probe: int = 64) -> None:
+_TAIL_PROBE = 64
+
+
+def _certify_tail(d: TailDescriptor, V: GoedelSet) -> None:
     """Every value of d for k >= 1 (and the limit) must lie in V.
 
-    The first ``probe`` values are checked exactly; the remaining tail is
-    certified symbolically by an interval atom containing it or by a
+    The first _TAIL_PROBE values are checked exactly; the remaining tail
+    is certified symbolically by an interval atom containing it or by a
     sequence atom with the same limit and an integer scale.  Anything else
-    is refused rather than approximated.
+    is refused rather than approximated.  A harmonic offset must be at
+    least 0, so that no k + offset is 0.
     """
     if isinstance(d, ConstTail):
         if not 0 <= d.value <= 1 or not member(V, d.value):
             raise TailValueError(f"constant tail value {d.value} not in the set")
         return
-    vals = [tail_value(d, k) for k in range(1, probe + 1)]
+    if d.offset < 0:
+        raise TailValueError(f"harmonic tail offset {d.offset} is below 0")
+    vals = [tail_value(d, k) for k in range(1, _TAIL_PROBE + 1)]
     if any(v < 0 or v > 1 for v in vals):
         raise TailValueError("harmonic tail leaves [0,1]")
     if not member(V, d.limit):
@@ -531,7 +530,7 @@ def _certify_tail(d: TailDescriptor, V: GoedelSet, probe: int = 64) -> None:
     for v in vals:
         if not member(V, v):
             raise TailValueError(f"tail value {v} not in the set")
-    edge = tail_value(d, probe + 1)
+    edge = tail_value(d, _TAIL_PROBE + 1)
     lo, hi = (d.limit, edge) if d.sign > 0 else (edge, d.limit)
     for atom in V.atoms:
         if isinstance(atom, Interval) and atom.a <= lo and hi <= atom.b:
@@ -665,7 +664,7 @@ def _eval_omega(g: Formula, I: OmegaInterpretation, env: dict[str, _Elem]) -> Fr
     # quantifier: explicit prefix, folded tail indices, then the stable tail
     d, start = _sym_omega(g.body, I, env, g.var)
     if start > _FOLD_BUDGET:
-        raise BudgetExceededError(
+        raise BudgetError(
             f"tail orders stabilize only after index {start}; refusing to "
             f"fold more than {_FOLD_BUDGET} concrete tail elements")
     vals = []

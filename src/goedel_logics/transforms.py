@@ -13,12 +13,12 @@ desk-scale semantics the tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Neg, Term, Var,
-    Top, free_vars, is_crisp, normalize, prefix_and_matrix, print_formula,
-    signature, substitute,
+    Top, free_vars, fresh_name, is_crisp, normalize, prefix_and_matrix,
+    print_formula, signature, substitute,
 )
 
 
@@ -351,12 +351,7 @@ def forall_free_shift(f: Formula) -> Formula:
     renaming: dict[str, str] = {}
     for v in vars_:
         if v in fv:
-            new = v
-            idx = 1
-            while new in fv or new in renaming.values():
-                new = f"{v}_{idx}"
-                idx += 1
-            renaming[v] = new
+            renaming[v] = fresh_name(v, fv | set(renaming.values()))
     for old, new in renaming.items():
         body = substitute(body, old, Var(new))
     out = body

@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from goedel_logics.decide import (
-    BOT_MARK, TOP_MARK, Constraint, DecideError, QuantifierError, class_ranks, compile_prop,
+    BOT_MARK, TOP_MARK, BudgetError, Constraint, DecideError, QuantifierError, compile_prop,
 )
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula,
@@ -19,8 +19,7 @@ from goedel_logics.formula import (
 )
 from goedel_logics.goedelset import GoedelSet, finite_elements
 from goedel_logics.herbrand import (
-    NODE_BUDGET, Certificate, HerbrandProblem, Leaf, ProveResult, ResourceBudgetError,
-    _atom_key,
+    NODE_BUDGET, Certificate, HerbrandProblem, Leaf, ProveResult, _atom_key,
 )
 from goedel_logics.semantics import (
     ONE, EntailmentResult, FiniteInterpretation, _joint_signature, evaluate,
@@ -156,6 +155,12 @@ def restrict(c: Constraint, names: set[str]) -> Constraint:
     return tuple(out)
 
 
+def class_ranks(c: Constraint) -> dict[str, int]:
+    """Each name's class index in c: the bot class has rank 0 and the top
+    class rank len(c) - 1."""
+    return {name: i for i, cls in enumerate(c) for name in cls}
+
+
 def representative(c: Constraint) -> dict[str, Fraction]:
     """The canonical valuation fulfilling the constraint: class i of k maps
     to i/(k-1), so the bottom class sits at 0 and the top class at 1."""
@@ -253,7 +258,7 @@ def reference_prove_prenex(f: Formula, mode: str = "uncountable", max_level: int
         for c in frontier:
             nodes += 1
             if nodes > node_budget:
-                raise ResourceBudgetError(
+                raise BudgetError(
                     f"semantic tree exceeded the budget of {node_budget} nodes at level {level}")
             hit = reference_closes(c, programs)
             if hit is not None:

@@ -7,9 +7,10 @@ import os
 import subprocess
 import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import goedel_logics
+from goedel_logics import decide, herbrand, semantics
 from goedel_logics.cli import main
 from goedel_logics.formula import parse
 from goedel_logics.herbrand import certificate_from_json, prove_prenex, verify_certificate
@@ -184,9 +185,10 @@ def test_usage_error(capsys):
 
 
 def test_zero_denominator_in_a_set_is_an_input_error(capsys):
-    code, out, err = run(capsys, "classify", "{0,1/0,1}")
-    assert code == 3 and out == ""
-    assert "zero denominator" in err and "Traceback" not in err
+    for argv in (["classify", "{0,1/0,1}"], ["embed", "--target", "[0,1]", "1/0,1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert "zero denominator" in err and "Traceback" not in err
 
 
 def test_malformed_interpretation_is_an_input_error(capsys, tmp_path):
@@ -195,7 +197,9 @@ def test_malformed_interpretation_is_an_input_error(capsys, tmp_path):
             '{"universe": ["u0"], "truth_set": "[0,1]", "predicates": {"P/1": {"u0": "1/0"}}}',
             '{"universe": ["u0"], "truth_set": "[0,1]", "variables": 3}',
             '{"universe": ["u0"], "truth_set": "[0,1]", "tail": {"P/1": {"kind": "harmonic",'
-            ' "limit": "1", "sign": "*"}}}']
+            ' "limit": "1", "sign": "*"}}}',
+            '{"universe": ["u0"], "truth_set": "[0,1]", "tail": {"P/1": {"kind": "harmonic",'
+            ' "limit": "1/2", "sign": "+", "offset": -1}}}']
     for doc in docs:
         path = tmp_path / "f.json"
         path.write_text(doc)
@@ -210,6 +214,11 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 2 and "budget" in err
     code, _, err = run(capsys, "entail", "--truth-set", "{0,1/2,1}", "A(c())")
     assert code == 2 and "budget" in err
+    code, _, err = run(capsys, "prove",
+                       "exists x. forall y. exists z. ((A(y) -> B(x)) & (B(z) -> A(y)))")
+    assert code == 2 and "budget" in err
+    # all three searches raise the one class that main maps to exit 2
+    assert semantics.BudgetError is herbrand.BudgetError is decide.BudgetError
     monkeypatch.delenv("GOEDEL_BUDGET")
     code, _, _ = run(capsys, "decide", "--logic", "G5", "A1 | A2 | A3 | A4")
     assert code == 1
@@ -338,11 +347,101 @@ def test_mangled_certificates_get_a_verdict_or_a_typed_error(tmp_path_factory, w
         text = text[:cut % (len(text) + 1)]
     cert = tmp_path_factory.mktemp("cert") / "c.json"
     cert.write_text(text)
+    code, out, err = _quiet(["prove", "--budget", "10000", "--verify", str(cert)])
+    if code in (0, 1):
+        assert out == ("certificate verified\n" if code == 0 else "certificate rejected\n")
+    else:
+        assert code in (2, 3) and err.startswith("error:")
+
+
+def _quiet(argv):
+    """main(argv) with its output captured: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["prove", "--budget", "10000", "--verify", str(cert)])
-    if code in (0, 1):
-        assert out.getvalue() == ("certificate verified\n" if code == 0
-                                  else "certificate rejected\n")
-    else:
-        assert code in (2, 3) and err.getvalue().startswith("error:")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _input_error(code, out, err):
+    """An exit 3 with an error message and no output; a budget refusal
+    (exit 2) is the other outcome the contract allows for bad input."""
+    return (code == 3 or code == 2 and "budget" in err) and out == "" \
+        and err.startswith("error:") and "Traceback" not in err
+
+
+# numbers in [0,1]: the edits below make the bad ones ("1/0", "-1", "10")
+SET_NUMBERS = st.sampled_from(["0", "1", "1/2", "1/3", "2/3", "1/4", "3/4"])
+set_atoms = st.one_of(
+    st.builds("[{},{}]".format, SET_NUMBERS, SET_NUMBERS),
+    st.lists(SET_NUMBERS, max_size=4).map(lambda xs: "{" + ",".join(xs) + "}"),
+    st.builds("cantor({},{})".format, SET_NUMBERS, SET_NUMBERS),
+    st.builds("{}({};{})".format, st.sampled_from(["seqdown", "SeqUp"]),
+              SET_NUMBERS, SET_NUMBERS))
+
+
+@st.composite
+def set_texts(draw):
+    """A union of set terms with {0,1}, some of them cut or with a
+    character swapped."""
+    text = " + ".join(draw(st.lists(set_atoms, max_size=3)) + ["{0,1}"])
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["", "+", ",", ";", "(", "]", "{", "/", "-", "0", " "]))
+        text = text[:i] + edit + text[i + draw(st.integers(0, 1)):]
+    return text
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(set_texts())
+def test_set_texts_get_a_classification_or_an_input_error(text):
+    code, out, err = _quiet(["classify", "--", text])
+    assert code == 0 and out and err == "" or _input_error(code, out, err), (text, err)
+
+
+# valid interpretations to mangle: a finite one with every table kind, and
+# an omega one with a harmonic tail, a constant tail and a successor
+INTERPRETATIONS = [
+    {"universe": ["u0", "u1"], "truth_set": "{0,1/2,1}",
+     "predicates": {"A/0": {"": "1/2"}, "P/1": {"u0": "0", "u1": "1"},
+                    "Q/1": {"u0": "1/2", "u1": "0"}},
+     "functions": {"c/0": {"": "u1"}, "s/1": {"u0": "u1", "u1": "u0"}},
+     "variables": {"y": "u0"}},
+    {"universe": ["u0"], "truth_set": "[0,1]",
+     "predicates": {"A/0": {"": "1/2"}, "P/1": {"u0": "1/4"}, "Q/1": {"u0": "1"}},
+     "functions": {"c/0": {"": "u0"}, "s/1": "successor"},
+     "tail": {"P/1": {"kind": "harmonic", "limit": "0", "sign": "+", "offset": 0},
+              "Q/1": {"*": {"kind": "const", "value": "1/3"}}}}]
+INTERP_KEYS = ["universe", "truth_set", "predicates", "functions", "variables", "tail",
+               "kind", "limit", "sign", "offset", "value", "A/0", "P/1", "P/x", "u0", "*", ""]
+INTERP_STRINGS = ["0", "1", "1/2", "1/0", "-1", "2", "x", "u0", "u1", "u0,u1", "*", "+", "-",
+                  "harmonic", "const", "successor", "[0,1]", "{0,1}", "{0,1/2,1}", "{}",
+                  "seqdown(0;1)", "sequp(1;1)", "cantor(0,1)", "[1/2,1]", "", "P/1"]
+interp_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(allow_nan=False)
+    | st.sampled_from(INTERP_STRINGS) | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(INTERP_KEYS), kids, max_size=3),
+    max_leaves=6)
+EVAL_FORMULAS = ["exists x. P(x)", "forall x. P(x)", "forall x. (P(x) -> A)",
+                 "exists x. (P(x) & Q(s(x)))", "A -> forall x. Q(x)",
+                 "P(c()) | (forall y. P(s(y)))"]
+# a negative harmonic offset once divided by k + offset = 0
+NEGATIVE_OFFSET = [(list(_paths(INTERPRETATIONS[1])).index(("tail", "P/1", "offset")), False, -1)]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@example(1, NEGATIVE_OFFSET, "forall x. P(x)")
+@given(st.sampled_from(range(len(INTERPRETATIONS))),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(), interp_values),
+                max_size=2),
+       st.sampled_from(EVAL_FORMULAS))
+def test_mangled_interpretations_get_a_value_or_an_input_error(tmp_path_factory, which,
+                                                               changes, formula):
+    doc = json.loads(json.dumps(INTERPRETATIONS[which]))
+    for where, delete, value in changes:
+        doc = _mangle(doc, where, delete, value)
+    path = tmp_path_factory.mktemp("interp") / "i.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _quiet(["eval", "-i", str(path), formula])
+    assert code == 0 and out.startswith("value: ") or _input_error(code, out, err), \
+        (doc, err)

@@ -6,13 +6,13 @@ from fractions import Fraction as F
 import pytest
 
 from goedel_logics.decide import (
-    ROOT, QuantifierError, TooManyAtomsError, class_ranks, classes, decide_Gm,
-    decide_LC, extend, pinned_orders,
+    ROOT, BudgetError, QuantifierError, classes, decide_Gm, decide_LC, extend,
+    pinned_orders,
 )
 from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse, print_formula
 from goedel_logics.semantics import FiniteInterpretation, evaluate
 from goedel_logics.goedelset import gm_values, unit_interval
-from helpers import eval_prop, reference_extend, representative
+from helpers import class_ranks, eval_prop, reference_extend, representative
 
 
 def test_gm_values():
@@ -62,7 +62,7 @@ def test_quantifier_rejected():
 
 def test_budget_error():
     f = parse("A1 | A2 | A3 | A4 | A5 | A6 | A7 | A8 | A9 | A10")
-    with pytest.raises(TooManyAtomsError):
+    with pytest.raises(BudgetError):
         decide_Gm(f, 5, budget=1000)
 
 
@@ -73,7 +73,7 @@ def test_lc_budget_counts_pinned_weak_orders():
         [3, 11, 51, 299, 2163, 18731, 189171, 2183339]
     f = parse("A1 & A2 & A3 & A4 & A5 & A6")
     assert not decide_LC(f, budget=18731).valid
-    with pytest.raises(TooManyAtomsError):
+    with pytest.raises(BudgetError):
         decide_LC(f, budget=18730)
 
 

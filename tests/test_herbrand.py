@@ -12,12 +12,12 @@ from goedel_logics.formula import (
     App, Atom, Or, Var, alpha_eq, parse, print_formula, print_raw,
 )
 from goedel_logics.decide import (
-    BOT_MARK, ROOT, TOP_MARK, classes, extend,
+    BOT_MARK, ROOT, TOP_MARK, BudgetError, classes, extend,
 )
 from goedel_logics.herbrand import (
-    Certificate, HerbrandProblem, NotPrenexError, ResourceBudgetError,
-    TraceConstructionError, certificate_from_json, closes, compile_instances,
-    match_instance, prove_prenex, reassemble, verify_certificate, verify_trace,
+    Certificate, HerbrandProblem, NotPrenexError, TraceConstructionError,
+    certificate_from_json, closes, compile_instances, match_instance, prove_prenex,
+    reassemble, verify_certificate, verify_trace,
 )
 from helpers import (
     eval_prop, open_order_refutes, random_prenex, reference_instances, reference_prove_prenex,
@@ -177,7 +177,7 @@ THREE_QUANTIFIER = parse("exists x. forall y. exists z. ((A(y) -> B(x)) & (B(z) 
 def test_first_open_branch_answers_unknown_within_budget():
     # breadth first needs more than the default budget to finish level 8;
     # depth first stops at the first branch open there
-    with pytest.raises(ResourceBudgetError, match="budget of 200000 nodes"):
+    with pytest.raises(BudgetError, match="budget of 200000 nodes"):
         reference_prove_prenex(THREE_QUANTIFIER, "uncountable", 8)
     res = prove_prenex(THREE_QUANTIFIER, "uncountable", 8)
     assert (res.status, res.level_reached) == ("unknown", 8)
@@ -188,7 +188,7 @@ def test_first_open_branch_answers_unknown_within_budget():
 
 
 def test_budget_error_names_budget_nodes_and_level():
-    with pytest.raises(ResourceBudgetError) as e:
+    with pytest.raises(BudgetError) as e:
         prove_prenex(THREE_QUANTIFIER, "uncountable", 8, node_budget=20)
     assert str(e.value) == ("semantic tree exceeded the budget of 20 nodes: "
                             "27 nodes counted, deepest level 6")
@@ -201,7 +201,7 @@ def test_deep_walk_stops_with_a_budget_error():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        with pytest.raises(ResourceBudgetError, match="nested too deeply"):
+        with pytest.raises(BudgetError, match="nested too deeply"):
             prove_prenex(C_DOWN_PRENEX, "uncountable", 400)
     finally:
         sys.setrecursionlimit(old)
@@ -489,7 +489,7 @@ def _outcome(prover, f, mode, max_level, node_budget):
     """The prover's outcome, with its result when it finished."""
     try:
         res = prover(f, mode, max_level, node_budget)
-    except ResourceBudgetError as e:
+    except BudgetError as e:
         return ("budget", str(e).partition(" nodes")[0]), None  # the budget it names
     return (res.status, res.level_reached, res.certificate and res.certificate.dumps(),
             res.open_order), res

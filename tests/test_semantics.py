@@ -7,12 +7,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from goedel_logics.decide import BudgetError
 from goedel_logics.formula import And, Atom, Imp, Or, parse
 from goedel_logics.goedelset import (
     finite_elements, make_set, parse_set, Point, unit_interval, v_down, v_m, v_up,
 )
 from goedel_logics.semantics import (
-    BudgetExceededError, ClosedFormulaRequiredError, ConstTail,
+    ClosedFormulaRequiredError, ConstTail,
     FiniteInterpretation, Harmonic, OmegaInterpretation, TailRestrictionError,
     TailValueError, entails_bruteforce, eval_omega, evaluate, lift_w,
     load_interpretation, dump_interpretation, map_h, one_entails_bruteforce,
@@ -85,7 +86,7 @@ def test_entails_fin3_countermodel_over_v4():
 
 
 def test_budget_error():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetError):
         entails_bruteforce([], parse("P(f(g(c()))) | Q(c(),c())"),
                            V4, 3, budget=1000)
 
@@ -94,10 +95,10 @@ def test_budget_error_before_counting_huge_universes():
     # 3^(3000^2) interpretations at the largest size; the check must stop
     # at the first size over the budget instead of computing that count
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match="exceed the budget of 10000000"):
+    with pytest.raises(BudgetError, match="exceed the budget of 10000000"):
         entails_bruteforce([], parse("R(c(),c())"), V3, 3000)
     assert time.perf_counter() - start < 5
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetError):
         entails_bruteforce([], parse("P(x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x)"
                                      .replace("x", "c()")), V3, 2)
     assert time.perf_counter() - start < 5
@@ -123,7 +124,7 @@ def test_budget_bound_is_exact():
     # P(c()) over V3: 3 interpretations of size 1, 3^2 * 2 of size 2
     f = parse("P(c()) | ~P(c())")
     assert entails_bruteforce([], f, V3, 2, budget=21).holds is False
-    with pytest.raises(BudgetExceededError, match="sizes 1..2 exceed the budget of 20"):
+    with pytest.raises(BudgetError, match="sizes 1..2 exceed the budget of 20"):
         entails_bruteforce([], f, V3, 2, budget=20)
 
 
@@ -285,6 +286,13 @@ def test_tail_validation_rejects_out_of_set():
         I = OmegaInterpretation((), U01, {},
                                 {"A": {("*",): Harmonic(F(1, 2), 1, 0)}})
         I.validate()
+    # k + offset would be 0 at k = -offset, inside the probed values or
+    # (offset -100) beyond them
+    for offset in (-1, -100):
+        I = OmegaInterpretation((), U01, {},
+                                {"A": {("*",): Harmonic(F(1, 2), 1, offset)}})
+        with pytest.raises(TailValueError, match="offset"):
+            I.validate()
 
 
 def test_tail_coupling_rejected():
@@ -435,5 +443,5 @@ def test_fold_budget_guards_extreme_crossovers():
                             {"B": {(): F(1, 10 ** 9)}},
                             {"A": {("*",): Harmonic(F(0), 1, 0)}})
     I.validate()
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetError):
         eval_omega(parse("forall x. (A(x) | B)"), I)
