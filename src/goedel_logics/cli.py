@@ -14,9 +14,7 @@ import sys
 from typing import Optional
 
 from . import decide, herbrand, proofkit, semantics, transforms
-from .formula import (
-    ArityConflictError, FormulaError, parse, parse_term, print_formula,
-)
+from .formula import ArityConflictError, FormulaError, parse, print_formula
 from .goedelset import (
     Cantor, EmptyKernelError, Interval, SetSyntaxError, _rat, classify,
     embed_into_perfect, parse_set, print_set,

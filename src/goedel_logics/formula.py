@@ -56,11 +56,6 @@ class App:
 Term = Union[Var, App]
 
 
-def const(name: str) -> App:
-    """A constant is a 0-ary application."""
-    return App(name, ())
-
-
 def term_vars(t: Term) -> frozenset[str]:
     if isinstance(t, Var):
         return frozenset((t.name,))

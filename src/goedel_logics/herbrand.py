@@ -321,12 +321,22 @@ def closes(order: Order,
 # Certificates
 
 
+def finite_bound(mode: str) -> Optional[int]:
+    """The class bound n of the mode "finite:<n>" (n decimal digits, at
+    least 2), or None for "uncountable"; any other mode raises ValueError."""
+    if mode == "uncountable":
+        return None
+    kind, _, n = mode.partition(":")
+    if kind != "finite" or not n.isdecimal() or int(n) < 2:
+        raise ValueError(
+            f'"mode" must be "uncountable" or "finite:<n>" with n >= 2, not {mode!r}')
+    return int(n)
+
+
 @dataclass
 class Leaf:
     level: int
     constraint: Constraint
-    combo: tuple[Term, ...]
-    instance: Formula
 
 
 @dataclass
@@ -334,7 +344,6 @@ class Certificate:
     formula: Formula
     mode: str                      # "uncountable" | "finite:<n>"
     disjuncts: tuple[Formula, ...]  # deduped, in tree order
-    combos: tuple[tuple[Term, ...], ...]  # matching the disjuncts
     leaves: tuple[Leaf, ...]
 
     def to_json(self) -> dict:
@@ -374,7 +383,7 @@ def _leaf_from_json(entry) -> Leaf:
     order = tuple(tuple(_expect(name, str, "an order entry")
                         for name in _expect(cls, list, "an order class"))
                   for cls in _get(entry, "order", list, "a leaf"))
-    return Leaf(_get(entry, "level", int, "a leaf"), order, (), Bot())
+    return Leaf(_get(entry, "level", int, "a leaf"), order)
 
 
 def certificate_from_json(data: Union[str, dict]) -> Certificate:
@@ -385,18 +394,18 @@ def certificate_from_json(data: Union[str, dict]) -> Certificate:
     _expect(data, dict, "a certificate")
     formula = parse(_get(data, "formula", str, "a certificate"))
     mode = _get(data, "mode", str, "a certificate")
-    if mode != "uncountable":
-        kind, _, n = mode.partition(":")
-        if kind != "finite" or not n.isdecimal() or int(n) < 2:
-            raise CertificateFormatError(
-                f'"mode" must be "uncountable" or "finite:<n>" with n >= 2, not {mode!r}')
+    try:
+        finite_bound(mode)
+    except ValueError as e:
+        raise CertificateFormatError(str(e)) from None
     problem = HerbrandProblem(formula)
     disjuncts = tuple(parse(_expect(d, str, "a disjunct"))
                       for d in _get(data, "disjuncts", list, "a certificate"))
-    combos = tuple(match_instance(problem, d) for d in disjuncts)
+    for d in disjuncts:
+        match_instance(problem, d)
     leaves = tuple(_leaf_from_json(entry)
                    for entry in _expect(data.get("leaves", []), list, '"leaves"'))
-    return Certificate(formula, mode, disjuncts, combos, leaves)
+    return Certificate(formula, mode, disjuncts, leaves)
 
 
 def match_instance(problem: HerbrandProblem, ground: Formula) -> tuple[Term, ...]:
@@ -450,13 +459,7 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
     report that order.  node_budget caps the nodes the walk visits.
     """
     problem = HerbrandProblem(f)
-    n_adm: Optional[int] = None
-    if mode.startswith("finite:"):
-        n_adm = int(mode.split(":", 1)[1])
-        if n_adm < 2:
-            raise ValueError("finite mode needs n >= 2")
-    elif mode != "uncountable":
-        raise ValueError(f"unknown mode {mode!r}")
+    n_adm = finite_bound(mode)
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
     last = problem.base_length
@@ -513,39 +516,33 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
     # depth first visits each level's nodes in breadth-first order
     closed.sort(key=lambda leaf: leaf[0])
     level = closed[-1][0]
-    return ProveResult("valid", _certificate(problem, mode, _leaves(closed, names)),
-                       level, problem)
+    return ProveResult("valid", _certificate(problem, mode, closed, names), level, problem)
 
 
-def _leaves(closed: list, names: list[str]) -> list[Leaf]:
-    """closed with each (level, order, instance) replaced in place by its
-    leaf, so that the two never take memory at once; the leaves' equal
-    classes share one tuple."""
+def _certificate(problem: HerbrandProblem, mode: str, closed: list,
+                 names: list[str]) -> Certificate:
+    """The certificate of a closed tree.  Each (level, order, instance) of
+    closed is replaced in place by its leaf, so that the two never take
+    memory at once, and the leaves' equal classes share one tuple.  The
+    disjuncts are the leaves' instances, deduplicated by their text in
+    tree order; leaves that closed on one instance share its formula
+    object, so each instance is printed once."""
     shared: dict[tuple[str, ...], tuple[str, ...]] = {}
-    for i, (level, order, inst) in enumerate(closed):
-        c = tuple([shared.setdefault(cls, cls) for cls in classes(order, names)])
-        closed[i] = Leaf(level, c, *inst)
-    return closed
-
-
-def _certificate(problem: HerbrandProblem, mode: str, leaves: list[Leaf]) -> Certificate:
-    """The leaves' instances, deduplicated by their text in tree order.
-    Leaves that closed on one instance share its formula object, so each
-    instance is printed once."""
-    printed: set[int] = set()  # ids of the instances already printed
+    # the instances already printed, by id; holding them keeps their ids unique
+    printed: dict[int, Formula] = {}
     seen: set[str] = set()
     disjuncts: list[Formula] = []
-    combos: list[tuple[Term, ...]] = []
-    for leaf in leaves:
-        if id(leaf.instance) in printed:
+    for i, (level, order, (_, ground)) in enumerate(closed):
+        closed[i] = Leaf(level, tuple([shared.setdefault(cls, cls)
+                                       for cls in classes(order, names)]))
+        if id(ground) in printed:
             continue
-        printed.add(id(leaf.instance))
-        text = print_formula(leaf.instance)
+        printed[id(ground)] = ground
+        text = print_formula(ground)
         if text not in seen:
             seen.add(text)
-            disjuncts.append(leaf.instance)
-            combos.append(leaf.combo)
-    return Certificate(problem.original, mode, tuple(disjuncts), tuple(combos), tuple(leaves))
+            disjuncts.append(ground)
+    return Certificate(problem.original, mode, tuple(disjuncts), tuple(closed))
 
 
 def verify_certificate(cert: Certificate, budget: int = BUDGET) -> bool:
@@ -556,9 +553,9 @@ def verify_certificate(cert: Certificate, budget: int = BUDGET) -> bool:
     disjunction: Formula = cert.disjuncts[0]
     for d in cert.disjuncts[1:]:
         disjunction = Or(disjunction, d)
-    if cert.mode == "uncountable":
+    n = finite_bound(cert.mode)
+    if n is None:
         return decide_LC(disjunction, budget).valid
-    n = int(cert.mode.split(":", 1)[1])
     return decide_Gm(disjunction, n, budget).valid
 
 
@@ -634,10 +631,9 @@ def reassemble(cert: Certificate, f: Optional[Formula] = None) -> Trace:
     if f is not None and not alpha_eq(target, cert.formula):
         raise TraceConstructionError("certificate does not belong to this formula")
     problem = HerbrandProblem(target)
-    items = []
-    for ground, combo in zip(cert.disjuncts, cert.combos):
-        vector = problem.full_term_vector(combo)
-        items.append({"ground": ground, "vector": list(vector)})
+    items = [{"ground": ground,
+              "vector": problem.full_term_vector(match_instance(problem, ground))}
+             for ground in cert.disjuncts]
 
     skolem_names = {name for name, _ in problem.skolem_symbols}
 

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Neg, Term, Var,
-    Top, free_vars, fresh_name, is_crisp, normalize, prefix_and_matrix,
-    print_formula, signature, substitute,
+    free_vars, is_crisp, normalize, print_formula, signature, subformulas,
+    substitute,
 )
 
 
@@ -321,22 +321,19 @@ def to_bot_free(f: Formula) -> Formula:
 
 
 def _contains_forall(f: Formula) -> bool:
-    if isinstance(f, Forall):
-        return True
-    if isinstance(f, (And, Or, Imp)):
-        return _contains_forall(f.left) or _contains_forall(f.right)
-    if isinstance(f, Exists):
-        return _contains_forall(f.body)
-    return False
+    return any(isinstance(g, Forall) for g in subformulas(f))
 
 
 def forall_free_shift(f: Formula) -> Formula:
     """(forall xs A(xs)) -> B  becomes  exists xs (A(xs) -> B) for
     forall-free A and B; the two are equivalent at the validity level
-    (the shift direction is moreover valid pointwise everywhere)."""
+    (the shift direction is moreover valid pointwise everywhere).  The
+    input is normalized first, so no bound name occurs free in B and
+    B keeps its free variables."""
     if not isinstance(f, Imp) or not isinstance(f.left, Forall):
         raise ShapeError("expected a conditional with a universally "
                          "quantified antecedent")
+    f = normalize(f)
     vars_: list[str] = []
     core = f.left
     while isinstance(core, Forall):
@@ -346,31 +343,26 @@ def forall_free_shift(f: Formula) -> Formula:
         raise ShapeError("antecedent matrix must be forall-free")
     if _contains_forall(f.right):
         raise ShapeError("consequent must be forall-free")
-    body: Formula = Imp(core, f.right)
-    fv = free_vars(f.right)
-    renaming: dict[str, str] = {}
-    for v in vars_:
-        if v in fv:
-            renaming[v] = fresh_name(v, fv | set(renaming.values()))
-    for old, new in renaming.items():
-        body = substitute(body, old, Var(new))
-    out = body
-    for v in reversed([renaming.get(v, v) for v in vars_]):
+    # the binders keep their pre-order, so the output is normalized too
+    out: Formula = Imp(core, f.right)
+    for v in reversed(vars_):
         out = Exists(v, out)
-    return normalize(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Prenexification with admissible shifts only
 
 
-_EQUIV_SHIFTS = {
-    ("and", "left", "forall"), ("and", "left", "exists"),
-    ("and", "right", "forall"), ("and", "right", "exists"),
-    ("or", "left", "forall"), ("or", "left", "exists"),
-    ("or", "right", "forall"), ("or", "right", "exists"),
-    ("imp", "left", "exists"),   # (exists x A -> B) == forall x (A -> B)
-    ("imp", "right", "forall"),  # (B -> forall x A) == forall x (B -> A)
+# The shift of a quantifier out of a conditional, by its side and kind:
+# the kind it becomes, its family, and the shift it is (S_3 or S_2) when
+# that shift holds only on crisp material.  A quantifier hoisted out of
+# a conjunction or disjunction keeps its kind.
+_IMP_SHIFTS = {
+    ("left", Exists): (Forall, "antecedent-exists", None),
+    ("left", Forall): (Exists, "crisp-antecedent-forall", "S_3"),
+    ("right", Forall): (Forall, "consequent-forall", None),
+    ("right", Exists): (Exists, "crisp-consequent-exists", "S_2"),
 }
 
 
@@ -399,44 +391,21 @@ def prenex_crisp_report(f: Formula) -> tuple[Formula, tuple[str, ...]]:
     def pull(g: Formula) -> Formula:
         """g is a connective whose children are already prenex; hoist the
         outermost child quantifiers until both children are bare."""
-        if isinstance(g, Imp) and isinstance(g.left, (Forall, Exists)):
-            q = g.left
-            avoid = free_vars(g.right) | free_vars(q) | {q.var}
-            v = fresh(avoid)
-            body = substitute(q.body, q.var, Var(v))
-            if isinstance(q, Exists):
-                used.add("antecedent-exists")
-                return Forall(v, pull(Imp(body, g.right)))
-            if is_crisp(q.body) and is_crisp(g.right):
-                used.add("crisp-antecedent-forall")
-                return Exists(v, pull(Imp(body, g.right)))
-            raise InadmissibleShiftError("S_3", g)
-        if isinstance(g, Imp) and isinstance(g.right, (Forall, Exists)):
-            q = g.right
-            avoid = free_vars(g.left) | free_vars(q) | {q.var}
-            v = fresh(avoid)
-            body = substitute(q.body, q.var, Var(v))
-            if isinstance(q, Forall):
-                used.add("consequent-forall")
-                return Forall(v, pull(Imp(g.left, body)))
-            if is_crisp(g.left) and is_crisp(q.body):
-                used.add("crisp-consequent-exists")
-                return Exists(v, pull(Imp(g.left, body)))
-            raise InadmissibleShiftError("S_2", g)
-        if isinstance(g, (And, Or)) and isinstance(g.left, (Forall, Exists)):
-            q = g.left
-            avoid = free_vars(g.right) | free_vars(q) | {q.var}
-            v = fresh(avoid)
-            body = substitute(q.body, q.var, Var(v))
-            used.add("and-shift" if isinstance(g, And) else "or-shift")
-            return type(q)(v, pull(type(g)(body, g.right)))
-        if isinstance(g, (And, Or)) and isinstance(g.right, (Forall, Exists)):
-            q = g.right
-            avoid = free_vars(g.left) | free_vars(q) | {q.var}
-            v = fresh(avoid)
-            body = substitute(q.body, q.var, Var(v))
-            used.add("and-shift" if isinstance(g, And) else "or-shift")
-            return type(q)(v, pull(type(g)(g.left, body)))
+        parts = [g.left, g.right]
+        for i, side in enumerate(("left", "right")):
+            q, other = parts[i], parts[1 - i]
+            if not isinstance(q, (Forall, Exists)):
+                continue
+            if isinstance(g, Imp):
+                kind, family, crisp_shift = _IMP_SHIFTS[side, type(q)]
+                if crisp_shift and not (is_crisp(q.body) and is_crisp(other)):
+                    raise InadmissibleShiftError(crisp_shift, g)
+            else:
+                kind, family = type(q), "and-shift" if isinstance(g, And) else "or-shift"
+            v = fresh(free_vars(other) | free_vars(q) | {q.var})
+            parts[i] = substitute(q.body, q.var, Var(v))
+            used.add(family)
+            return kind(v, pull(type(g)(*parts)))
         return g
 
     def hoist(g: Formula) -> Formula:

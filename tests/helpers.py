@@ -247,6 +247,7 @@ def reference_prove_prenex(f: Formula, mode: str = "uncountable", max_level: int
     stop = max_level if last is None else min(last, max_level)
 
     leaves: list[Leaf] = []
+    grounds: list[Formula] = []  # the instance each leaf closed on
     frontier: list[Constraint] = [REFERENCE_ROOT]
     atom_of: dict[str, Atom] = {}  # the base atoms the constraints order
     nodes = 0
@@ -262,21 +263,19 @@ def reference_prove_prenex(f: Formula, mode: str = "uncountable", max_level: int
                     f"semantic tree exceeded the budget of {node_budget} nodes at level {level}")
             hit = reference_closes(c, programs)
             if hit is not None:
-                leaves.append(Leaf(level, c, hit[0], hit[1]))
+                leaves.append(Leaf(level, c))
+                grounds.append(hit[1])
             else:
                 still_open.append(c)
         if not still_open:
             seen: dict[str, int] = {}
             disjuncts: list[Formula] = []
-            combos: list[tuple[Term, ...]] = []
-            for leaf in leaves:
-                key = print_formula(leaf.instance)
+            for ground in grounds:
+                key = print_formula(ground)
                 if key not in seen:
                     seen[key] = len(disjuncts)
-                    disjuncts.append(leaf.instance)
-                    combos.append(leaf.combo)
-            cert = Certificate(problem.original, mode, tuple(disjuncts),
-                               tuple(combos), tuple(leaves))
+                    disjuncts.append(ground)
+            cert = Certificate(problem.original, mode, tuple(disjuncts), tuple(leaves))
             return ProveResult("valid", cert, level, problem)
         if level == stop:
             # at the last atom of a finite base an open order is a countermodel

@@ -332,6 +332,28 @@ def _mangle(doc, where: int, delete: bool, value):
     return doc
 
 
+def test_prove_takes_the_modes_a_certificate_takes(capsys, tmp_path):
+    # prove refuses exactly the modes the certificate loader refuses, so
+    # every certificate prove writes verifies
+    cert = tmp_path / "c.json"
+    for mode in CERT_STRINGS + ["finite: 3", "finite:+3"]:
+        try:
+            certificate_from_json({**CERTIFICATES[0], "mode": mode})
+            loads = True
+        except herbrand.CertificateFormatError:
+            loads = False
+        code, _, err = run(capsys, "prove", "--mode", mode, "--out", str(cert),
+                           "exists x. (P(x) -> P(x))")
+        assert (code == 3) == (not loads), (mode, code, err)
+        if loads:
+            # verification counts V_n against its budget, which a huge n exceeds
+            assert code == 0, (mode, err)
+            code, _, err = run(capsys, "prove", "--verify", str(cert))
+            assert code == 0 or code == 2 and "exceed the budget" in err, (mode, err)
+        else:
+            assert err.startswith('error: "mode" must be'), (mode, err)
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(st.sampled_from(range(len(CERTIFICATES))),
        st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(), json_values),

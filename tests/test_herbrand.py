@@ -288,11 +288,11 @@ def test_certificate_json_roundtrip():
     assert [print_formula(d) for d in cert.disjuncts] == \
         [print_formula(d) for d in res.certificate.disjuncts]
     assert cert.dumps() == text
+    assert certificate_from_json(text) == res.certificate
 
 
 def test_forged_certificate_rejected():
-    bad = Certificate(TRIVIAL, "uncountable",
-                      (parse("P(c0()) -> Q(c0())"),), ((App("c0"), App("c0")),), ())
+    bad = Certificate(TRIVIAL, "uncountable", (parse("P(c0()) -> Q(c0())"),), ())
     assert not verify_certificate(bad)
 
 
@@ -337,9 +337,7 @@ def test_reassemble_duplicate_disjuncts_contract():
     # hand-build a certificate with a duplicated disjunct
     res = prove_prenex(TRIVIAL, "uncountable", 4)
     cert = res.certificate
-    dup = Certificate(cert.formula, cert.mode,
-                      cert.disjuncts + cert.disjuncts,
-                      cert.combos + cert.combos, cert.leaves)
+    dup = Certificate(cert.formula, cert.mode, cert.disjuncts + cert.disjuncts, cert.leaves)
     tr = reassemble(dup)
     rules = [s.rule for s in tr.steps if s.kind == "rule"]
     assert 3 in rules

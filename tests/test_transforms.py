@@ -204,6 +204,37 @@ def test_forall_free_shift_shape_errors():
         forall_free_shift(parse("(forall x. A(x)) -> forall y. B(y)"))
 
 
+def _forall_free(rng, depth, names):
+    """A random forall-free formula whose variables come from names."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([Bot(), Atom("A"), Atom("P", (Var(rng.choice(names)),)),
+                           Atom("R", (Var(rng.choice(names)), App("c")))])
+    if rng.random() < 0.25:
+        return Exists(rng.choice(names), _forall_free(rng, depth - 1, names))
+    op = rng.choice([And, Or, Imp])
+    return op(_forall_free(rng, depth - 1, names), _forall_free(rng, depth - 1, names))
+
+
+def test_forall_free_shift_keeps_free_variables():
+    # the consequent's free variables stay free: a bound name that is
+    # also free in the consequent must not capture it
+    out = forall_free_shift(parse("(forall x. P(x)) -> Q(x)"))
+    assert print_formula(out) == "exists x1. P(x1) -> Q(x)"
+    for text in ("(forall x. forall y. P(x,y)) -> Q(x)",
+                 "(forall x. forall x1. P(x,x1)) -> Q(x)",
+                 "(forall x. forall x_1. P(x,x_1)) -> Q(x)"):
+        out = forall_free_shift(parse(text))
+        assert print_formula(out) == "exists x1. exists x2. P(x1,x2) -> Q(x)", text
+    rng = random.Random(41)
+    names = ["x", "y", "x1", "x2"]
+    for _ in range(3000):
+        antecedent = _forall_free(rng, 3, names)
+        for _ in range(rng.randint(1, 3)):
+            antecedent = Forall(rng.choice(names), antecedent)
+        f = Imp(antecedent, _forall_free(rng, 3, names))
+        assert free_vars(forall_free_shift(f)) == free_vars(f), print_formula(f)
+
+
 def test_forall_free_shift_direction_valid_pointwise():
     # exists x (A(x) -> B)  ->  ((forall x A(x)) -> B) everywhere
     rng = random.Random(19)
