@@ -13,10 +13,10 @@ A node at level L checks only the instances new at L, those that
 contain C_L.  Every older instance was below top at the node's open
 parent, and inserting C_L keeps the order of the older atoms and their
 place relative to 0 and 1, so it stays below top.  The first instance
-that closes, and with it the leaf, is the one a check of every
-instance would find.  New instances are generated by matching the
-matrix atoms against the base, and each is compiled once by
-``decide.compile_prop`` the first time the walk reaches its level.
+that closes the branch is the one a check of every instance would find.
+New instances are generated by matching the matrix atoms against the
+base, and each is compiled once by ``decide.compile_prop`` the first
+time the walk reaches its level.
 
 The tree is walked depth first, so the walk stops at the first branch
 still open at the level bound and answers "unknown" with that branch's
@@ -24,13 +24,15 @@ order, under which every instance so far stays below 1.  When no
 predicate takes an argument the Herbrand base is finite, and a branch
 open at its last atom is a countermodel: the answer is "invalid".  A
 walk that closes every branch has visited the nodes of the
-breadth-first tree, and its leaves, sorted stably by level, come out in
-breadth-first order, which fixes the certificate.
+breadth-first tree, and the instances its branches closed on, sorted
+stably by level, come out in breadth-first order, which fixes the order
+of the certificate's disjuncts.
 
 Finite-valued mode prunes orders with more than n classes.  A closed
-tree yields a certificate whose disjunction is checked independently by
-the propositional decision procedures, and which can be reassembled
-into a rule trace deriving the original formula.
+tree yields a certificate: the formula, the mode and the Herbrand
+disjunction.  The disjunction is checked independently by the
+propositional decision procedures, and the certificate can be
+reassembled into a rule trace deriving the original formula.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .decide import (
     BUDGET, ROOT, BudgetError, Constraint, Order, RankProgram, classes, compile_prop,
     decide_Gm, decide_LC, extend,
 )
+from .semantics import expect_json
 
 
 class HerbrandError(Exception):
@@ -327,16 +330,11 @@ def finite_bound(mode: str) -> Optional[int]:
     if mode == "uncountable":
         return None
     kind, _, n = mode.partition(":")
-    if kind != "finite" or not n.isdecimal() or int(n) < 2:
+    # int() refuses more than 4,300 digits, and no such n fits a budget
+    if kind != "finite" or not n.isdecimal() or len(n) > 4300 or int(n) < 2:
         raise ValueError(
             f'"mode" must be "uncountable" or "finite:<n>" with n >= 2, not {mode!r}')
     return int(n)
-
-
-@dataclass
-class Leaf:
-    level: int
-    constraint: Constraint
 
 
 @dataclass
@@ -344,7 +342,6 @@ class Certificate:
     formula: Formula
     mode: str                      # "uncountable" | "finite:<n>"
     disjuncts: tuple[Formula, ...]  # deduped, in tree order
-    leaves: tuple[Leaf, ...]
 
     def to_json(self) -> dict:
         return {
@@ -352,60 +349,34 @@ class Certificate:
             "formula": print_formula(self.formula),
             "mode": self.mode,
             "disjuncts": [print_formula(d) for d in self.disjuncts],
-            "leaves": [{"level": leaf.level,
-                        "order": [list(cls) for cls in leaf.constraint]}
-                       for leaf in self.leaves],
         }
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=2)
 
 
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
-
-
-def _expect(value, kind: type, what: str):
-    """value, when it has the JSON type kind; else a format error."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise CertificateFormatError(
-            f"{what} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
-    return value
-
-
 def _get(obj: dict, key: str, kind: type, what: str):
     if key not in obj:
         raise CertificateFormatError(f'{what} needs "{key}"')
-    return _expect(obj[key], kind, f'"{key}"')
-
-
-def _leaf_from_json(entry) -> Leaf:
-    _expect(entry, dict, "a leaf")
-    order = tuple(tuple(_expect(name, str, "an order entry")
-                        for name in _expect(cls, list, "an order class"))
-                  for cls in _get(entry, "order", list, "a leaf"))
-    return Leaf(_get(entry, "level", int, "a leaf"), order)
+    return expect_json(obj[key], kind, f'"{key}"', CertificateFormatError)
 
 
 def certificate_from_json(data: Union[str, dict]) -> Certificate:
     """A certificate from its JSON form; a document of the wrong shape
-    raises CertificateFormatError."""
+    raises CertificateFormatError.  Any other key, such as the "leaves"
+    that older certificates carry, is ignored."""
     if isinstance(data, str):
         data = json.loads(data)
-    _expect(data, dict, "a certificate")
+    expect_json(data, dict, "a certificate", CertificateFormatError)
     formula = parse(_get(data, "formula", str, "a certificate"))
     mode = _get(data, "mode", str, "a certificate")
     try:
         finite_bound(mode)
     except ValueError as e:
         raise CertificateFormatError(str(e)) from None
-    problem = HerbrandProblem(formula)
-    disjuncts = tuple(parse(_expect(d, str, "a disjunct"))
+    disjuncts = tuple(parse(expect_json(d, str, "a disjunct", CertificateFormatError))
                       for d in _get(data, "disjuncts", list, "a certificate"))
-    for d in disjuncts:
-        match_instance(problem, d)
-    leaves = tuple(_leaf_from_json(entry)
-                   for entry in _expect(data.get("leaves", []), list, '"leaves"'))
-    return Certificate(formula, mode, disjuncts, leaves)
+    return Certificate(formula, mode, disjuncts)
 
 
 def match_instance(problem: HerbrandProblem, ground: Formula) -> tuple[Term, ...]:
@@ -466,7 +437,7 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
     stop, open_status = ((last, "invalid") if last is not None and last <= max_level
                          else (max_level, "unknown"))
 
-    closed: list = []  # (level, order, instance) of each leaf, in visit order
+    closed: list = []  # (level, instance) of each closed branch, in visit order
     index: dict[Atom, int] = {}  # base atom -> its slot in the orders
     names: list[str] = []  # the base atoms' names, by slot
     # levels[L]: the instances new at L, compiled when the walk first gets there
@@ -489,7 +460,7 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
             for order in batch:
                 hit = closes(order, programs)
                 if hit is not None:
-                    closed.append((level, order, hit))
+                    closed.append((level, hit))
                 else:
                     still_open.append(order)
         if still_open:
@@ -514,27 +485,21 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
                     f"Herbrand base atom {level} is nested too deeply") from None
         batch = extend(parent, n_adm)
     # depth first visits each level's nodes in breadth-first order
-    closed.sort(key=lambda leaf: leaf[0])
+    closed.sort(key=lambda branch: branch[0])
     level = closed[-1][0]
-    return ProveResult("valid", _certificate(problem, mode, closed, names), level, problem)
+    return ProveResult("valid", _certificate(problem, mode, closed), level, problem)
 
 
-def _certificate(problem: HerbrandProblem, mode: str, closed: list,
-                 names: list[str]) -> Certificate:
-    """The certificate of a closed tree.  Each (level, order, instance) of
-    closed is replaced in place by its leaf, so that the two never take
-    memory at once, and the leaves' equal classes share one tuple.  The
-    disjuncts are the leaves' instances, deduplicated by their text in
-    tree order; leaves that closed on one instance share its formula
-    object, so each instance is printed once."""
-    shared: dict[tuple[str, ...], tuple[str, ...]] = {}
+def _certificate(problem: HerbrandProblem, mode: str, closed: list) -> Certificate:
+    """The certificate of a closed tree: the instances of closed,
+    deduplicated by their text in tree order.  Branches that closed on
+    one instance share its formula object, so each instance is printed
+    once."""
     # the instances already printed, by id; holding them keeps their ids unique
     printed: dict[int, Formula] = {}
     seen: set[str] = set()
     disjuncts: list[Formula] = []
-    for i, (level, order, (_, ground)) in enumerate(closed):
-        closed[i] = Leaf(level, tuple([shared.setdefault(cls, cls)
-                                       for cls in classes(order, names)]))
+    for _, (_, ground) in closed:
         if id(ground) in printed:
             continue
         printed[id(ground)] = ground
@@ -542,12 +507,21 @@ def _certificate(problem: HerbrandProblem, mode: str, closed: list,
         if text not in seen:
             seen.add(text)
             disjuncts.append(ground)
-    return Certificate(problem.original, mode, tuple(disjuncts), tuple(closed))
+    return Certificate(problem.original, mode, tuple(disjuncts))
 
 
 def verify_certificate(cert: Certificate, budget: int = BUDGET) -> bool:
-    """Check the Herbrand disjunction propositionally, independently of the
-    tree that produced it: LC for uncountable mode, G_n for finite mode."""
+    """Check that every disjunct is a ground instance of the formula's
+    Herbrand matrix, then the Herbrand disjunction propositionally,
+    independently of the tree that produced it: LC for uncountable mode,
+    G_n for finite mode.  A formula that is open or not prenex raises
+    NotPrenexError."""
+    problem = HerbrandProblem(cert.formula)
+    try:
+        for d in cert.disjuncts:
+            match_instance(problem, d)
+    except TraceConstructionError:
+        return False
     if not cert.disjuncts:
         return False
     disjunction: Formula = cert.disjuncts[0]

@@ -744,10 +744,11 @@ def _table_key(key: str) -> tuple[str, ...]:
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
 
 
-def _expect(value, kind: type, what: str):
-    """value, when it has the JSON type kind; else a format error."""
+def expect_json(value, kind: type, what: str, error: type = InterpretationFormatError):
+    """value, when it has the JSON type kind (dict, list or str); else the
+    format error `error`."""
     if not isinstance(value, kind):
-        raise InterpretationFormatError(
+        raise error(
             f"{what} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
     return value
 
@@ -763,7 +764,7 @@ def _rational(value, what: str) -> Fraction:
 
 
 def _descriptor_from_json(obj, what: str) -> TailDescriptor:
-    _expect(obj, dict, what)
+    expect_json(obj, dict, what)
     kind = obj.get("kind")
     if kind == "const":
         return ConstTail(_rational(obj.get("value"), f"{what} value"))
@@ -789,38 +790,38 @@ def load_interpretation(data: Mapping) -> Union[FiniteInterpretation, OmegaInter
     """Interpretation from its JSON form (rationals as "p/q" strings,
     tables keyed "P/1" with comma-joined argument keys).  A document of
     the wrong shape raises InterpretationFormatError."""
-    _expect(data, dict, "an interpretation")
+    expect_json(data, dict, "an interpretation")
     if "universe" not in data or "truth_set" not in data:
         raise InterpretationFormatError('an interpretation needs "universe" and "truth_set"')
-    universe = tuple(_expect(u, str, "a universe element")
-                     for u in _expect(data["universe"], list, '"universe"'))
-    truth_set = parse_set(_expect(data["truth_set"], str, '"truth_set"'))
+    universe = tuple(expect_json(u, str, "a universe element")
+                     for u in expect_json(data["universe"], list, '"universe"'))
+    truth_set = parse_set(expect_json(data["truth_set"], str, '"truth_set"'))
     preds: dict[str, dict[tuple[str, ...], Fraction]] = {}
-    for key, table in _expect(data.get("predicates", {}), dict, '"predicates"').items():
+    for key, table in expect_json(data.get("predicates", {}), dict, '"predicates"').items():
         name = key.split("/")[0]
         preds[name] = {_table_key(k): _rational(v, f"a value of {key}")
-                       for k, v in _expect(table, dict, f"the table of {key}").items()}
+                       for k, v in expect_json(table, dict, f"the table of {key}").items()}
     funcs: dict[str, dict[tuple[str, ...], str]] = {}
     successors = set()
-    for key, table in _expect(data.get("functions", {}), dict, '"functions"').items():
+    for key, table in expect_json(data.get("functions", {}), dict, '"functions"').items():
         name = key.split("/")[0]
         if table == "successor":
             successors.add(name)
             continue
-        funcs[name] = {_table_key(k): _expect(v, str, f"a value of {key}")
-                       for k, v in _expect(table, dict, f"the table of {key}").items()}
-    variables = _expect(data.get("variables", {}), dict, '"variables"')
+        funcs[name] = {_table_key(k): expect_json(v, str, f"a value of {key}")
+                       for k, v in expect_json(table, dict, f"the table of {key}").items()}
+    variables = expect_json(data.get("variables", {}), dict, '"variables"')
     for v in variables.values():
-        _expect(v, str, "a variable's element")
+        expect_json(v, str, "a variable's element")
     if "tail" not in data and not successors:
         I = FiniteInterpretation(universe, truth_set, preds, funcs, dict(variables))
         I.validate()
         return I
     tails: dict[str, dict[tuple[str, ...], TailDescriptor]] = {}
-    for key, spec in _expect(data.get("tail", {}), dict, '"tail"').items():
+    for key, spec in expect_json(data.get("tail", {}), dict, '"tail"').items():
         name, _, arity = key.partition("/")
         what = f"the tail of {key}"
-        if "kind" in _expect(spec, dict, what):  # shorthand: all slots are tail slots
+        if "kind" in expect_json(spec, dict, what):  # shorthand: all slots are tail slots
             if arity and not arity.isdigit():
                 raise InterpretationFormatError(f"{what} needs a numeric arity")
             pattern = tuple(_STAR for _ in range(int(arity or 1)))

@@ -19,7 +19,7 @@ from goedel_logics.formula import (
 )
 from goedel_logics.goedelset import GoedelSet, finite_elements
 from goedel_logics.herbrand import (
-    NODE_BUDGET, Certificate, HerbrandProblem, Leaf, ProveResult, _atom_key,
+    NODE_BUDGET, Certificate, HerbrandProblem, ProveResult, _atom_key,
 )
 from goedel_logics.semantics import (
     ONE, EntailmentResult, FiniteInterpretation, _joint_signature, evaluate,
@@ -246,8 +246,7 @@ def reference_prove_prenex(f: Formula, mode: str = "uncountable", max_level: int
     last = problem.base_length
     stop = max_level if last is None else min(last, max_level)
 
-    leaves: list[Leaf] = []
-    grounds: list[Formula] = []  # the instance each leaf closed on
+    grounds: list[Formula] = []  # the instance each branch closed on, in closing order
     frontier: list[Constraint] = [REFERENCE_ROOT]
     atom_of: dict[str, Atom] = {}  # the base atoms the constraints order
     nodes = 0
@@ -263,7 +262,6 @@ def reference_prove_prenex(f: Formula, mode: str = "uncountable", max_level: int
                     f"semantic tree exceeded the budget of {node_budget} nodes at level {level}")
             hit = reference_closes(c, programs)
             if hit is not None:
-                leaves.append(Leaf(level, c))
                 grounds.append(hit[1])
             else:
                 still_open.append(c)
@@ -275,7 +273,7 @@ def reference_prove_prenex(f: Formula, mode: str = "uncountable", max_level: int
                 if key not in seen:
                     seen[key] = len(disjuncts)
                     disjuncts.append(ground)
-            cert = Certificate(problem.original, mode, tuple(disjuncts), tuple(leaves))
+            cert = Certificate(problem.original, mode, tuple(disjuncts))
             return ProveResult("valid", cert, level, problem)
         if level == stop:
             # at the last atom of a finite base an open order is a countermodel

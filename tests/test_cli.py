@@ -276,14 +276,15 @@ def test_verify_rejects_malformed_certificates(capsys, tmp_path):
             ({"formula": "top", "mode": "uncountable"}, 'a certificate needs "disjuncts"'),
             ({"formula": "top", "mode": "finite:1", "disjuncts": []}, '"mode" must be'),
             ({"formula": "top", "mode": "uncountable", "disjuncts": [["top"]]},
-             "a disjunct must be a string, not list"),
-            ({"formula": "top", "mode": "uncountable", "disjuncts": [], "leaves": {}},
-             '"leaves" must be an array, not dict'),
-            ({"formula": "top", "mode": "uncountable", "disjuncts": [],
-              "leaves": [{"level": True, "order": []}]}, '"level" must be an integer')]:
+             "a disjunct must be a string, not list")]:
         cert.write_text(json.dumps(doc))
         code, out, err = run(capsys, "prove", "--verify", str(cert))
         assert code == 3 and out == "" and err.startswith(f"error: {message}"), doc
+    # a well-formed certificate whose disjunct is no instance is rejected
+    cert.write_text(json.dumps({"formula": "exists x. forall y. (A(y) -> A(x))",
+                                "mode": "uncountable", "disjuncts": ["B -> B"]}))
+    code, out, _ = run(capsys, "prove", "--verify", str(cert))
+    assert (code, out) == (1, "certificate rejected\n")
     # V_m counts against the budget even when the disjunction has no letters
     cert.write_text(json.dumps({"formula": "top", "mode": "finite:1000000000000",
                                 "disjuncts": ["top"]}))
@@ -297,15 +298,30 @@ CERTIFICATES = [prove_prenex(parse(f), mode).certificate.to_json() for f, mode i
     ("exists x. forall y. (A(y) -> A(x))", "finite:3")]]
 CERT_KEYS = ["formula", "mode", "disjuncts", "leaves", "level", "order", "schema"]
 CERT_STRINGS = ["uncountable", "finite:2", "finite:3", "finite:1", "finite:x", "finite:",
-                "finite:" + "9" * 13, "top", "bot", "(", "A(c0())", "P(c0()) -> P(c0())",
-                "A(f1(c0())) -> A(c0())", "exists x. forall y. (A(y) -> A(x))",
-                "forall x. A(x)", "P(x)", "bot"]
+                "finite:" + "9" * 13, "finite:" + "9" * 5000, "top", "bot", "(", "A(c0())",
+                "P(c0()) -> P(c0())", "A(f1(c0())) -> A(c0())",
+                "exists x. forall y. (A(y) -> A(x))", "forall x. A(x)", "P(x)", "bot"]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 5) | st.floats(allow_nan=False)
     | st.sampled_from(CERT_STRINGS) | st.text(max_size=6),
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
         st.sampled_from(CERT_KEYS), kids, max_size=3),
     max_leaves=6)
+
+
+def test_certificate_leaves_are_ignored(capsys, tmp_path):
+    # older certificates carry "leaves", one level and order per closed
+    # branch; the loader reads the disjunction alone, whatever is there
+    cert = tmp_path / "c.json"
+    plain = certificate_from_json(CERTIFICATES[0])
+    for leaves in ([{"level": 1, "order": [["P(c0())", "bot"], ["top"]]},
+                    {"level": 1, "order": [["bot"], ["P(c0())"], ["top"]]}],
+                   {}, [{"level": True, "order": []}], "leaves", None, 7):
+        doc = {**CERTIFICATES[0], "leaves": leaves}
+        assert certificate_from_json(doc) == plain, leaves
+        cert.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "prove", "--verify", str(cert))
+        assert (code, out) == (0, "certificate verified\n"), leaves
 
 
 def _paths(doc, here=()):

@@ -234,8 +234,6 @@ def test_prover_is_deterministic():
     a = prove_prenex(C_DOWN_PRENEX, "finite:3", 8)
     b = prove_prenex(C_DOWN_PRENEX, "finite:3", 8)
     assert a.certificate.dumps() == b.certificate.dumps()
-    assert [l.constraint for l in a.certificate.leaves] == \
-        [l.constraint for l in b.certificate.leaves]
 
 
 def test_finite_mode_subsumes_uncountable():
@@ -292,8 +290,18 @@ def test_certificate_json_roundtrip():
 
 
 def test_forged_certificate_rejected():
-    bad = Certificate(TRIVIAL, "uncountable", (parse("P(c0()) -> Q(c0())"),), ())
+    # an instance of the matrix whose disjunction is not valid
+    bad = Certificate(C_DOWN_PRENEX, "uncountable", (parse("A(f1(c0())) -> A(c0())"),))
     assert not verify_certificate(bad)
+
+
+def test_non_instance_disjunct_rejected():
+    # a valid disjunct that is no instance of the Herbrand matrix
+    forged = Certificate(C_DOWN_PRENEX, "uncountable", (parse("B -> B"),))
+    assert not verify_certificate(forged)
+    assert not verify_certificate(certificate_from_json(forged.to_json()))
+    with pytest.raises(NotPrenexError):
+        verify_certificate(Certificate(parse("A(x)"), "uncountable", (parse("A(x)"),)))
 
 
 def test_match_instance_and_mismatch():
@@ -337,7 +345,7 @@ def test_reassemble_duplicate_disjuncts_contract():
     # hand-build a certificate with a duplicated disjunct
     res = prove_prenex(TRIVIAL, "uncountable", 4)
     cert = res.certificate
-    dup = Certificate(cert.formula, cert.mode, cert.disjuncts + cert.disjuncts, cert.leaves)
+    dup = Certificate(cert.formula, cert.mode, cert.disjuncts + cert.disjuncts)
     tr = reassemble(dup)
     rules = [s.rule for s in tr.steps if s.kind == "rule"]
     assert 3 in rules
@@ -400,16 +408,14 @@ def test_valid_certificate_formula_holds_under_omega_witnesses():
             assert eval_omega(f, I) == 1
 
 
-def test_certificate_atoms_covered_by_leaf_orders():
-    # every atom of the disjunction appears in some leaf's order classes
+def test_certificate_atoms_lie_in_the_base_reached():
+    # every atom of the disjunction is one of C_1..C_level_reached
     from goedel_logics.formula import atoms as formula_atoms
     for f, mode in ((C_DOWN_PRENEX, "finite:3"), (TRIVIAL, "uncountable")):
-        cert = prove_prenex(f, mode, 8).certificate
-        leaf_names = {name for leaf in cert.leaves
-                      for cls in leaf.constraint for name in cls}
-        for d in cert.disjuncts:
-            for a in formula_atoms(d):
-                assert print_raw(a) in leaf_names
+        res = prove_prenex(f, mode, 8)
+        base = set(res.problem.base(res.level_reached))
+        for d in res.certificate.disjuncts:
+            assert set(formula_atoms(d)) <= base
 
 
 def test_vacuous_quantifier_still_proves():
