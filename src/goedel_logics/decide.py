@@ -8,15 +8,17 @@ compiled once by compile_prop into a program over integer ranks: 0 is
 the value 0 and ``top`` the value 1.  Ranks map back to Fraction only
 in a reported countermodel or value.
 
-G_m is decided by exhaustive evaluation over the ranks 0..m-1 of the m
-truth values of V_m, in first_countermodel, the loop that the finite
-entailment search of semantics runs as well.  LC is decided by
-order-invariance: the value of a formula depends only on how its atom
-values are ordered among themselves and relative to 0 and 1.  Such an
-order is a pinned weak order, a weak linear order of {bot, letters, top}
-whose least class holds bot and whose greatest holds top; evaluating
-once at the class ranks of every pinned weak order settles validity over
-every infinite truth-value set.  The enumerator (ROOT, extend)
+Both decisions rest on order-invariance: the value of a formula depends
+only on how its atom values are ordered among themselves and relative
+to 0 and 1.  Such an order is a pinned weak order, a weak linear order
+of {bot, letters, top} whose least class holds bot and whose greatest
+holds top.  G_m is decided in first_countermodel, the search that the
+finite entailment of semantics runs as well: it walks the rank vectors
+of V_m^n in product order but evaluates only the gap-free ones, one per
+pinned weak order with at most m classes, and so finds the countermodel
+that exhaustive evaluation finds first.  LC is decided by evaluating
+once at the class ranks of every pinned weak order, which settles
+validity over every infinite truth-value set.  The enumerator (ROOT, extend)
 represents an order by the rank vector of its letters, which a compiled
 program reads directly; the same enumerator grows the Herbrand semantic
 tree.  The paper's finite reduction, validity in G_{n+2} for n atoms, is
@@ -189,21 +191,75 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
     """(i, ranks) for the first point ranks of range(m)^n, in product
     order and among its first limit points, where goal has rank below
     the top rank m - 1 and guard (if any) the top rank; i is its index in
-    that order.  None if there is no such point."""
+    that order.  None if there is no such point.
+
+    Only gap-free points are evaluated: those whose ranks strictly
+    between 0 and top are exactly 1..k for some k, one per pinned weak
+    order with at most m classes.  The programs depend only on order, so
+    closing the gaps of a falsifying point keeps it falsifying and lowers
+    every rank: the first falsifying point is gap-free."""
     top = m - 1
-    for ranks in itertools.islice(itertools.product(range(m), repeat=n), limit):
-        if goal(ranks, top) < top and (guard is None or guard(ranks, top) == top):
-            # the index is worked out once, not counted per point
-            i = 0
-            for r in ranks:
-                i = i * m + r
-            return i, ranks
-    return None
+    if m <= 4 or n <= 1:
+        # the plain loop: at m <= 3 every point is gap-free, at m = 4 at
+        # most 5/16 of the points have a gap, and one letter has only m
+        # points, so the walk's extra work per point cannot pay here
+        for ranks in itertools.islice(itertools.product(range(m), repeat=n), limit):
+            if goal(ranks, top) < top and (guard is None or guard(ranks, top) == top):
+                # the index is worked out once, not counted per point
+                i = 0
+                for r in ranks:
+                    i = i * m + r
+                return i, ranks
+        return None
+    end = m ** n if limit is None else limit
+    ranks = [0] * n
+    last = n - 1
+
+    def walk(p: int, k: int, holes: list, base: int):
+        # ranks[:p] are placed, with index base; their middle ranks are
+        # 1..k but for the holes, which the letters from p on must fill.
+        # None to go on, (i, ranks) when found, False past end
+        left = last - p
+        if len(holes) > left:
+            cands = holes
+        else:
+            # 0, a rank up to k, top, or a new rank that leaves no more
+            # holes than the letters after p can fill
+            hi = k + 2 + left - len(holes)
+            cands = range(m) if hi >= top else [*range(hi), top]
+        base *= m
+        for v in cands:
+            ranks[p] = v
+            if k < v < top:
+                kv, hv = v, holes + [*range(k + 1, v)]
+            elif v in holes:
+                kv, hv = k, [h for h in holes if h != v]
+            else:
+                kv, hv = k, holes
+            if left > 1:
+                found = walk(p + 1, kv, hv, base + v)
+                if found is not None:
+                    return found
+                continue
+            # the last letter in the same loop: it fills the one hole
+            # left, or takes 0..kv+1 or top
+            bv = (base + v) * m
+            for y in hv or (range(m) if kv + 2 >= top else [*range(kv + 2), top]):
+                if bv + y >= end:
+                    return False
+                ranks[last] = y
+                if goal(ranks, top) < top and (guard is None or guard(ranks, top) == top):
+                    return bv + y, tuple(ranks)
+        return None
+
+    return walk(0, 0, [], 0) or None
 
 
 def decide_Gm(f: Formula, m: int, budget: int = BUDGET) -> DecideResult:
-    """Exhaustively decide validity over V_m; returns the first
-    countermodel in lexicographic order when there is one."""
+    """Decide validity over V_m by first_countermodel, which evaluates
+    one point per pinned weak order with at most m classes; returns the
+    first countermodel in lexicographic order when there is one.  The
+    budget bounds the m^n points of V_m^n, not the points evaluated."""
     letters = list(_letters(f).values())
     # at least one letter's worth: building V_m alone takes m values
     n = max(len(letters), 1)

@@ -508,7 +508,10 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a raw AST (bound names kept as written)."""
-    return _Parser(text).whole()
+    try:
+        return _Parser(text).whole()
+    except RecursionError:
+        raise FormulaError("input nested too deeply") from None
 
 
 _PAREN_DELTA = {"(": 1, ")": -1}
@@ -618,7 +621,10 @@ class ParseMemo:
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    t = p.term()
+    try:
+        t = p.term()
+    except RecursionError:
+        raise FormulaError("input nested too deeply") from None
     if p.toks[p.pos] is not None:
         raise p.error(f"trailing input {p.toks[p.pos]!r}")
     return t

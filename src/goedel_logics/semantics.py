@@ -8,9 +8,10 @@ The finite entailment search does not call it: for each universe size
 and function table it grounds the formulas once (quantifiers expanded
 over the universe, terms evaluated under the table), compiles them with
 decide.compile_prop, and runs the programs over the integer rank vectors
-of the ground atoms' tables in decide.first_countermodel, the loop that
-decides G_m.  Only the countermodel it returns is built
-as an interpretation.
+of the ground atoms' tables in decide.first_countermodel, the search that
+decides G_m; from five truth values on it evaluates one vector per order
+type of the tables.  Only the countermodel it returns is built as an
+interpretation.
 
 Besides finite structures there is a restricted countable shape, the
 omega interpretation: finitely many explicit prefix elements plus a tail

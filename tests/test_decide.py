@@ -6,13 +6,16 @@ from fractions import Fraction as F
 import pytest
 
 from goedel_logics.decide import (
-    ROOT, BudgetError, QuantifierError, classes, decide_Gm, decide_LC, extend,
-    pinned_orders,
+    ROOT, BudgetError, QuantifierError, classes, compile_prop, decide_Gm, decide_LC,
+    extend, first_countermodel, pinned_orders,
 )
 from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse, print_formula
 from goedel_logics.semantics import FiniteInterpretation, evaluate
 from goedel_logics.goedelset import gm_values, unit_interval
-from helpers import class_ranks, eval_prop, reference_extend, representative
+from helpers import (
+    class_ranks, eval_prop, reference_extend, reference_first_countermodel,
+    representative,
+)
 
 
 def test_gm_values():
@@ -140,6 +143,58 @@ def test_first_countermodel_is_lexicographic():
     r = decide_Gm(parse("A & B"), 3)
     assert not r.valid
     assert r.countermodel == {Atom("A"): F(0), Atom("B"): F(0)}
+
+
+def test_fin5_countermodel_in_g6():
+    fin5 = parse("top -> A1 | (A1 -> A2) | (A2 -> A3) | (A3 -> A4) | ~A4")
+    assert decide_Gm(fin5, 5).valid
+    r = decide_Gm(fin5, 6)
+    assert not r.valid
+    assert r.value == F(4, 5)
+    assert r.countermodel == {Atom("A1"): F(4, 5), Atom("A2"): F(3, 4),
+                              Atom("A3"): F(2, 3), Atom("A4"): F(1, 2)}
+
+
+def test_first_countermodel_matches_the_product_oracle():
+    # the gap-free walk returns the product loop's (i, ranks) for every
+    # goal, guard and limit, the first limit points included
+    rng = random.Random(26)
+    cases = late = 0
+    for n in range(7):
+        letters = [Atom(f"A{j}") for j in range(n)]
+        index = {a: j for j, a in enumerate(letters)}
+        leaves = letters + [Bot()]
+        for m in range(2, 9):
+            size = m ** n
+            if size > 50000:
+                continue
+            for _ in range(60):
+                goal = compile_prop(_random_formula(rng, rng.randint(1, 6), leaves), index)
+                guard = None
+                if rng.random() < 0.5:
+                    guard = compile_prop(_random_formula(rng, rng.randint(1, 4), leaves), index)
+                limit = rng.choice([None, 0, 1, rng.randint(0, size + 1), size, size + 1])
+                want = reference_first_countermodel(goal, m, n, guard, limit)
+                assert first_countermodel(goal, m, n, guard, limit) == want, (m, n, limit)
+                cases += 1
+                late += want is None or want[0] >= m
+    assert cases >= 2000 and late >= 1000
+
+
+def test_gap_free_walk_evaluates_one_point_per_order():
+    # a valid 5-letter formula: one call per pinned weak order with at
+    # most m classes from m = 5 on, every point of range(4)^5 at m = 4
+    f = parse("(A1 -> A2) | (A2 -> A3) | (A3 -> A4) | (A4 -> A5) | (A5 -> A1)")
+    prog = compile_prop(f, {Atom(f"A{j}"): j - 1 for j in range(1, 6)})
+    for m, want in [(4, 1024), (5, 1563), (6, 2043), (7, 2163), (8, 2163)]:
+        calls = 0
+
+        def goal(ranks, top):
+            nonlocal calls
+            calls += 1
+            return prog(ranks, top)
+        assert first_countermodel(goal, m, 5) is None
+        assert calls == want, m
 
 
 def test_order_type_enumeration_counts():

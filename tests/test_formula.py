@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from goedel_logics.formula import (
-    App, ArityConflictError, Atom, Bot, And, Or, Imp, Forall, Exists, Neg,
-    ParseError, ParseMemo, Top, Var, alpha_eq, free_vars, is_crisp, is_prenex,
+    App, ArityConflictError, Atom, Bot, And, Or, Imp, Forall, Exists, FormulaError,
+    Neg, ParseError, ParseMemo, Top, Var, alpha_eq, free_vars, is_crisp, is_prenex,
     normalize, parse, parse_term, print_formula, signature, substitute,
 )
 from goedel_logics.transforms import relativize_dneg
@@ -82,6 +82,15 @@ def test_parse_errors_carry_position():
                 fn(text)
             assert (e.value.line, e.value.column) == (line, column), text
             assert str(e.value) == f"{line}:{column}: {message}"
+
+
+def test_deep_nesting_is_a_formula_error():
+    # the library raises the typed error, not a bare RecursionError
+    for fn, text in ((parse, "~" * 3000 + "A"), (parse, "(" * 3000 + "A" + ")" * 3000),
+                     (parse_term, "f(" * 3000 + "x" + ")" * 3000),
+                     (ParseMemo().parse, "~" * 3000 + "A")):
+        with pytest.raises(FormulaError, match="^input nested too deeply$"):
+            fn(text)
 
 
 def test_arity_conflict_rejected():

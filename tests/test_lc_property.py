@@ -1,5 +1,6 @@
 """Property tests: the weak-order LC decision against the n+2 reduction,
-and the compiled rank programs against the reference tree walk."""
+G_m's gap-free walk against the product loop over all of V_m^n, and the
+compiled rank programs against the reference tree walk."""
 
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from goedel_logics.decide import (
     DecideError, QuantifierError, compile_prop, decide_Gm, decide_LC,
 )
-from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse
-from helpers import eval_prop
+from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse, print_formula
+from goedel_logics.goedelset import gm_values
+from helpers import eval_prop, reference_first_countermodel
 
 LETTERS = [Atom(f"A{i}") for i in range(1, 6)]
 
@@ -33,6 +35,22 @@ def test_lc_matches_gm_n_plus_2(f):
         assert set(r.countermodel) == set(atoms(f))
         assert all(0 <= v <= 1 for v in r.countermodel.values())
         assert eval_prop(f, r.countermodel) == r.value < 1
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(formulas, st.integers(2, 8))
+def test_gm_matches_the_product_oracle(f, m):
+    letters = sorted(atoms(f), key=print_formula)
+    prog = compile_prop(f, {a: i for i, a in enumerate(letters)})
+    found = reference_first_countermodel(prog, m, len(letters))
+    r = decide_Gm(f, m)
+    if found is None:
+        assert r.valid and r.countermodel is None and r.value is None
+    else:
+        values = gm_values(m)
+        assert not r.valid
+        assert r.countermodel == {a: values[x] for a, x in zip(letters, found[1])}
+        assert r.value == values[prog(found[1], m - 1)]
 
 
 @settings(max_examples=500, deadline=None, database=None, derandomize=True)
