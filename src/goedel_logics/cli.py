@@ -121,14 +121,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    f = parse(_read_formula(args.formula))
-    logic = args.logic.upper()
-    if logic == "LC":
-        result = decide.decide_LC(f, _default_budget(args))
-    elif logic.startswith("G"):
-        result = decide.decide_Gm(f, int(logic[1:]), _default_budget(args))
-    else:
-        raise _Failure(f"unknown logic {args.logic!r}")
+    logic, m = args.logic.upper(), args.logic[1:]
+    # int() refuses more than 4,300 digits
+    if logic != "LC" and (logic[:1] != "G" or not m.isdecimal() or len(m) > 4300
+                          or int(m) < 2):
+        raise _Failure(f'"logic" must be "LC" or "G<m>" with m >= 2, not {args.logic!r}')
+    f, budget = parse(_read_formula(args.formula)), _default_budget(args)
+    result = decide.decide_LC(f, budget) if logic == "LC" else decide.decide_Gm(f, int(m), budget)
     if result.valid:
         _emit(args, {"result": "valid", "logic": result.logic}, "valid")
         return EXIT_OK
@@ -275,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, default=8)
     p.add_argument("--budget", type=int, default=None,
                    help=f"semantic-tree nodes (default {herbrand.NODE_BUDGET}), or "
-                        "valuations or orders with --verify (default 10^7); also GOEDEL_BUDGET")
+                        "order types with --verify (default 10^7); also GOEDEL_BUDGET")
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument("--verify", help="verify an existing certificate file instead")
     p.add_argument("formula", nargs="?", help=FORMULA_HELP)

@@ -16,13 +16,13 @@ holds top.  G_m is decided in first_countermodel, the search that the
 finite entailment of semantics runs as well: it walks the rank vectors
 of V_m^n in product order but evaluates only the gap-free ones, one per
 pinned weak order with at most m classes, and so finds the countermodel
-that exhaustive evaluation finds first.  LC is decided by evaluating
-once at the class ranks of every pinned weak order, which settles
-validity over every infinite truth-value set.  The enumerator (ROOT, extend)
-represents an order by the rank vector of its letters, which a compiled
-program reads directly; the same enumerator grows the Herbrand semantic
-tree.  The paper's finite reduction, validity in G_{n+2} for n atoms, is
-an independent route to the same verdict.
+that exhaustive evaluation finds first.  LC is decided by the same
+search at m = n + 2, the paper's finite reduction: n letters have at
+most n + 2 classes, so there the search evaluates once at every pinned
+weak order, which settles validity over every infinite truth-value set.
+The budget of both counts those order types (pinned_orders).  The
+enumerator (ROOT, extend) represents an order by the rank vector of its
+letters and grows the Herbrand semantic tree.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from fractions import Fraction
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from .formula import Atom, Bot, And, Or, Imp, Formula, atoms, print_formula
-from .goedelset import gm_values
 
 BOT_MARK = "bot"
 TOP_MARK = "top"
@@ -52,7 +51,7 @@ class BudgetError(Exception):
     and herbrand raise for an exhausted bound (the CLI's exit 2)."""
 
 
-# the default budget of valuations, orders or interpretations
+# the default budget of order types or interpretations
 BUDGET = 10 ** 7
 
 
@@ -149,17 +148,21 @@ def classes(order: Order, names: Sequence[str]) -> Constraint:
     return tuple([tuple(sorted(cls)) for cls in out])
 
 
-def pinned_orders(n: int) -> int:
-    """The number of pinned weak orders of n letters (3, 11, 51, 299, ...
-    for n = 1, 2, 3, 4): the leaves of the depth-n tree that extend
-    grows from ROOT.  by_classes[k] counts the orders with k classes."""
+def pinned_orders(n: int, m: Optional[int] = None, stop: Optional[int] = None) -> int:
+    """The number of pinned weak orders of n letters with at most m
+    classes (3, 11, 51, 299, ... for n = 1, 2, 3, 4 uncapped): the leaves
+    of the depth-n tree that extend grows from ROOT, and the gap-free
+    points of V_m^n.  It at least doubles per letter; once past stop, that
+    lower bound is returned.  by_classes[k] counts orders of k classes."""
     by_classes = [0, 0, 1]
     for _ in range(n):
         nxt = [0] * (len(by_classes) + 1)
         for k, count in enumerate(by_classes):
             nxt[k] += k * count
             nxt[k + 1] += (k - 1) * count
-        by_classes = nxt
+        by_classes = nxt if m is None else nxt[:m + 1]
+        if stop is not None and sum(by_classes) > stop:
+            break
     return sum(by_classes)
 
 
@@ -200,10 +203,11 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
     every rank: the first falsifying point is gap-free."""
     top = m - 1
     if m <= 4 or n <= 1:
-        # the plain loop: at m <= 3 every point is gap-free, at m = 4 at
-        # most 5/16 of the points have a gap, and one letter has only m
-        # points, so the walk's extra work per point cannot pay here
-        for ranks in itertools.islice(itertools.product(range(m), repeat=n), limit):
+        # the plain loop: at m <= 3 every point is gap-free and at m = 4 at
+        # most 5/16 have a gap, so the walk cannot pay; one letter's gap-free
+        # points are 0, 1 and top, and at most limit of them lie below limit
+        values = range(m) if m <= 4 else [r for r in (0, 1, top) if limit is None or r < limit]
+        for ranks in itertools.islice(itertools.product(values, repeat=n), limit):
             if goal(ranks, top) < top and (guard is None or guard(ranks, top) == top):
                 # the index is worked out once, not counted per point
                 i = 0
@@ -259,45 +263,40 @@ def decide_Gm(f: Formula, m: int, budget: int = BUDGET) -> DecideResult:
     """Decide validity over V_m by first_countermodel, which evaluates
     one point per pinned weak order with at most m classes; returns the
     first countermodel in lexicographic order when there is one.  The
-    budget bounds the m^n points of V_m^n, not the points evaluated."""
-    letters = list(_letters(f).values())
-    # at least one letter's worth: building V_m alone takes m values
-    n = max(len(letters), 1)
-    if m ** n > budget:
-        raise BudgetError(f"{m}^{n} valuations exceed the budget of {budget}")
-    values = gm_values(m)
-    prog = compile_prop(f, {a: i for i, a in enumerate(letters)})
-    found = first_countermodel(prog, m, len(letters))
-    if found is None:
-        return DecideResult(True, f"G{m}")
-    ranks = found[1]
-    return DecideResult(False, f"G{m}", {a: values[r] for a, r in zip(letters, ranks)},
-                        values[prog(ranks, m - 1)])
+    budget bounds those order types, not the m^n points of V_m^n."""
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    return _decide(f, m, budget)
 
 
 def decide_LC(f: Formula, budget: int = BUDGET) -> DecideResult:
-    """Decide Goedel-Dummett LC by evaluating at the class ranks of
-    every pinned weak order of the letters, depth first with the last
-    letter innermost; returns the first countermodel found."""
-    atom_of = _letters(f)
-    names = list(atom_of)
-    n = len(names)
-    count = pinned_orders(n)
-    if count > budget:
-        raise BudgetError(
-            f"{count} pinned weak orders of {n} letters exceed the budget of {budget}")
-    prog = compile_prop(f, {a: j for j, a in enumerate(atom_of.values(), 1)})
-    stack = [ROOT]
-    while stack:
-        order = stack.pop()
-        if len(order) <= n:
-            stack.extend(reversed(extend(order)))
-            continue
-        top = order[0]
-        v = prog(order, top)
-        if v < top:
-            # letters by class, then by name
-            countermodel = {atom_of[name]: Fraction(r, top)
-                            for r, name in sorted(zip(order[1:], names))}
-            return DecideResult(False, "LC", countermodel, Fraction(v, top))
-    return DecideResult(True, "LC")
+    """Decide Goedel-Dummett LC as G_{n+2} for n letters, the paper's
+    finite reduction: the search evaluates once at every pinned weak
+    order and returns G_{n+2}'s first countermodel, valued in V_{n+2}."""
+    return _decide(f, None, budget)
+
+
+def _decide(f: Formula, m: Optional[int], budget: int) -> DecideResult:
+    """The one decision: G_m, or LC when m is None."""
+    letters = list(_letters(f).values())
+    n = len(letters)
+    logic, m = ("LC", n + 2) if m is None else (f"G{m}", m)
+    # 2^n <= order types <= min(m, n + 2)^n: count them unless that power
+    # is within budget, which it cannot be once 2^n passes it
+    if n > budget.bit_length() or min(m, n + 2) ** n > budget:
+        count = pinned_orders(n, m, budget)
+        if count > budget:
+            raise BudgetError(f"{n} letters in {logic}: at least {count} order types "
+                              f"exceed the budget of {budget}")
+    prog = compile_prop(f, {a: i for i, a in enumerate(letters)})
+    found = first_countermodel(prog, m, n)
+    if found is None:
+        return DecideResult(True, logic)
+    top, ranks = m - 1, found[1]
+    return DecideResult(False, logic, {a: _value(r, top) for a, r in zip(letters, ranks)},
+                        _value(prog(ranks, top), top))
+
+
+def _value(r: int, top: int) -> Fraction:
+    """The value of rank r in V_{top+1}: 0, 1 - 1/(r+1), or 1 at top."""
+    return Fraction(1) if r == top else Fraction(r, r + 1)

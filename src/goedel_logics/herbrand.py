@@ -330,7 +330,7 @@ def finite_bound(mode: str) -> Optional[int]:
     if mode == "uncountable":
         return None
     kind, _, n = mode.partition(":")
-    # int() refuses more than 4,300 digits, and no such n fits a budget
+    # int() refuses more than 4,300 digits
     if kind != "finite" or not n.isdecimal() or len(n) > 4300 or int(n) < 2:
         raise ValueError(
             f'"mode" must be "uncountable" or "finite:<n>" with n >= 2, not {mode!r}')

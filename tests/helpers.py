@@ -10,7 +10,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from goedel_logics.decide import (
-    BOT_MARK, TOP_MARK, BudgetError, Constraint, DecideError, QuantifierError, compile_prop,
+    BOT_MARK, ROOT, TOP_MARK, BUDGET, BudgetError, Constraint, DecideError, DecideResult,
+    QuantifierError, _letters, compile_prop, extend, pinned_orders,
 )
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula,
@@ -158,6 +159,34 @@ def reference_first_countermodel(goal, m: int, n: int, guard=None,
                 i = i * m + r
             return i, ranks
     return None
+
+
+def reference_decide_LC(f: Formula, budget: int = BUDGET) -> DecideResult:
+    """The slow oracle for decide.decide_LC: evaluating at the class ranks
+    of every pinned weak order of the letters, depth first with the last
+    letter innermost; returns the first countermodel found."""
+    atom_of = _letters(f)
+    names = list(atom_of)
+    n = len(names)
+    count = pinned_orders(n)
+    if count > budget:
+        raise BudgetError(
+            f"{count} pinned weak orders of {n} letters exceed the budget of {budget}")
+    prog = compile_prop(f, {a: j for j, a in enumerate(atom_of.values(), 1)})
+    stack = [ROOT]
+    while stack:
+        order = stack.pop()
+        if len(order) <= n:
+            stack.extend(reversed(extend(order)))
+            continue
+        top = order[0]
+        v = prog(order, top)
+        if v < top:
+            # letters by class, then by name
+            countermodel = {atom_of[name]: Fraction(r, top)
+                            for r, name in sorted(zip(order[1:], names))}
+            return DecideResult(False, "LC", countermodel, Fraction(v, top))
+    return DecideResult(True, "LC")
 
 
 def restrict(c: Constraint, names: set[str]) -> Constraint:

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction as F
 
-from goedel_logics.decide import decide_Gm, decide_LC
+from goedel_logics.decide import decide_Gm
 from goedel_logics.formula import (
     App, Atom, Bot, And, Or, Imp, Neg, Top, atoms, parse, print_formula,
 )
@@ -27,7 +27,7 @@ from goedel_logics.semantics import (
     value_set,
 )
 
-from helpers import random_closed_formula, random_interpretation
+from helpers import random_closed_formula, random_interpretation, reference_decide_LC
 from corpus import CORPUS
 from test_proofkit import _mutations
 
@@ -259,10 +259,11 @@ def _depth2_formulas():
 
 
 def test_criterion_11_lc_cross_check():
-    """decide_LC (one representative per pinned weak order) agrees with
-    the paper's finite reduction decide_Gm(f, n+2) for n atoms as the
-    oracle: exhaustive over every formula of depth <= 2 on three atoms
-    (8164 formulas) and a seeded random sample at depths 3-4; zero
+    """The pinned-order walk (tests/helpers.py::reference_decide_LC, one
+    representative per pinned weak order) agrees with the paper's finite
+    reduction decide_Gm(f, n+2) for n atoms, which decide_LC runs:
+    exhaustive over every formula of depth <= 2 on three atoms (8164
+    formulas) and a seeded random sample at depths 3-4; zero
     disagreements.
 
     The literal depth-4 closure has ~2*10^8 formulas and cannot fit the
@@ -272,7 +273,7 @@ def test_criterion_11_lc_cross_check():
     formulas = _depth2_formulas()
     assert len(formulas) == 8164  # 4 + 3*4^2 + 3*52^2, depth-1 entries twice
     for f in formulas:
-        assert decide_LC(f).valid == decide_Gm(f, len(atoms(f)) + 2).valid, \
+        assert reference_decide_LC(f).valid == decide_Gm(f, len(atoms(f)) + 2).valid, \
             print_formula(f)
     rng = random.Random(1111)
     leaves = [Atom("A"), Atom("B"), Atom("C"), Bot()]
@@ -285,7 +286,7 @@ def test_criterion_11_lc_cross_check():
 
     for _ in range(4000):
         f = rand(rng.randint(3, 4))
-        assert decide_LC(f).valid == decide_Gm(f, len(atoms(f)) + 2).valid, \
+        assert reference_decide_LC(f).valid == decide_Gm(f, len(atoms(f)) + 2).valid, \
             print_formula(f)
     elapsed = time.monotonic() - t0
     assert elapsed < 300

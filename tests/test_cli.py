@@ -48,6 +48,13 @@ def test_decide_exit_codes(capsys):
     data = json.loads(out)
     assert data["result"] == "countermodel"
     assert data["countermodel"]["A1"] == "2/3"
+    code, out, _ = run(capsys, "decide", "--logic", "g3", fin3)
+    assert code == 0 and out.strip() == "valid"
+    # one shape for --logic: LC, or G and the decimal digits of m >= 2
+    for logic in ("G", "Gx", "G" + "9" * 5000, "G+3", "G 3", "G1", "G-5", "L", "LC3", ""):
+        code, out, err = run(capsys, "decide", "--logic", logic, fin3)
+        assert (code, out) == (3, ""), logic
+        assert err == f'error: "logic" must be "LC" or "G<m>" with m >= 2, not {logic!r}\n'
 
 
 def test_decide_lc(capsys):
@@ -55,6 +62,20 @@ def test_decide_lc(capsys):
     assert code == 0
     code, out, _ = run(capsys, "decide", "--logic", "LC", "A | ~A")
     assert code == 1
+
+
+def test_decide_huge_input_exits_on_the_budget(capsys, tmp_path):
+    # a balanced disjunction of 4,000 letters: the order types are counted
+    # only until they pass the budget
+    parts = [f"A{j}" for j in range(4000)]
+    while len(parts) > 1:
+        parts = [f"({' | '.join(parts[i:i + 2])})" for i in range(0, len(parts), 2)]
+    path = tmp_path / "f.txt"
+    path.write_text(parts[0])
+    code, out, err = run(capsys, "decide", "--logic", "LC", f"@{path}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 4000 letters in LC: at least ")
+    assert err.endswith("order types exceed the budget of 10000000\n")
 
 
 def test_prove_and_verify_roundtrip(capsys, tmp_path):
@@ -285,11 +306,11 @@ def test_verify_rejects_malformed_certificates(capsys, tmp_path):
                                 "mode": "uncountable", "disjuncts": ["B -> B"]}))
     code, out, _ = run(capsys, "prove", "--verify", str(cert))
     assert (code, out) == (1, "certificate rejected\n")
-    # V_m counts against the budget even when the disjunction has no letters
+    # a disjunction with no letters has one order type, whatever m is
     cert.write_text(json.dumps({"formula": "top", "mode": "finite:1000000000000",
                                 "disjuncts": ["top"]}))
-    code, _, err = run(capsys, "prove", "--verify", str(cert))
-    assert code == 2 and "exceed the budget" in err
+    code, out, _ = run(capsys, "prove", "--verify", str(cert))
+    assert (code, out) == (0, "certificate verified\n")
 
 
 # valid certificates to mangle: uncountable and finite mode, one and three disjuncts

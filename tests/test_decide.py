@@ -13,8 +13,8 @@ from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse, print_f
 from goedel_logics.semantics import FiniteInterpretation, evaluate
 from goedel_logics.goedelset import gm_values, unit_interval
 from helpers import (
-    class_ranks, eval_prop, reference_extend, reference_first_countermodel,
-    representative,
+    class_ranks, eval_prop, reference_decide_LC, reference_extend,
+    reference_first_countermodel, representative,
 )
 
 
@@ -78,6 +78,22 @@ def test_lc_budget_counts_pinned_weak_orders():
     assert not decide_LC(f, budget=18731).valid
     with pytest.raises(BudgetError):
         decide_LC(f, budget=18730)
+
+
+def test_gm_budget_counts_order_types_not_valuations():
+    # the 6-cycle has 18,731 order types in G20, not 20^6 valuations
+    cycle = parse("(A1 -> A2) | (A2 -> A3) | (A3 -> A4) | (A4 -> A5) | (A5 -> A6) | (A6 -> A1)")
+    assert decide_Gm(cycle, 20).valid
+    assert pinned_orders(6, 20) == pinned_orders(6) == 18731
+    # V_m is never built: one letter has three order types whatever m is
+    r = decide_Gm(parse("A"), 10 ** 12)
+    assert r.countermodel == {Atom("A"): 0} and r.value == 0
+    assert decide_Gm(parse("A | (A -> bot)"), 10 ** 12).countermodel == {Atom("A"): F(1, 2)}
+    # the count stops once it passes the budget, so no Bell number is built
+    assert 10 ** 7 < pinned_orders(4000, 4002, 10 ** 7) < 10 ** 9
+    with pytest.raises(BudgetError) as e:
+        decide_LC(parse(" & ".join(f"A{j}" for j in range(40))), budget=99)
+    assert str(e.value) == "40 letters in LC: at least 299 order types exceed the budget of 99"
 
 
 def _random_formula(rng, depth, leaves):
@@ -195,6 +211,8 @@ def test_gap_free_walk_evaluates_one_point_per_order():
             return prog(ranks, top)
         assert first_countermodel(goal, m, 5) is None
         assert calls == want, m
+        if m >= 5:
+            assert pinned_orders(5, m) == want
 
 
 def test_order_type_enumeration_counts():
@@ -225,11 +243,12 @@ def test_extend_matches_the_class_insertion_reference():
 
 
 def test_lc_agrees_with_gm_n_plus_2_random():
-    # the paper's finite reduction as the oracle: LC = G_{n+2} for n atoms
+    # the paper's finite reduction against the pinned-order walk: LC =
+    # G_{n+2} for n atoms
     rng = random.Random(24)
     for _ in range(1500):
         f = _random_formula(rng, rng.randint(1, 4), LEAVES)
-        assert decide_LC(f).valid == decide_Gm(f, len(atoms(f)) + 2).valid
+        assert reference_decide_LC(f).valid == decide_Gm(f, len(atoms(f)) + 2).valid
 
 
 def test_decide_agrees_with_interpretation_enumeration():

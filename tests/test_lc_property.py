@@ -1,4 +1,4 @@
-"""Property tests: the weak-order LC decision against the n+2 reduction,
+"""Property tests: LC, decided as G_{n+2}, against the pinned-order walk,
 G_m's gap-free walk against the product loop over all of V_m^n, and the
 compiled rank programs against the reference tree walk."""
 
@@ -12,7 +12,7 @@ from goedel_logics.decide import (
 )
 from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse, print_formula
 from goedel_logics.goedelset import gm_values
-from helpers import eval_prop, reference_first_countermodel
+from helpers import eval_prop, reference_decide_LC, reference_first_countermodel
 
 LETTERS = [Atom(f"A{i}") for i in range(1, 6)]
 
@@ -30,7 +30,9 @@ rank_vectors = st.integers(1, 6).flatmap(lambda top: st.tuples(
 @given(formulas)
 def test_lc_matches_gm_n_plus_2(f):
     r = decide_LC(f)
-    assert r.valid == decide_Gm(f, len(atoms(f)) + 2).valid
+    assert r.valid == reference_decide_LC(f).valid
+    g = decide_Gm(f, len(atoms(f)) + 2)
+    assert (r.countermodel, r.value) == (g.countermodel, g.value)
     if not r.valid:
         assert set(r.countermodel) == set(atoms(f))
         assert all(0 <= v <= 1 for v in r.countermodel.values())
