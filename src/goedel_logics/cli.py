@@ -43,10 +43,11 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _default_budget(args, default: int = decide.BUDGET) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("GOEDEL_BUDGET")
-    return int(env) if env else default
+    text = (os.environ.get("GOEDEL_BUDGET") or None) if args.budget is None else args.budget
+    budget = default if text is None else decide.whole_number(text, 0)
+    if budget is None:
+        raise _Failure(f"a budget must be an integer >= 0, not {text!r}")
+    return budget
 
 
 FORMULA_HELP = "formula text, '-' to read it from stdin, or @path to read it from a file"
@@ -121,13 +122,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    logic, m = args.logic.upper(), args.logic[1:]
-    # int() refuses more than 4,300 digits
-    if logic != "LC" and (logic[:1] != "G" or not m.isdecimal() or len(m) > 4300
-                          or int(m) < 2):
+    logic = args.logic.upper()
+    m = decide.whole_number(args.logic[1:]) if logic[:1] == "G" else None
+    if logic != "LC" and m is None:
         raise _Failure(f'"logic" must be "LC" or "G<m>" with m >= 2, not {args.logic!r}')
     f, budget = parse(_read_formula(args.formula)), _default_budget(args)
-    result = decide.decide_LC(f, budget) if logic == "LC" else decide.decide_Gm(f, int(m), budget)
+    result = decide.decide_LC(f, budget) if logic == "LC" else decide.decide_Gm(f, m, budget)
     if result.valid:
         _emit(args, {"result": "valid", "logic": result.logic}, "valid")
         return EXIT_OK
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth-set", required=True)
     p.add_argument("--premise", action="append", default=[])
     p.add_argument("--max-universe", type=int, default=2)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget")
     p.add_argument("--one", action="store_true", help="use 1-entailment")
     p.add_argument("formula", help=FORMULA_HELP)
     p.set_defaults(fn=_cmd_entail)
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="propositional decision for LC or G<m>")
     p.add_argument("--logic", required=True, help="LC or G<m>")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget")
     p.add_argument("formula", help=FORMULA_HELP)
     p.set_defaults(fn=_cmd_decide)
 
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="uncountable",
                    help="uncountable or finite:<n>")
     p.add_argument("--max-level", type=int, default=8)
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget",
                    help=f"semantic-tree nodes (default {herbrand.NODE_BUDGET}), or "
                         "order types with --verify (default 10^7); also GOEDEL_BUDGET")
     p.add_argument("--out", help="write the certificate JSON here")

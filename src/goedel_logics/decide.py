@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
-from .formula import Atom, Bot, And, Or, Imp, Formula, atoms, print_formula
+from .formula import Atom, Bot, And, Or, Imp, Formula, atoms, print_formula, print_raw
 
 BOT_MARK = "bot"
 TOP_MARK = "top"
@@ -53,6 +53,13 @@ class BudgetError(Exception):
 
 # the default budget of order types or interpretations
 BUDGET = 10 ** 7
+
+
+def whole_number(text: str, least: int = 2) -> Optional[int]:
+    """The integer >= least that text writes in at most 4,300 decimal
+    digits (int() refuses more), else None: least = 2 for class bounds."""
+    ok = text.isdecimal() and len(text) <= 4300 and int(text) >= least
+    return int(text) if ok else None
 
 
 PropValuation = dict[Atom, Fraction]
@@ -184,45 +191,34 @@ class DecideResult:
 def _letters(f: Formula) -> dict[str, Atom]:
     """Atoms keyed by their printed form, in sorted order; the enumeration
     and therefore the first countermodel follow this order."""
-    by_name = {print_formula(a): a for a in atoms(f)}
+    by_name = {print_raw(a): a for a in atoms(f)}
     return {name: by_name[name] for name in sorted(by_name)}
 
 
-def first_countermodel(goal: RankProgram, m: int, n: int,
-                       guard: Optional[RankProgram] = None,
-                       limit: Optional[int] = None) -> Optional[tuple[int, tuple[int, ...]]]:
-    """(i, ranks) for the first point ranks of range(m)^n, in product
-    order and among its first limit points, where goal has rank below
-    the top rank m - 1 and guard (if any) the top rank; i is its index in
-    that order.  None if there is no such point.
+def first_countermodel(goal: RankProgram, m: int, n: int) -> Optional[tuple[int, ...]]:
+    """The first point ranks of range(m)^n, in product order, where goal
+    has rank below the top rank m - 1; None if there is none.
 
     Only gap-free points are evaluated: those whose ranks strictly
     between 0 and top are exactly 1..k for some k, one per pinned weak
-    order with at most m classes.  The programs depend only on order, so
-    closing the gaps of a falsifying point keeps it falsifying and lowers
-    every rank: the first falsifying point is gap-free."""
+    order with at most m classes.  goal depends only on order, so closing
+    the gaps of a falsifying point keeps it falsifying and lowers every
+    rank: the first falsifying point is gap-free."""
     top = m - 1
     if m <= 4 or n <= 1:
         # the plain loop: at m <= 3 every point is gap-free and at m = 4 at
         # most 5/16 have a gap, so the walk cannot pay; one letter's gap-free
-        # points are 0, 1 and top, and at most limit of them lie below limit
-        values = range(m) if m <= 4 else [r for r in (0, 1, top) if limit is None or r < limit]
-        for ranks in itertools.islice(itertools.product(values, repeat=n), limit):
-            if goal(ranks, top) < top and (guard is None or guard(ranks, top) == top):
-                # the index is worked out once, not counted per point
-                i = 0
-                for r in ranks:
-                    i = i * m + r
-                return i, ranks
+        # points are 0, 1 and top
+        for ranks in itertools.product(range(m) if m <= 4 else (0, 1, top), repeat=n):
+            if goal(ranks, top) < top:
+                return ranks
         return None
-    end = m ** n if limit is None else limit
     ranks = [0] * n
     last = n - 1
 
-    def walk(p: int, k: int, holes: list, base: int):
-        # ranks[:p] are placed, with index base; their middle ranks are
-        # 1..k but for the holes, which the letters from p on must fill.
-        # None to go on, (i, ranks) when found, False past end
+    def walk(p: int, k: int, holes: list):
+        # ranks[:p] are placed; their middle ranks are 1..k but for the
+        # holes, which the letters from p on must fill
         left = last - p
         if len(holes) > left:
             cands = holes
@@ -231,7 +227,6 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
             # holes than the letters after p can fill
             hi = k + 2 + left - len(holes)
             cands = range(m) if hi >= top else [*range(hi), top]
-        base *= m
         for v in cands:
             ranks[p] = v
             if k < v < top:
@@ -241,22 +236,18 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
             else:
                 kv, hv = k, holes
             if left > 1:
-                found = walk(p + 1, kv, hv, base + v)
-                if found is not None:
+                if found := walk(p + 1, kv, hv):
                     return found
                 continue
             # the last letter in the same loop: it fills the one hole
             # left, or takes 0..kv+1 or top
-            bv = (base + v) * m
             for y in hv or (range(m) if kv + 2 >= top else [*range(kv + 2), top]):
-                if bv + y >= end:
-                    return False
                 ranks[last] = y
-                if goal(ranks, top) < top and (guard is None or guard(ranks, top) == top):
-                    return bv + y, tuple(ranks)
+                if goal(ranks, top) < top:
+                    return tuple(ranks)
         return None
 
-    return walk(0, 0, [], 0) or None
+    return walk(0, 0, [])
 
 
 def decide_Gm(f: Formula, m: int, budget: int = BUDGET) -> DecideResult:
@@ -289,12 +280,11 @@ def _decide(f: Formula, m: Optional[int], budget: int) -> DecideResult:
             raise BudgetError(f"{n} letters in {logic}: at least {count} order types "
                               f"exceed the budget of {budget}")
     prog = compile_prop(f, {a: i for i, a in enumerate(letters)})
-    found = first_countermodel(prog, m, n)
-    if found is None:
+    ranks = first_countermodel(prog, m, n)
+    if ranks is None:
         return DecideResult(True, logic)
-    top, ranks = m - 1, found[1]
-    return DecideResult(False, logic, {a: _value(r, top) for a, r in zip(letters, ranks)},
-                        _value(prog(ranks, top), top))
+    return DecideResult(False, logic, {a: _value(r, m - 1) for a, r in zip(letters, ranks)},
+                        _value(prog(ranks, m - 1), m - 1))
 
 
 def _value(r: int, top: int) -> Fraction:

@@ -49,7 +49,7 @@ from .formula import (
 )
 from .decide import (
     BUDGET, ROOT, BudgetError, Constraint, Order, RankProgram, classes, compile_prop,
-    decide_Gm, decide_LC, extend,
+    decide_Gm, decide_LC, extend, whole_number,
 )
 from .semantics import expect_json
 
@@ -330,11 +330,11 @@ def finite_bound(mode: str) -> Optional[int]:
     if mode == "uncountable":
         return None
     kind, _, n = mode.partition(":")
-    # int() refuses more than 4,300 digits
-    if kind != "finite" or not n.isdecimal() or len(n) > 4300 or int(n) < 2:
+    bound = whole_number(n) if kind == "finite" else None
+    if bound is None:
         raise ValueError(
             f'"mode" must be "uncountable" or "finite:<n>" with n >= 2, not {mode!r}')
-    return int(n)
+    return bound
 
 
 @dataclass

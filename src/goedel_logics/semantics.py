@@ -4,14 +4,14 @@ Interpretations carry exact rational truth values; the conditional's case
 split sits on a discontinuity, so no floating point appears anywhere.
 evaluate is the reference tree walk over one interpretation.
 
-The finite entailment search does not call it: for each universe size
-and function table it grounds the formulas once (quantifiers expanded
-over the universe, terms evaluated under the table), compiles them with
-decide.compile_prop, and runs the programs over the integer rank vectors
-of the ground atoms' tables in decide.first_countermodel, the search that
-decides G_m; from five truth values on it evaluates one vector per order
-type of the tables.  Only the countermodel it returns is built as an
-interpretation.
+The finite entailment search does not call it: for each universe size it
+runs one decide.first_countermodel, the search that decides G_m, over the
+integer rank vectors of the ground atoms' tables; from five truth values
+on it evaluates one vector per order type of the tables.  At each vector
+it tries the function tables in product order, each grounded (quantifiers
+expanded over the universe, terms evaluated under the table) and compiled
+with decide.compile_prop when the search first reaches it.  Only the
+countermodel it returns is built as an interpretation.
 
 Besides finite structures there is a restricted countable shape, the
 omega interpretation: finitely many explicit prefix elements plus a tail
@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .decide import BUDGET, BudgetError, compile_prop, first_countermodel
+from .decide import (
+    BUDGET, BudgetError, RankProgram, compile_prop, first_countermodel, pinned_orders,
+)
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Term, Var,
     free_vars, print_formula, signature,
@@ -251,21 +253,6 @@ class EntailmentResult:
         return self.holds
 
 
-def _count_interpretations(n_elems: int, preds: dict[str, int],
-                           funcs: dict[str, int], n_values: int, budget: int) -> int:
-    """The number of interpretations over n_elems elements when it is at
-    most budget; otherwise some number above budget.  Each exponent is
-    capped where base ** exponent must exceed budget (base >= 2), so a
-    huge count is never computed."""
-    cap = budget.bit_length() + 1
-    total = 1
-    for k in preds.values():
-        total *= n_values ** min(n_elems ** k, cap)
-    for k in funcs.values():
-        total *= n_elems ** min(n_elems ** k, cap)
-    return total
-
-
 def _joint_signature(formulas: Sequence[Formula]) -> tuple[dict[str, int], dict[str, int]]:
     preds: dict[str, int] = {}
     funcs: dict[str, int] = {}
@@ -285,10 +272,12 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
     not a validity proof.  When no predicate takes an argument, only size
     1 is searched, since the size cannot change any value.  Entailment
     compares inf of the premises against the conclusion; 1-entailment
-    asks that all-1 premises force a 1 conclusion.  The first countermodel in the enumeration order of the
-    tables (symbols sorted by name, argument tuples in product order,
-    table values ascending, predicate tables before function tables) is
-    returned.
+    asks that all-1 premises force a 1 conclusion.  The first countermodel
+    in the enumeration order of the tables (symbols sorted by name,
+    argument tuples in product order, table values ascending, predicate
+    tables before function tables) is returned.  The budget bounds the
+    points the search may evaluate: over all universe sizes, the function
+    tables times the order types of the predicate tables (pinned_orders).
     """
     if max_universe < 1:
         raise ValueError(f"max_universe must be at least 1, got {max_universe}")
@@ -304,24 +293,28 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
         # a quantifier ranges over one value and size 1 settles every size
         max_universe = 1
 
+    # pinned_orders and the capped size ** cap stop once past the budget
+    cap = budget.bit_length() + 1
     total = 0
-    for m in range(1, max_universe + 1):
-        total += _count_interpretations(m, preds, funcs, len(values), budget)
+    for size in range(1, max_universe + 1):
+        slots = sum(size ** k for k in preds.values())
+        tables = size ** min(sum(size ** k for k in funcs.values()), cap)
+        total += tables * pinned_orders(slots, len(values), budget)
         if total > budget:
-            raise BudgetError(
-                f"the interpretations of universe sizes 1..{m} exceed the budget of {budget}")
+            raise BudgetError(f"the order types times function tables of universe "
+                              f"sizes 1..{size} exceed the budget of {budget}")
 
-    # a countermodel makes goal < 1 (and, for 1-entailment, guard = 1);
+    # a countermodel makes goal < 1 (and, for 1-entailment, premise = 1);
     # inf Gamma > B exactly when (&Gamma -> B) < 1
     conj = _balanced(And, list(premises)) if premises else None
     if one_entailment:
-        goal, guard = conclusion, conj
+        goal, premise = conclusion, conj
     else:
-        goal, guard = (Imp(conj, conclusion) if conj else conclusion), None
+        goal, premise = (Imp(conj, conclusion) if conj else conclusion), None
     elems: list[App] = []
     for size in range(1, max_universe + 1):
         elems.append(App(f"u{size - 1}"))
-        found = _search_size(goal, guard, preds, funcs, elems, len(values))
+        found = _search_size(goal, premise, preds, funcs, elems, len(values))
         if found is not None:
             return EntailmentResult(False, _interpretation(
                 preds, funcs, size, values, V, *found))
@@ -337,18 +330,19 @@ def _balanced(join: type, parts: list[Formula]) -> Formula:
     return parts[0]
 
 
-def _search_size(goal: Formula, guard: Optional[Formula], preds: dict[str, int],
+def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int],
                  funcs: dict[str, int], elems: Sequence[App], n_values: int
                  ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The first (predicate ranks, function table) over the universe elems
-    where goal has rank below top and guard (if any) rank top.
+    where goal has rank below top and premise (if any) rank top.
 
     Each ground atom P(u_i, ...) has a slot in one rank vector (predicates
     sorted, argument tuples in product order); each function table is a
-    flat tuple of element indices in the same layout.  Tables run
-    outermost, so the first countermodel is the least in (predicate
-    index, table) order: every later table only searches below the best
-    predicate index found so far.
+    flat tuple of element indices in the same layout.  One search runs
+    over the rank vectors, and at each point it tries the tables in
+    product order, so the first hit is the least in (predicate index,
+    table) order.  A table is grounded and compiled when a point first
+    reaches it.
     """
     size = len(elems)
     index = {}
@@ -360,18 +354,32 @@ def _search_size(goal: Formula, guard: Optional[Formula], preds: dict[str, int],
     for g in sorted(funcs):
         offsets[g] = n_func_slots
         n_func_slots += size ** funcs[g]
-    best = None
-    for table in itertools.product(range(size), repeat=n_func_slots):
-        limit = None if best is None else best[0]
-        if limit == 0:
-            break
+    tables = itertools.product(range(size), repeat=n_func_slots)
+    progs: dict[tuple[int, ...], RankProgram] = {}  # the tables reached, in product order
+
+    def reach(table: tuple[int, ...]) -> RankProgram:
         ground = _grounder(elems, offsets, table)
-        goal_prog = compile_prop(ground(goal, {}), index)
-        guard_prog = None if guard is None else compile_prop(ground(guard, {}), index)
-        found = first_countermodel(goal_prog, n_values, len(index), guard_prog, limit)
-        if found is not None:
-            best = found + (table,)
-    return None if best is None else best[1:]
+        g = progs[table] = compile_prop(ground(goal, {}), index)
+        if premise is not None:
+            h = compile_prop(ground(premise, {}), index)
+            progs[table] = lambda ranks, top: g(ranks, top) if h(ranks, top) == top else top
+        return progs[table]
+
+    def falsified(ranks, top):
+        for prog in progs.values():
+            if prog(ranks, top) < top:
+                return 0
+        for table in tables:  # only the first point reaches new tables
+            if reach(table)(ranks, top) < top:
+                return 0
+        return top
+
+    # with no function symbol the one table's program is the goal itself
+    ranks = first_countermodel(falsified if n_func_slots else reach(()), n_values, len(index))
+    if ranks is None:
+        return None
+    top = n_values - 1
+    return ranks, next(table for table, prog in progs.items() if prog(ranks, top) < top)
 
 
 def _grounder(elems: Sequence[App], offsets: Mapping[str, int],

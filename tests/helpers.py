@@ -146,18 +146,13 @@ def eval_prop(f: Formula, valuation: dict[Atom, Fraction]) -> Fraction:
     raise QuantifierError(f"formula is not quantifier-free: {print_formula(f)}")
 
 
-def reference_first_countermodel(goal, m: int, n: int, guard=None,
-                                 limit: Optional[int] = None):
+def reference_first_countermodel(goal, m: int, n: int):
     """The slow oracle for decide.first_countermodel: every point of
     range(m)^n in product order, gap-free or not."""
     top = m - 1
-    for ranks in itertools.islice(itertools.product(range(m), repeat=n), limit):
-        if goal(ranks, top) < top and (guard is None or guard(ranks, top) == top):
-            # the index is worked out once, not counted per point
-            i = 0
-            for r in ranks:
-                i = i * m + r
-            return i, ranks
+    for ranks in itertools.product(range(m), repeat=n):
+        if goal(ranks, top) < top:
+            return ranks
     return None
 
 

@@ -135,6 +135,30 @@ def test_entail_exit_codes(capsys):
     assert code == 1 and "countermodel" in out
 
 
+def test_entail_countermodel_is_the_least_over_tables(capsys):
+    # size 2 has four tables for (c, d); the least falsifying point,
+    # A(u0) = 0 and A(u1) = 1/2, falsifies the third, c = u1 and d = u0
+    code, out, _ = run(capsys, "--json", "entail", "--truth-set", "{0,1/2,1}",
+                       "--max-universe", "2", "--premise", "A(c())", "A(d())")
+    I = json.loads(out)["interpretation"]
+    assert code == 1
+    assert I["functions"] == {"c/0": {"": "u1"}, "d/0": {"": "u0"}}
+    assert I["predicates"] == {"A/1": {"u0": "0", "u1": "1/2"}}
+
+
+def test_entail_budget_counts_order_types(capsys):
+    # over V_6, sizes 1..9 have 6,109,091 order types of P's atoms (not
+    # 12,093,234 points) and sizes 1..10 have 41,355,622
+    V6 = "{0,1/2,2/3,3/4,4/5,1}"
+    code, out, _ = run(capsys, "entail", "--truth-set", V6, "--max-universe", "9",
+                       "forall x. (P(x) | ~P(x))")
+    assert code == 1 and "countermodel" in out
+    code, out, err = run(capsys, "entail", "--truth-set", V6, "--max-universe", "10",
+                         "forall x. (P(x) | ~P(x))")
+    assert (code, out) == (2, "")
+    assert err.endswith("sizes 1..10 exceed the budget of 10000000\n")
+
+
 def test_entail_rejects_empty_universe_bound(capsys):
     for flag in ([], ["--one"]):
         code, out, err = run(capsys, "entail", "--truth-set", "{0,1}", *flag,
@@ -243,6 +267,26 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.delenv("GOEDEL_BUDGET")
     code, _, _ = run(capsys, "decide", "--logic", "G5", "A1 | A2 | A3 | A4")
     assert code == 1
+
+
+def test_budget_is_an_integer_from_zero_up(capsys, monkeypatch):
+    # --budget and GOEDEL_BUDGET are read in one place, with one message
+    commands = [["decide", "--logic", "G5", "A1 | A2"],
+                ["entail", "--truth-set", "{0,1/2,1}", "A(c())"],
+                ["prove", "exists x. (P(x) -> P(x))"]]
+    for text in ("abc", "-1", "1.5", "1e3", " 5", "+5", "9" * 5000):
+        message = f"error: a budget must be an integer >= 0, not {text!r}\n"
+        for argv in commands:
+            assert run(capsys, argv[0], "--budget", text, *argv[1:]) == (3, "", message)
+            monkeypatch.setenv("GOEDEL_BUDGET", text)
+            assert run(capsys, *argv) == (3, "", message)
+            monkeypatch.delenv("GOEDEL_BUDGET")
+    # a budget of 0 admits no work at all; an empty GOEDEL_BUDGET is unset
+    for argv in commands:
+        code, out, err = run(capsys, argv[0], "--budget", "0", *argv[1:])
+        assert (code, out) == (2, "") and "budget" in err
+    monkeypatch.setenv("GOEDEL_BUDGET", "")
+    assert run(capsys, *commands[0])[0] == 1
 
 
 def test_prove_budget_caps_semantic_tree(capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from goedel_logics.decide import (
     ROOT, BudgetError, QuantifierError, classes, compile_prop, decide_Gm, decide_LC,
-    extend, first_countermodel, pinned_orders,
+    _letters, extend, first_countermodel, pinned_orders,
 )
 from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse, print_formula
 from goedel_logics.semantics import FiniteInterpretation, evaluate
@@ -155,6 +155,17 @@ def _rename_atoms(f):
     return type(f)(_rename_atoms(f.left), _rename_atoms(f.right))
 
 
+def test_letter_order_is_the_sorted_printed_atoms():
+    # letters are named by print_raw, which on an atom gives print_formula's
+    # text, so their order (and with it the first countermodel) is the
+    # order of the printed atoms
+    for text in ("B | A10 | A2 | ~C | A1", "R(f(c()), d()) -> P(c()) | P(f(c())) & Q",
+                 "P(g(c(), c())) | P(c()) | A | R(d(), c())"):
+        f = parse(text)
+        by_name = {print_formula(a): a for a in atoms(f)}
+        assert list(_letters(f).items()) == [(name, by_name[name]) for name in sorted(by_name)]
+
+
 def test_first_countermodel_is_lexicographic():
     r = decide_Gm(parse("A & B"), 3)
     assert not r.valid
@@ -172,8 +183,8 @@ def test_fin5_countermodel_in_g6():
 
 
 def test_first_countermodel_matches_the_product_oracle():
-    # the gap-free walk returns the product loop's (i, ranks) for every
-    # goal, guard and limit, the first limit points included
+    # the gap-free walk returns the product loop's first falsifying point
+    # for every goal; "late" ones lie past the first m points or are None
     rng = random.Random(26)
     cases = late = 0
     for n in range(7):
@@ -181,20 +192,15 @@ def test_first_countermodel_matches_the_product_oracle():
         index = {a: j for j, a in enumerate(letters)}
         leaves = letters + [Bot()]
         for m in range(2, 9):
-            size = m ** n
-            if size > 50000:
+            if m ** n > 50000:
                 continue
             for _ in range(60):
                 goal = compile_prop(_random_formula(rng, rng.randint(1, 6), leaves), index)
-                guard = None
-                if rng.random() < 0.5:
-                    guard = compile_prop(_random_formula(rng, rng.randint(1, 4), leaves), index)
-                limit = rng.choice([None, 0, 1, rng.randint(0, size + 1), size, size + 1])
-                want = reference_first_countermodel(goal, m, n, guard, limit)
-                assert first_countermodel(goal, m, n, guard, limit) == want, (m, n, limit)
+                want = reference_first_countermodel(goal, m, n)
+                assert first_countermodel(goal, m, n) == want, (m, n)
                 cases += 1
-                late += want is None or want[0] >= m
-    assert cases >= 2000 and late >= 1000
+                late += want is None or any(want[:-1])
+    assert cases >= 2000 and late >= 800
 
 
 def test_gap_free_walk_evaluates_one_point_per_order():

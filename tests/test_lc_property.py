@@ -51,8 +51,8 @@ def test_gm_matches_the_product_oracle(f, m):
     else:
         values = gm_values(m)
         assert not r.valid
-        assert r.countermodel == {a: values[x] for a, x in zip(letters, found[1])}
-        assert r.value == values[prog(found[1], m - 1)]
+        assert r.countermodel == {a: values[x] for a, x in zip(letters, found)}
+        assert r.value == values[prog(found, m - 1)]
 
 
 @settings(max_examples=500, deadline=None, database=None, derandomize=True)

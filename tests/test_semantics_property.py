@@ -10,7 +10,7 @@ from goedel_logics.formula import (
 from goedel_logics.goedelset import finite_elements, unit_interval, v_m
 from goedel_logics.semantics import (
     ONE, ConstTail, FiniteInterpretation, OmegaInterpretation,
-    _count_interpretations, _joint_signature, dump_interpretation,
+    _joint_signature, dump_interpretation,
     entails_bruteforce, eval_omega, evaluate, one_entails_bruteforce,
 )
 
@@ -47,18 +47,27 @@ formulas = closed(st.recursive(
     max_leaves=5))
 
 
+def reference_space(preds, funcs, m: int, size: int) -> int:
+    """The interpretations reference_entails evaluates over universe sizes
+    1..size into m truth values."""
+    return sum(m ** sum(n ** k for k in preds.values())
+               * n ** sum(n ** k for k in funcs.values()) for n in range(1, size + 1))
+
+
 @settings(max_examples=250, deadline=None, database=None, derandomize=True)
-@given(st.lists(formulas, max_size=2), formulas, st.integers(2, 4),
+@given(st.lists(formulas, max_size=2), formulas, st.integers(2, 6),
        st.integers(1, 3), st.booleans())
 # countermodels of size 2: in the first, the first function table has
-# the least one; in the second, a later table beats the first table's
+# the least one; in the others, a later table beats the first table's,
+# the last two where the search evaluates only gap-free points
 @example([], parse("forall x. (P(x) -> P(f(x)))"), 3, 2, False)
 @example([], parse("forall x. (P(f(x)) -> P(x))"), 2, 2, True)
+@example([parse("P(c())")], parse("P(f(c()))"), 5, 2, False)
+@example([parse("P(c())")], parse("P(f(c()))"), 6, 2, True)
 def test_compiled_search_matches_reference(premises, conclusion, m, size, one):
     V = v_m(m)
     preds, funcs = _joint_signature(premises + [conclusion])
-    while size > 1 and sum(_count_interpretations(n, preds, funcs, m, SPACE_CAP)
-                           for n in range(1, size + 1)) > SPACE_CAP:
+    while size > 1 and reference_space(preds, funcs, m, size) > SPACE_CAP:
         size -= 1
     search = one_entails_bruteforce if one else entails_bruteforce
     got = search(premises, conclusion, V, size)
