@@ -20,7 +20,7 @@ that exhaustive evaluation finds first.  LC is decided by the same
 search at m = n + 2, the paper's finite reduction: n letters have at
 most n + 2 classes, so there the search evaluates once at every pinned
 weak order, which settles validity over every infinite truth-value set.
-The budget of both counts those order types (pinned_orders).  The
+Both budgets count that search's goal calls (goal_calls).  The
 enumerator (ROOT, extend) represents an order by the rank vector of its
 letters and grows the Herbrand semantic tree.
 """
@@ -51,14 +51,14 @@ class BudgetError(Exception):
     and herbrand raise for an exhausted bound (the CLI's exit 2)."""
 
 
-# the default budget of order types or interpretations
+# the default budget of the points a search evaluates
 BUDGET = 10 ** 7
 
 
 def whole_number(text: str, least: int = 2) -> Optional[int]:
-    """The integer >= least that text writes in at most 4,300 decimal
-    digits (int() refuses more), else None: least = 2 for class bounds."""
-    ok = text.isdecimal() and len(text) <= 4300 and int(text) >= least
+    """The integer >= least that text writes in at most 4,300 ASCII digits
+    (int() refuses more), else None: least = 2 for class bounds."""
+    ok = text.isascii() and text.isdecimal() and len(text) <= 4300 and int(text) >= least
     return int(text) if ok else None
 
 
@@ -195,6 +195,16 @@ def _letters(f: Formula) -> dict[str, Atom]:
     return {name: by_name[name] for name in sorted(by_name)}
 
 
+def goal_calls(n: int, m: int, stop: int) -> int:
+    """The most goal calls first_countermodel(goal, m, n) makes: every
+    point of range(m)^n on its plain loop (m <= 4), else one per pinned
+    weak order with at most m classes.  Once past stop, a lower bound
+    past stop is returned."""
+    if m <= 4:
+        return m ** min(n, stop.bit_length() + 1)
+    return pinned_orders(n, m, stop)
+
+
 def first_countermodel(goal: RankProgram, m: int, n: int) -> Optional[tuple[int, ...]]:
     """The first point ranks of range(m)^n, in product order, where goal
     has rank below the top rank m - 1; None if there is none.
@@ -203,7 +213,8 @@ def first_countermodel(goal: RankProgram, m: int, n: int) -> Optional[tuple[int,
     between 0 and top are exactly 1..k for some k, one per pinned weak
     order with at most m classes.  goal depends only on order, so closing
     the gaps of a falsifying point keeps it falsifying and lowers every
-    rank: the first falsifying point is gap-free."""
+    rank: the first falsifying point is gap-free.  Entailment runs it once
+    per function table and keeps the least (ranks, table) pair."""
     top = m - 1
     if m <= 4 or n <= 1:
         # the plain loop: at m <= 3 every point is gap-free and at m = 4 at
@@ -254,7 +265,7 @@ def decide_Gm(f: Formula, m: int, budget: int = BUDGET) -> DecideResult:
     """Decide validity over V_m by first_countermodel, which evaluates
     one point per pinned weak order with at most m classes; returns the
     first countermodel in lexicographic order when there is one.  The
-    budget bounds those order types, not the m^n points of V_m^n."""
+    budget bounds its goal calls (goal_calls), all m^n only for m <= 4."""
     if m < 2:
         raise ValueError("m must be at least 2")
     return _decide(f, m, budget)
@@ -272,10 +283,11 @@ def _decide(f: Formula, m: Optional[int], budget: int) -> DecideResult:
     letters = list(_letters(f).values())
     n = len(letters)
     logic, m = ("LC", n + 2) if m is None else (f"G{m}", m)
-    # 2^n <= order types <= min(m, n + 2)^n: count them unless that power
-    # is within budget, which it cannot be once 2^n passes it
-    if n > budget.bit_length() or min(m, n + 2) ** n > budget:
-        count = pinned_orders(n, m, budget)
+    # 2^n <= goal calls <= min(m, n + 3)^n, as they are m^n on the plain
+    # loop (m <= 4) and at most min(m, n + 2)^n on the walk: count them
+    # unless that power is within budget, which it cannot be once 2^n passes it
+    if n > budget.bit_length() or min(m, n + 3) ** n > budget:
+        count = goal_calls(n, m, budget)
         if count > budget:
             raise BudgetError(f"{n} letters in {logic}: at least {count} order types "
                               f"exceed the budget of {budget}")

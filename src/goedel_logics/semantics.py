@@ -4,14 +4,13 @@ Interpretations carry exact rational truth values; the conditional's case
 split sits on a discontinuity, so no floating point appears anywhere.
 evaluate is the reference tree walk over one interpretation.
 
-The finite entailment search does not call it: for each universe size it
-runs one decide.first_countermodel, the search that decides G_m, over the
-integer rank vectors of the ground atoms' tables; from five truth values
-on it evaluates one vector per order type of the tables.  At each vector
-it tries the function tables in product order, each grounded (quantifiers
-expanded over the universe, terms evaluated under the table) and compiled
-with decide.compile_prop when the search first reaches it.  Only the
-countermodel it returns is built as an interpretation.
+The finite entailment search does not call it: for each universe size
+and function table it grounds the formula (quantifiers expanded over the
+universe, terms evaluated under the table), compiles it with
+decide.compile_prop and runs decide.first_countermodel, the search that
+decides G_m, over the integer rank vectors of the ground atoms' tables.
+It keeps the least (rank vector, table) pair and builds only that
+countermodel as an interpretation.
 
 Besides finite structures there is a restricted countable shape, the
 omega interpretation: finitely many explicit prefix elements plus a tail
@@ -29,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .decide import (
-    BUDGET, BudgetError, RankProgram, compile_prop, first_countermodel, pinned_orders,
+    BUDGET, BudgetError, compile_prop, first_countermodel, goal_calls,
 )
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Term, Var,
@@ -275,9 +274,10 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
     asks that all-1 premises force a 1 conclusion.  The first countermodel
     in the enumeration order of the tables (symbols sorted by name,
     argument tuples in product order, table values ascending, predicate
-    tables before function tables) is returned.  The budget bounds the
-    points the search may evaluate: over all universe sizes, the function
-    tables times the order types of the predicate tables (pinned_orders).
+    tables before function tables) is returned: one search runs per
+    function table, and the least (predicate point, table) pair is kept.
+    The budget bounds the points the searches may evaluate: over all
+    universe sizes, the function tables times decide.goal_calls.
     """
     if max_universe < 1:
         raise ValueError(f"max_universe must be at least 1, got {max_universe}")
@@ -293,13 +293,13 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
         # a quantifier ranges over one value and size 1 settles every size
         max_universe = 1
 
-    # pinned_orders and the capped size ** cap stop once past the budget
+    # goal_calls and the capped size ** cap stop once past the budget
     cap = budget.bit_length() + 1
     total = 0
     for size in range(1, max_universe + 1):
         slots = sum(size ** k for k in preds.values())
         tables = size ** min(sum(size ** k for k in funcs.values()), cap)
-        total += tables * pinned_orders(slots, len(values), budget)
+        total += tables * goal_calls(slots, len(values), budget)
         if total > budget:
             raise BudgetError(f"the order types times function tables of universe "
                               f"sizes 1..{size} exceed the budget of {budget}")
@@ -333,16 +333,16 @@ def _balanced(join: type, parts: list[Formula]) -> Formula:
 def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int],
                  funcs: dict[str, int], elems: Sequence[App], n_values: int
                  ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The first (predicate ranks, function table) over the universe elems
+    """The least (predicate ranks, function table) over the universe elems
     where goal has rank below top and premise (if any) rank top.
 
     Each ground atom P(u_i, ...) has a slot in one rank vector (predicates
     sorted, argument tuples in product order); each function table is a
-    flat tuple of element indices in the same layout.  One search runs
-    over the rank vectors, and at each point it tries the tables in
-    product order, so the first hit is the least in (predicate index,
-    table) order.  A table is grounded and compiled when a point first
-    reaches it.
+    flat tuple of element indices in the same layout, and no function
+    symbol means one empty table.  One search runs per table, in product
+    order, on the goal grounded under that table and compiled; the least
+    pair is kept, a tie keeping the earlier table, so only one table's
+    programs are alive at a time.
     """
     size = len(elems)
     index = {}
@@ -354,32 +354,17 @@ def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int
     for g in sorted(funcs):
         offsets[g] = n_func_slots
         n_func_slots += size ** funcs[g]
-    tables = itertools.product(range(size), repeat=n_func_slots)
-    progs: dict[tuple[int, ...], RankProgram] = {}  # the tables reached, in product order
-
-    def reach(table: tuple[int, ...]) -> RankProgram:
+    best = None
+    for table in itertools.product(range(size), repeat=n_func_slots):
         ground = _grounder(elems, offsets, table)
-        g = progs[table] = compile_prop(ground(goal, {}), index)
+        prog = compile_prop(ground(goal, {}), index)
         if premise is not None:
-            h = compile_prop(ground(premise, {}), index)
-            progs[table] = lambda ranks, top: g(ranks, top) if h(ranks, top) == top else top
-        return progs[table]
-
-    def falsified(ranks, top):
-        for prog in progs.values():
-            if prog(ranks, top) < top:
-                return 0
-        for table in tables:  # only the first point reaches new tables
-            if reach(table)(ranks, top) < top:
-                return 0
-        return top
-
-    # with no function symbol the one table's program is the goal itself
-    ranks = first_countermodel(falsified if n_func_slots else reach(()), n_values, len(index))
-    if ranks is None:
-        return None
-    top = n_values - 1
-    return ranks, next(table for table, prog in progs.items() if prog(ranks, top) < top)
+            g, h = prog, compile_prop(ground(premise, {}), index)
+            prog = lambda ranks, top: g(ranks, top) if h(ranks, top) == top else top
+        ranks = first_countermodel(prog, n_values, len(index))
+        if ranks is not None and (best is None or ranks < best[0]):
+            best = ranks, table
+    return best
 
 
 def _grounder(elems: Sequence[App], offsets: Mapping[str, int],

@@ -51,7 +51,8 @@ def test_decide_exit_codes(capsys):
     code, out, _ = run(capsys, "decide", "--logic", "g3", fin3)
     assert code == 0 and out.strip() == "valid"
     # one shape for --logic: LC, or G and the decimal digits of m >= 2
-    for logic in ("G", "Gx", "G" + "9" * 5000, "G+3", "G 3", "G1", "G-5", "L", "LC3", ""):
+    for logic in ("G", "Gx", "G" + "9" * 5000, "G+3", "G 3", "G1", "G-5", "L", "LC3", "",
+                  "G\u0663"):
         code, out, err = run(capsys, "decide", "--logic", logic, fin3)
         assert (code, out) == (3, ""), logic
         assert err == f'error: "logic" must be "LC" or "G<m>" with m >= 2, not {logic!r}\n'
@@ -274,7 +275,7 @@ def test_budget_is_an_integer_from_zero_up(capsys, monkeypatch):
     commands = [["decide", "--logic", "G5", "A1 | A2"],
                 ["entail", "--truth-set", "{0,1/2,1}", "A(c())"],
                 ["prove", "exists x. (P(x) -> P(x))"]]
-    for text in ("abc", "-1", "1.5", "1e3", " 5", "+5", "9" * 5000):
+    for text in ("abc", "-1", "1.5", "1e3", " 5", "+5", "9" * 5000, "\uff11\uff10"):
         message = f"error: a budget must be an integer >= 0, not {text!r}\n"
         for argv in commands:
             assert run(capsys, argv[0], "--budget", text, *argv[1:]) == (3, "", message)
@@ -363,8 +364,8 @@ CERTIFICATES = [prove_prenex(parse(f), mode).certificate.to_json() for f, mode i
     ("exists x. forall y. (A(y) -> A(x))", "finite:3")]]
 CERT_KEYS = ["formula", "mode", "disjuncts", "leaves", "level", "order", "schema"]
 CERT_STRINGS = ["uncountable", "finite:2", "finite:3", "finite:1", "finite:x", "finite:",
-                "finite:" + "9" * 13, "finite:" + "9" * 5000, "top", "bot", "(", "A(c0())",
-                "P(c0()) -> P(c0())", "A(f1(c0())) -> A(c0())",
+                "finite:" + "9" * 13, "finite:" + "9" * 5000, "finite:\u0663",
+                "top", "bot", "(", "A(c0())", "P(c0()) -> P(c0())", "A(f1(c0())) -> A(c0())",
                 "exists x. forall y. (A(y) -> A(x))", "forall x. A(x)", "P(x)", "bot"]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 5) | st.floats(allow_nan=False)

@@ -7,7 +7,7 @@ import pytest
 
 from goedel_logics.decide import (
     ROOT, BudgetError, QuantifierError, classes, compile_prop, decide_Gm, decide_LC,
-    _letters, extend, first_countermodel, pinned_orders,
+    _letters, extend, first_countermodel, goal_calls, pinned_orders,
 )
 from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse, print_formula
 from goedel_logics.semantics import FiniteInterpretation, evaluate
@@ -205,7 +205,8 @@ def test_first_countermodel_matches_the_product_oracle():
 
 def test_gap_free_walk_evaluates_one_point_per_order():
     # a valid 5-letter formula: one call per pinned weak order with at
-    # most m classes from m = 5 on, every point of range(4)^5 at m = 4
+    # most m classes from m = 5 on, every point of range(4)^5 at m = 4,
+    # and goal_calls counts them
     f = parse("(A1 -> A2) | (A2 -> A3) | (A3 -> A4) | (A4 -> A5) | (A5 -> A1)")
     prog = compile_prop(f, {Atom(f"A{j}"): j - 1 for j in range(1, 6)})
     for m, want in [(4, 1024), (5, 1563), (6, 2043), (7, 2163), (8, 2163)]:
@@ -216,9 +217,13 @@ def test_gap_free_walk_evaluates_one_point_per_order():
             calls += 1
             return prog(ranks, top)
         assert first_countermodel(goal, m, 5) is None
-        assert calls == want, m
+        assert calls == goal_calls(5, m, 10 ** 7) == want, m
         if m >= 5:
             assert pinned_orders(5, m) == want
+    # so the budget of G4 admits 4^5 calls, not pinned_orders(5, 4) = 813
+    with pytest.raises(BudgetError):
+        decide_Gm(f, 4, budget=1023)
+    assert decide_Gm(f, 4, budget=1024).valid
 
 
 def test_order_type_enumeration_counts():

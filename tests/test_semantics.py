@@ -3,6 +3,7 @@
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -118,6 +119,19 @@ def test_argument_free_formulas_search_size_one_only():
     want = reference_entails(premises, conclusion, V3, 3)
     assert not got.holds
     assert dump_interpretation(got.countermodel) == dump_interpretation(want.countermodel)
+
+
+def test_search_memory_stays_flat_in_the_tables():
+    # 1,024 function tables at size 2: one search runs per table, so only
+    # one table's compiled programs are alive at a time
+    f = parse("(" + " & ".join(f"P(c{i}())" for i in range(10)) + ") -> P(c0())")
+    tracemalloc.start()
+    try:
+        assert entails_bruteforce([], f, v_m(2), 2).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
 
 
 def test_budget_bound_is_exact():
