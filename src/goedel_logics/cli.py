@@ -3,6 +3,8 @@
 Exit codes: 0 valid/accepted/holds, 1 invalid/rejected/countermodel,
 2 unknown (budget or level bound reached), 3 usage or input error.
 ``--json`` switches the report to a versioned machine-readable form.
+Each subcommand imports the modules it runs when it runs: ``parse`` and
+``decide`` load ``formula`` and ``decide`` alone.
 """
 
 from __future__ import annotations
@@ -13,12 +15,8 @@ import os
 import sys
 from typing import Optional
 
-from . import decide, herbrand, proofkit, semantics, transforms
-from .formula import ArityConflictError, FormulaError, parse, print_formula
-from .goedelset import (
-    Cantor, EmptyKernelError, Interval, SetSyntaxError, _rat, classify,
-    embed_into_perfect, parse_set, print_set,
-)
+from . import decide
+from .formula import GoedelError, parse, print_formula
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -26,12 +24,6 @@ EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
 
 SCHEMA = "goedel-workbench/1"
-
-
-class _Failure(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -46,7 +38,7 @@ def _default_budget(args, default: int = decide.BUDGET) -> int:
     text = (os.environ.get("GOEDEL_BUDGET") or None) if args.budget is None else args.budget
     budget = default if text is None else decide.whole_number(text, 0)
     if budget is None:
-        raise _Failure(f"a budget must be an integer >= 0, not {text!r}")
+        raise GoedelError(f"a budget must be an integer >= 0, not {text!r}")
     return budget
 
 
@@ -79,6 +71,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from . import semantics
     f = parse(_read_formula(args.formula))
     with open(args.interpretation) as fh:
         I = semantics.load_interpretation(json.load(fh))
@@ -91,6 +84,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_entail(args) -> int:
+    from . import semantics
+    from .goedelset import parse_set
     V = parse_set(args.truth_set)
     premises = [parse(p) for p in args.premise]
     goal = parse(_read_formula(args.formula))
@@ -106,6 +101,7 @@ def _cmd_entail(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .goedelset import classify, parse_set, print_set
     V = parse_set(args.set)
     c = classify(V)
     payload = {
@@ -125,7 +121,7 @@ def _cmd_decide(args) -> int:
     logic = args.logic.upper()
     m = decide.whole_number(args.logic[1:]) if logic[:1] == "G" else None
     if logic != "LC" and m is None:
-        raise _Failure(f'"logic" must be "LC" or "G<m>" with m >= 2, not {args.logic!r}')
+        raise GoedelError(f'"logic" must be "LC" or "G<m>" with m >= 2, not {args.logic!r}')
     f, budget = parse(_read_formula(args.formula)), _default_budget(args)
     result = decide.decide_LC(f, budget) if logic == "LC" else decide.decide_Gm(f, m, budget)
     if result.valid:
@@ -139,6 +135,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_prove(args) -> int:
+    from . import herbrand
     if args.verify:
         with open(args.verify) as fh:
             cert = herbrand.certificate_from_json(fh.read())
@@ -147,10 +144,10 @@ def _cmd_prove(args) -> int:
               "certificate verified" if ok else "certificate rejected")
         return EXIT_OK if ok else EXIT_REJECTED
     if not args.formula:
-        raise _Failure("prove needs a formula (or --verify <certificate>)")
+        raise GoedelError("prove needs a formula (or --verify <certificate>)")
     f = parse(_read_formula(args.formula))
     result = herbrand.prove_prenex(f, args.mode, args.max_level,
-                                   _default_budget(args, herbrand.NODE_BUDGET))
+                                   _default_budget(args, decide.NODE_BUDGET))
     if result.status == "valid":
         cert = result.certificate
         if args.out:
@@ -174,6 +171,7 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
+    from . import proofkit
     with open(args.prooffile) as fh:
         text = fh.read()
     d = proofkit.parse_derivation(text, args.system)
@@ -190,6 +188,7 @@ def _cmd_check_proof(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from . import transforms
     f = parse(_read_formula(args.formula))
     kind = args.kind
     try:
@@ -213,7 +212,7 @@ def _cmd_transform(args) -> int:
             text = f"# prenex via shifts: {', '.join(used) or 'none needed'}\n{print_formula(g)}"
             payload = {"formula": print_formula(g), "shifts": list(used)}
         else:
-            raise _Failure(f"unknown transform kind {kind!r}")
+            raise GoedelError(f"unknown transform kind {kind!r}")
     except transforms.InadmissibleShiftError as e:
         _emit(args, {"result": "rejected", "reason": str(e)}, f"rejected: {e}")
         return EXIT_REJECTED
@@ -222,10 +221,11 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    from .goedelset import Cantor, Interval, _rat, embed_into_perfect, parse_set
     target_set = parse_set(args.target)
     perfect = [a for a in target_set.atoms if isinstance(a, (Interval, Cantor))]
     if len(perfect) != 1:
-        raise _Failure("target must denote a single interval or cantor atom")
+        raise GoedelError("target must denote a single interval or cantor atom")
     points = [_rat(p) for p in args.points.split(",")]
     image = embed_into_perfect(points, perfect[0])
     _emit(args, {"image": [str(q) for q in image]},
@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uncountable or finite:<n>")
     p.add_argument("--max-level", type=int, default=8)
     p.add_argument("--budget",
-                   help=f"semantic-tree nodes (default {herbrand.NODE_BUDGET}), or "
-                        "order types with --verify (default 10^7); also GOEDEL_BUDGET")
+                   help=f"semantic-tree nodes (default {decide.NODE_BUDGET}), or "
+                        "points with --verify (default 10^7); also GOEDEL_BUDGET")
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument("--verify", help="verify an existing certificate file instead")
     p.add_argument("formula", nargs="?", help=FORMULA_HELP)
@@ -307,19 +307,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _Failure as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
     except decide.BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
-    except (FormulaError, ArityConflictError, SetSyntaxError, EmptyKernelError,
-            transforms.TransformError, proofkit.ProofError, herbrand.HerbrandError,
-            decide.DecideError, semantics.SemanticsError, ValueError,
-            OSError, json.JSONDecodeError) as e:
+    except (GoedelError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -32,13 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
-from .formula import Atom, Bot, And, Or, Imp, Formula, atoms, print_formula, print_raw
+from .formula import Atom, Bot, And, Or, Imp, Formula, GoedelError, atoms, print_formula, print_raw
 
 BOT_MARK = "bot"
 TOP_MARK = "top"
 
 
-class DecideError(Exception):
+class DecideError(GoedelError):
     pass
 
 
@@ -53,6 +53,8 @@ class BudgetError(Exception):
 
 # the default budget of the points a search evaluates
 BUDGET = 10 ** 7
+# the default budget of the semantic-tree nodes herbrand.prove_prenex visits
+NODE_BUDGET = 200_000
 
 
 def whole_number(text: str, least: int = 2) -> Optional[int]:
@@ -289,7 +291,7 @@ def _decide(f: Formula, m: Optional[int], budget: int) -> DecideResult:
     if n > budget.bit_length() or min(m, n + 3) ** n > budget:
         count = goal_calls(n, m, budget)
         if count > budget:
-            raise BudgetError(f"{n} letters in {logic}: at least {count} order types "
+            raise BudgetError(f"{n} letters in {logic}: at least {count} points "
                               f"exceed the budget of {budget}")
     prog = compile_prop(f, {a: i for i, a in enumerate(letters)})
     ranks = first_countermodel(prog, m, n)

@@ -23,7 +23,12 @@ from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterator, Mapping, Optional, Union
 
 
-class FormulaError(Exception):
+class GoedelError(Exception):
+    """Base class of the typed input errors of every module: the CLI's
+    exit 3.  (An exhausted budget is ``decide.BudgetError``: exit 2.)"""
+
+
+class FormulaError(GoedelError):
     """Base class for syntax-level errors."""
 
 

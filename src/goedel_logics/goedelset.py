@@ -19,14 +19,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
+from .formula import GoedelError
+
 Rational = Fraction
 
 
-class SetSyntaxError(Exception):
+class SetSyntaxError(GoedelError):
     pass
 
 
-class EmptyKernelError(Exception):
+class EmptyKernelError(GoedelError):
     pass
 
 

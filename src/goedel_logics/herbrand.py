@@ -43,18 +43,18 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .formula import (
-    App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Term, Var,
+    App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Term, Var,
     alpha_eq, atoms, free_vars, fresh_name, is_prenex, normalize, parse, prefix_and_matrix,
     print_formula, print_raw, print_term, signature, substitute, term_size,
 )
 from .decide import (
-    BUDGET, ROOT, BudgetError, Constraint, Order, RankProgram, classes, compile_prop,
-    decide_Gm, decide_LC, extend, whole_number,
+    BUDGET, NODE_BUDGET, ROOT, BudgetError, Constraint, Order, RankProgram, classes,
+    compile_prop, decide_Gm, decide_LC, extend, whole_number,
 )
 from .semantics import expect_json
 
 
-class HerbrandError(Exception):
+class HerbrandError(GoedelError):
     pass
 
 
@@ -414,9 +414,6 @@ class ProveResult:
     # for "unknown" and "invalid": the open branch's order, under which
     # every instance up to level_reached stays below 1
     open_order: Optional[Constraint] = None
-
-
-NODE_BUDGET = 200_000
 
 
 def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,

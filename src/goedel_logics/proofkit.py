@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .formula import (
-    And, App, Atom, Bot, Exists, Forall, Formula, Imp, Neg, Or, Term, Top, Var,
+    And, App, Atom, Bot, Exists, Forall, Formula, GoedelError, Imp, Neg, Or, Term, Top, Var,
     ParseMemo, alpha_eq, free_vars, parse_term, print_formula, print_term, substitute,
 )
 from .decide import BUDGET
@@ -34,7 +34,7 @@ from .goedelset import GoedelSet
 from . import semantics
 
 
-class ProofError(Exception):
+class ProofError(GoedelError):
     pass
 
 

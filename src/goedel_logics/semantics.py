@@ -31,7 +31,7 @@ from .decide import (
     BUDGET, BudgetError, compile_prop, first_countermodel, goal_calls,
 )
 from .formula import (
-    App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Term, Var,
+    App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Term, Var,
     free_vars, print_formula, signature,
 )
 from .goedelset import GoedelSet, Interval, SeqDown, SeqUp, member, \
@@ -41,7 +41,7 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-class SemanticsError(Exception):
+class SemanticsError(GoedelError):
     pass
 
 
@@ -301,7 +301,7 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
         tables = size ** min(sum(size ** k for k in funcs.values()), cap)
         total += tables * goal_calls(slots, len(values), budget)
         if total > budget:
-            raise BudgetError(f"the order types times function tables of universe "
+            raise BudgetError(f"the points times function tables of universe "
                               f"sizes 1..{size} exceed the budget of {budget}")
 
     # a countermodel makes goal < 1 (and, for 1-entailment, premise = 1);

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .formula import (
-    App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, Neg, Term, Var,
+    App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Neg, Term, Var,
     free_vars, is_crisp, normalize, print_formula, signature, subformulas,
     substitute,
 )
 
 
-class TransformError(Exception):
+class TransformError(GoedelError):
     pass
 
 

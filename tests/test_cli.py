@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import goedel_logics
-from goedel_logics import decide, herbrand, semantics
-from goedel_logics.cli import main
-from goedel_logics.formula import parse
+from goedel_logics import decide, goedelset, herbrand, proofkit, semantics, transforms
+from goedel_logics.cli import build_parser, main
+from goedel_logics.formula import ParseError, parse
 from goedel_logics.herbrand import certificate_from_json, prove_prenex, verify_certificate
 
 
@@ -76,7 +77,7 @@ def test_decide_huge_input_exits_on_the_budget(capsys, tmp_path):
     code, out, err = run(capsys, "decide", "--logic", "LC", f"@{path}")
     assert (code, out) == (2, "")
     assert err.startswith("error: 4000 letters in LC: at least ")
-    assert err.endswith("order types exceed the budget of 10000000\n")
+    assert err.endswith(" points exceed the budget of 10000000\n")
 
 
 def test_prove_and_verify_roundtrip(capsys, tmp_path):
@@ -252,6 +253,53 @@ def test_malformed_interpretation_is_an_input_error(capsys, tmp_path):
         code, out, err = run(capsys, "eval", "-i", str(path), "exists x. P(x)")
         assert code == 3 and out == "", doc
         assert err.startswith("error:"), doc
+
+
+BAD_FILES = {"bad.proof": "garbage line\n", "interp.json": "[1,2]", "cert.json": "[1]"}
+
+
+# main reports every GoedelError with exit 3 and a BudgetError with exit 2
+@pytest.mark.parametrize("argv, error, exit_code", [
+    (["parse", "A ->"], ParseError, 3),
+    (["entail", "--truth-set", "{0,1", "A"], goedelset.SetSyntaxError, 3),
+    (["transform", "--kind", "ag", "P(x)"], transforms.NotClosedError, 3),
+    (["check-proof", "bad.proof"], proofkit.ProofError, 3),
+    (["prove", "--verify", "cert.json"], herbrand.CertificateFormatError, 3),
+    (["prove", "(forall x. P(x)) -> Q"], herbrand.NotPrenexError, 3),
+    (["eval", "-i", "interp.json", "A"], semantics.InterpretationFormatError, 3),
+    (["decide", "--logic", "LC", "forall x. P(x)"], decide.QuantifierError, 3),
+    (["decide", "--logic", "LC", "--budget", "0", "A"], decide.BudgetError, 2),
+])
+def test_each_typed_error_keeps_its_exit_code(capsys, monkeypatch, tmp_path,
+                                              argv, error, exit_code):
+    monkeypatch.chdir(tmp_path)
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    args = build_parser().parse_args(argv)
+    with pytest.raises(error):
+        args.fn(args)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (exit_code, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_parse_and_decide_load_only_formula_and_decide():
+    src = os.path.dirname(os.path.dirname(goedel_logics.__file__))
+    script = (
+        "import sys\n"
+        "import goedel_logics\n"
+        "print(sorted(m for m in sys.modules if m.startswith('goedel_logics.')))\n"
+        "from goedel_logics import cli\n"
+        "assert cli.main(['parse', 'A']) == 0\n"
+        "assert cli.main(['decide', '--logic', 'LC', "
+        "'(A1 -> A2) | (A2 -> A3) | (A3 -> A4) | (A4 -> A5) | (A5 -> A1)']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('goedel_logics.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]", "A", "valid",
+        "['goedel_logics.cli', 'goedel_logics.decide', 'goedel_logics.formula']"]
 
 
 def test_budget_env_var(capsys, monkeypatch):

@@ -93,7 +93,7 @@ def test_gm_budget_counts_order_types_not_valuations():
     assert 10 ** 7 < pinned_orders(4000, 4002, 10 ** 7) < 10 ** 9
     with pytest.raises(BudgetError) as e:
         decide_LC(parse(" & ".join(f"A{j}" for j in range(40))), budget=99)
-    assert str(e.value) == "40 letters in LC: at least 299 order types exceed the budget of 99"
+    assert str(e.value) == "40 letters in LC: at least 299 points exceed the budget of 99"
 
 
 def _random_formula(rng, depth, leaves):
