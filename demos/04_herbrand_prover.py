@@ -33,7 +33,19 @@ print("uncountable:", res_u.status, "at level", res_u.level_reached)
 print("   open order:", " < ".join(" = ".join(cls) for cls in res_u.open_order))
 
 # Reassembly: a machine-checkable trace from the Herbrand disjunction
-# back to the prenex formula, including the eigenvariable bookkeeping.
+# back to the prenex formula.  The disjuncts form a flat tuple; each step
+# drops a repeated disjunct (3) or puts one quantifier back on one
+# disjunct (4, 5), followed by the shift (6, 7) out of the others.
 trace = reassemble(res.certificate)
 print("trace verified:", verify_trace(trace, res.certificate))
 print(trace.describe())
+
+# Here the leading universal's Skolem constant c1() sits in both
+# disjuncts, so its eigenvariable is bound once, after they are contracted.
+pinned = parse("forall x1. exists x2. forall x3. "
+               "Q(x3) | Q(x2) | (Q(x3) -> Q(x1) & A) | (Q(x3) -> Q(x2))")
+res_p = prove_prenex(pinned, "finite:3", max_level=8)
+trace_p = reassemble(res_p.certificate)
+print("finite(3):", res_p.status, "at level", res_p.level_reached,
+      "- trace verified:", verify_trace(trace_p, res_p.certificate))
+print(trace_p.describe())

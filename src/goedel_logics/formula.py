@@ -146,6 +146,15 @@ def Top() -> Imp:
     return Imp(BOT, BOT)
 
 
+def balanced(join: type, parts: list[Formula]) -> Formula:
+    """parts joined by a binary connective as a balanced tree, so that
+    its depth grows with the logarithm of the number of parts."""
+    while len(parts) > 1:
+        paired = [join(a, b) for a, b in zip(parts[::2], parts[1::2])]
+        parts = paired + parts[len(paired) * 2:]
+    return parts[0]
+
+
 def is_top(f: Formula) -> bool:
     return isinstance(f, Imp) and isinstance(f.left, Bot) and isinstance(f.right, Bot)
 

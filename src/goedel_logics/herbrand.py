@@ -33,6 +33,15 @@ tree yields a certificate: the formula, the mode and the Herbrand
 disjunction.  The disjunction is checked independently by the
 propositional decision procedures, and the certificate can be
 reassembled into a rule trace deriving the original formula.
+
+A trace acts on a flat tuple of disjuncts, so commutation and
+association, rules (1)-(2), are implicit.  After the start, each Skolem
+term is replaced by a fresh eigenvariable, largest first.  Each later
+step acts on the one disjunct at index `at`: (3) drops it when another
+disjunct is equal to it, (5) introduces an existential, and (4) a
+universal whose eigenvariable is free in no other disjunct.  When other
+disjuncts are present, (4) and (5) stand for the rule applied to the
+whole disjunction followed by the shift (6) or (7) onto the one disjunct.
 """
 
 from __future__ import annotations
@@ -44,8 +53,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Term, Var,
-    alpha_eq, atoms, free_vars, fresh_name, is_prenex, normalize, parse, prefix_and_matrix,
-    print_formula, print_raw, print_term, signature, substitute, term_size,
+    alpha_eq, atoms, balanced, free_vars, fresh_name, is_prenex, normalize, parse,
+    prefix_and_matrix, print_formula, print_raw, print_term, signature, substitute, term_size,
 )
 from .decide import (
     BUDGET, NODE_BUDGET, ROOT, BudgetError, Constraint, Order, RankProgram, classes,
@@ -507,6 +516,16 @@ def _certificate(problem: HerbrandProblem, mode: str, closed: list) -> Certifica
     return Certificate(problem.original, mode, tuple(disjuncts))
 
 
+def _instances(problem: HerbrandProblem, disjuncts: Sequence[Formula]) -> bool:
+    """Whether every disjunct is a ground instance of the Herbrand matrix."""
+    try:
+        for d in disjuncts:
+            match_instance(problem, d)
+    except TraceConstructionError:
+        return False
+    return True
+
+
 def verify_certificate(cert: Certificate, budget: int = BUDGET) -> bool:
     """Check that every disjunct is a ground instance of the formula's
     Herbrand matrix, then the Herbrand disjunction propositionally,
@@ -514,16 +533,10 @@ def verify_certificate(cert: Certificate, budget: int = BUDGET) -> bool:
     G_n for finite mode.  A formula that is open or not prenex raises
     NotPrenexError."""
     problem = HerbrandProblem(cert.formula)
-    try:
-        for d in cert.disjuncts:
-            match_instance(problem, d)
-    except TraceConstructionError:
+    if not cert.disjuncts or not _instances(problem, cert.disjuncts):
         return False
-    if not cert.disjuncts:
-        return False
-    disjunction: Formula = cert.disjuncts[0]
-    for d in cert.disjuncts[1:]:
-        disjunction = Or(disjunction, d)
+    # joined as a balanced tree, so a long disjunction nests shallowly
+    disjunction = balanced(Or, list(cert.disjuncts))
     n = finite_bound(cert.mode)
     if n is None:
         return decide_LC(disjunction, budget).valid
@@ -536,19 +549,28 @@ def verify_certificate(cert: Certificate, budget: int = BUDGET) -> bool:
 
 @dataclass(frozen=True)
 class TraceStep:
-    kind: str            # "start" | "deskolem" | "rule"
-    formula: Formula
-    rule: Optional[int] = None
-    term: Optional[Term] = None
-    var: Optional[str] = None
+    """The disjuncts after one step; a rule step acts on the one at `at`."""
+    kind: str                    # "start" | "deskolem" | "rule"
+    parts: tuple[Formula, ...]
+    at: Optional[int] = None
+    rule: Optional[int] = None   # 3 contraction, 4 forall- or 5 exists-introduction
+    term: Optional[Term] = None  # the Skolem term replaced, or the exists witness
+    var: Optional[str] = None    # the variable put in, or the eigenvariable bound
+
+    @property
+    def formula(self) -> Formula:
+        return balanced(Or, list(self.parts))
 
     def describe(self) -> str:
+        text = " | ".join(f"[{print_raw(p)}]" for p in self.parts)
         if self.kind == "start":
-            return f"start        {print_raw(self.formula)}"
+            return f"start            {text}"
         if self.kind == "deskolem":
-            return (f"deskolem {print_term(self.term)} -> {self.var}:  "
-                    f"{print_raw(self.formula)}")
-        return f"rule ({self.rule})     {print_raw(self.formula)}"
+            return f"deskolem {print_term(self.term)} -> {self.var}:  {text}"
+        # with other disjuncts beside it, (4) and (5) are followed by the
+        # shift (6) or (7) that moves the quantifier onto the one disjunct
+        shift = f"+({self.rule + 2})" if self.rule != 3 and len(self.parts) > 1 else "    "
+        return f"rule ({self.rule}){shift} at {self.at}:  {text}"
 
 
 @dataclass
@@ -561,13 +583,6 @@ class Trace:
 
     def describe(self) -> str:
         return "\n".join(s.describe() for s in self.steps)
-
-
-def _or_fold(parts: Sequence[Formula]) -> Formula:
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Or(p, out)
-    return out
 
 
 def _replace_term(x, old: Term, new: Term):
@@ -586,254 +601,118 @@ def _replace_term(x, old: Term, new: Term):
     return x  # a variable other than old, or bot
 
 
-def reassemble(cert: Certificate, f: Optional[Formula] = None) -> Trace:
-    """A rule trace transforming the certificate's disjunction into the
-    prenex formula, using only commutation/association (1)-(2),
-    contraction (3), quantifier introduction (4)-(5) and the
-    disjunction shifts (6)-(7); Skolem terms are first replaced by fresh
-    eigenvariables, outermost terms first.
-
-    The trace starts from the disjuncts in dependency order (largest
-    embedded Skolem term first) so each universal introduction is legal
-    when its turn comes; the start formula's disjunct multiset equals the
-    certificate's.
-    """
-    target = normalize(cert.formula if f is None else f)
-    if f is not None and not alpha_eq(target, cert.formula):
-        raise TraceConstructionError("certificate does not belong to this formula")
-    problem = HerbrandProblem(target)
-    items = [{"ground": ground,
-              "vector": problem.full_term_vector(match_instance(problem, ground))}
-             for ground in cert.disjuncts]
-
-    skolem_names = {name for name, _ in problem.skolem_symbols}
-
-    def skolem_weight(item) -> int:
-        heaviest = 0
-        for t in item["vector"]:
-            for sub in _subterms(t):
-                if isinstance(sub, App) and sub.name in skolem_names:
-                    heaviest = max(heaviest, term_size(sub))
-        return heaviest
-
-    items.sort(key=lambda it: (-skolem_weight(it), print_formula(it["ground"])))
-
-    steps: list[TraceStep] = []
-    cur = _or_fold([it["ground"] for it in items])
-    steps.append(TraceStep("start", cur))
-
-    def emit(rule: int, formula: Formula, term: Optional[Term] = None,
-             var: Optional[str] = None) -> None:
-        nonlocal cur
-        cur = formula
-        steps.append(TraceStep("rule", formula, rule=rule, term=term, var=var))
-
-    # deskolemize, outermost (largest) terms first
-    sk_terms: dict[str, Term] = {}
-    for it in items:
-        for t in it["vector"]:
-            for sub in _subterms(t):
-                if isinstance(sub, App) and sub.name in skolem_names:
-                    sk_terms.setdefault(print_term(sub), sub)
-    fresh_i = 0
-
-    def fresh_var() -> str:
-        nonlocal fresh_i
-        fresh_i += 1
-        return f"y{fresh_i}"
-
-    for key in sorted(sk_terms, key=lambda k: (-term_size(sk_terms[k]), k)):
-        old = sk_terms[key]
-        var = fresh_var()
-        new_cur = _replace_term(cur, old, Var(var))
-        cur = new_cur
-        steps.append(TraceStep("deskolem", cur, term=old, var=var))
-        for it in items:
-            it["vector"] = [_replace_term(t, old, Var(var)) for t in it["vector"]]
-            it["ground"] = _replace_term(it["ground"], old, Var(var))
-
-    prefix, _ = prefix_and_matrix(target)
-    n = len(prefix)
-
-    def partial_target(j: int, vector: Sequence[Term]) -> Formula:
-        """Q_{j+1}..Q_n-quantified body with positions <= j instantiated."""
-        g: Formula = target
-        body_vars = []
-        for _, var in prefix:
-            body_vars.append(var)
-            g = g.body  # type: ignore[union-attr]
-        for pos in range(j):
-            g = substitute(g, body_vars[pos], vector[pos])
-        rebuilt = g
-        for pos in range(len(prefix) - 1, j - 1, -1):
-            kind, var = prefix[pos]
-            rebuilt = (Forall if kind == "forall" else Exists)(var, rebuilt)
-        return rebuilt
-
-    grounds = [it["ground"] for it in items]
-    vectors = [it["vector"] for it in items]
-    m = len(items)
-
-    def rest_tree(index: int, with_target: bool) -> Optional[Formula]:
-        """The untouched context to the right of item `index`."""
-        tail = grounds[index + 1:]
-        if not tail:
-            return target if with_target else None
-        folded = _or_fold(tail)
-        return Or(folded, target) if with_target else folded
-
-    have_target_copy = False
-    for index in range(m):
-        rest = rest_tree(index, have_target_copy)
-        vector = vectors[index]
-        for j in range(n, 0, -1):
-            kind, _ = prefix[j - 1]
-            t_j = vector[j - 1]
-            goal = partial_target(j - 1, vector)
-            inner = goal.body  # type: ignore[union-attr]
-            if kind == "forall":
-                if not isinstance(t_j, Var):
-                    raise TraceConstructionError(
-                        f"universal position {j} still holds the term {print_term(t_j)}")
-                if rest is not None and any(s == t_j for s in _subterms_of_formula(rest)):
-                    raise TraceConstructionError(
-                        f"eigenvariable {t_j.name} occurs outside its disjunct")
-                if rest is None:
-                    emit(4, goal, var=t_j.name)
-                else:
-                    emit(4, Forall(goal.var, Or(inner, rest)), var=t_j.name)  # type: ignore[union-attr]
-                    emit(6, Or(goal, rest))
-            else:
-                if rest is None:
-                    emit(5, goal, term=t_j)
-                else:
-                    emit(5, Exists(goal.var, Or(inner, rest)), term=t_j)  # type: ignore[union-attr]
-                    emit(7, Or(goal, rest))
-        # the item is now the target; shuffle it to the back and contract
-        if rest is None:
-            have_target_copy = True
-            continue
-        emit(1, Or(rest, target))
-        remaining = m - index - 1
-        if have_target_copy:
-            if remaining == 0:
-                emit(3, target)  # target | target, contracted directly
-            else:
-                tail = _or_fold(grounds[index + 1:])
-                emit(2, Or(tail, Or(target, target)))
-                emit(3, Or(tail, target))
-        if remaining >= 2:
-            emit(2, Or(grounds[index + 1], Or(_or_fold(grounds[index + 2:]), target)))
-        have_target_copy = True
-
-    if not alpha_eq(cur, target):
-        raise TraceConstructionError("trace did not reach the target formula")
-    return Trace(tuple(steps))
-
-
-def verify_trace(trace: Trace, cert: Certificate) -> bool:
-    """Check every step of a reassembly trace syntactically.
-
-    The start formula must carry the certificate's disjunct multiset;
-    each deskolemization must replace every occurrence of a Skolem-headed
-    ground term by a fresh variable; each rule step must match its schema.
-    """
-    target = cert.formula
-    problem = HerbrandProblem(target)
-    skolem_names = {name for name, _ in problem.skolem_symbols}
-    steps = trace.steps
-    if not steps or steps[0].kind != "start":
-        return False
-
-    # peel exactly len(disjuncts) parts off the right-assoc spine; the
-    # matrix itself may contain top-level disjunctions, so a full flatten
-    # would over-split
-    leaves: list[Formula] = []
-    cur: Formula = steps[0].formula
-    for _ in range(len(cert.disjuncts) - 1):
-        if not isinstance(cur, Or):
-            return False
-        leaves.append(cur.left)
-        cur = cur.right
-    leaves.append(cur)
-    start_leaves = sorted(print_formula(x) for x in leaves)
-    cert_leaves = sorted(print_formula(x) for x in cert.disjuncts)
-    if start_leaves != cert_leaves:
-        return False
-
-    prev = steps[0].formula
-    for step in steps[1:]:
-        if step.kind == "deskolem":
-            t, v = step.term, step.var
-            if t is None or v is None or not isinstance(t, App) or t.name not in skolem_names:
-                return False
-            if Var(v) in _subterms_of_formula(prev) or v in free_vars(prev):
-                return False
-            if any(s == t for s in _subterms_of_formula(step.formula)):
-                return False  # a Skolem occurrence survived
-            restored = _replace_term(step.formula, Var(v), t)
-            if restored != prev and not alpha_eq(restored, prev):
-                return False
-            prev = step.formula
-            continue
-        if step.kind != "rule":
-            return False
-        if not _check_rule_step(step.rule, prev, step.formula, step.term, step.var):
-            return False
-        prev = step.formula
-    return alpha_eq(prev, cert.formula)
-
-
-def _subterms_of_formula(f: Formula):
-    if isinstance(f, Atom):
-        for t in f.args:
-            yield from _subterms(t)
-    elif isinstance(f, (And, Or, Imp)):
-        yield from _subterms_of_formula(f.left)
-        yield from _subterms_of_formula(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from _subterms_of_formula(f.body)
-
-
-def _check_rule_step(rule: Optional[int], prev: Formula, new: Formula,
-                     term: Optional[Term], var: Optional[str]) -> bool:
-    if rule == 1:
-        return isinstance(prev, Or) and alpha_eq(new, Or(prev.right, prev.left))
-    if rule == 2:
-        return (isinstance(prev, Or) and isinstance(prev.left, Or)
-                and alpha_eq(new, Or(prev.left.left, Or(prev.left.right, prev.right))))
-    if rule == 3:
-        if isinstance(prev, Or) and isinstance(prev.right, Or) \
-                and alpha_eq(prev.right.left, prev.right.right) \
-                and alpha_eq(new, Or(prev.left, prev.right.left)):
-            return True
-        return (isinstance(prev, Or) and alpha_eq(prev.left, prev.right)
-                and alpha_eq(new, prev.left))
-    if rule == 4:
-        if not isinstance(new, Forall) or var is None:
-            return False
-        if var in free_vars(new):
-            return False
-        return alpha_eq(substitute(new.body, new.var, Var(var)), prev)
-    if rule == 5:
-        if not isinstance(new, Exists) or term is None:
-            return False
-        return alpha_eq(substitute(new.body, new.var, term), prev)
-    if rule == 6:
-        return (isinstance(prev, Forall) and isinstance(prev.body, Or)
-                and isinstance(new, Or)
-                and prev.var not in free_vars(prev.body.right)
-                and alpha_eq(new, Or(Forall(prev.var, prev.body.left), prev.body.right)))
-    if rule == 7:
-        return (isinstance(prev, Exists) and isinstance(prev.body, Or)
-                and isinstance(new, Or)
-                and prev.var not in free_vars(prev.body.right)
-                and alpha_eq(new, Or(Exists(prev.var, prev.body.left), prev.body.right)))
-    return False
-
-
 def _subterms(t: Term) -> Iterator[Term]:
     yield t
     if isinstance(t, App):
         for a in t.args:
             yield from _subterms(a)
+
+
+def reassemble(cert: Certificate, f: Optional[Formula] = None) -> Trace:
+    """A rule trace from the certificate's disjuncts to the prenex formula.
+
+    The disjuncts form a flat tuple, so commutation and association (1)-(2)
+    are implicit.  Each Skolem term is first replaced by a fresh
+    eigenvariable, largest first.  Then each step acts on one disjunct: it
+    drops one equal to another (3), else introduces a pending existential
+    (5), else a pending universal (4) whose eigenvariable occurs in no
+    other disjunct.  Once equal disjuncts are dropped and no existential
+    is pending, the pending universal with the largest (Skolem-term size,
+    prefix position) is such a one, so the loop never gets stuck.
+    """
+    target = normalize(cert.formula if f is None else f)
+    if f is not None and not alpha_eq(target, cert.formula):
+        raise TraceConstructionError("certificate does not belong to this formula")
+    if not cert.disjuncts:
+        raise TraceConstructionError("certificate has no disjuncts")
+    problem = HerbrandProblem(target)
+    prefix = problem.prefix
+    skolem_names = {name for name, _ in problem.skolem_symbols}
+    vectors = [problem.full_term_vector(match_instance(problem, g)) for g in cert.disjuncts]
+    parts = tuple(cert.disjuncts)
+    steps = [TraceStep("start", parts)]
+    skolem = {s for vector in vectors for t in vector for s in _subterms(t)
+              if isinstance(s, App) and s.name in skolem_names}
+    for i, old in enumerate(sorted(skolem, key=lambda s: (-term_size(s), print_term(s))), 1):
+        new = Var(f"y{i}")
+        parts = tuple(_replace_term(p, old, new) for p in parts)
+        vectors = [[_replace_term(t, old, new) for t in vector] for vector in vectors]
+        steps.append(TraceStep("deskolem", parts, term=old, var=new.name))
+
+    # disjunct j is the formula with its first depth[j] quantifiers
+    # instantiated by vectors[j]
+    depth = [len(prefix)] * len(parts)
+    while len(parts) > 1 or depth[0]:
+        at = next((j for j in range(1, len(parts)) if parts[j] in parts[:j]), None)
+        if at is not None:
+            parts = parts[:at] + parts[at + 1:]
+            del vectors[at], depth[at]
+            steps.append(TraceStep("rule", parts, at, 3))
+            continue
+        ready = [j for j, d in enumerate(depth) if d and (
+            prefix[d - 1][0] == "exists"
+            or not any(vectors[j][d - 1].name in free_vars(p)
+                       for k, p in enumerate(parts) if k != j))]
+        if not ready:
+            raise TraceConstructionError("no quantifier can be introduced")
+        at = min(ready, key=lambda j: prefix[depth[j] - 1][0] == "forall")
+        depth[at] -= 1
+        g, t = target, vectors[at][depth[at]]
+        for s in vectors[at][:depth[at]]:
+            g = substitute(g.body, g.var, s)  # type: ignore[union-attr]
+        parts = parts[:at] + (g,) + parts[at + 1:]
+        steps.append(TraceStep("rule", parts, at, 5, term=t) if isinstance(g, Exists)
+                     else TraceStep("rule", parts, at, 4, var=t.name))
+    return Trace(tuple(steps))
+
+
+def verify_trace(trace: Trace, cert: Certificate) -> bool:
+    """Check a reassembly trace step by step.
+
+    The start holds the certificate's disjuncts, each an instance of the
+    Herbrand matrix.  Each deskolemization, all before the first rule
+    step, replaces every occurrence of a Skolem-headed term by a variable
+    that occurs in no disjunct.  A rule step changes only the disjunct at
+    `at`: (3) drops it when another disjunct is alpha-equal to it, (5)
+    binds a term of it existentially, and (4) binds a variable of it
+    universally that is then free in no disjunct.  The trace must end at
+    the formula alone.
+    """
+    problem = HerbrandProblem(cert.formula)
+    skolem_names = {name for name, _ in problem.skolem_symbols}
+    steps = trace.steps
+    if (not steps or steps[0].kind != "start" or steps[0].parts != tuple(cert.disjuncts)
+            or not _instances(problem, cert.disjuncts)):
+        return False
+    prev, ruled = steps[0].parts, False
+    for step in steps[1:]:
+        if step.kind == "deskolem":
+            t, v = step.term, step.var
+            ok = (not ruled and isinstance(t, App) and t.name in skolem_names
+                  and isinstance(v, str) and not any(v in free_vars(p) for p in prev)
+                  and step.parts == tuple(_replace_term(p, t, Var(v)) for p in prev))
+        else:
+            ruled = True
+            ok = step.kind == "rule" and _rule_ok(step, prev)
+        if not ok:
+            return False
+        prev = step.parts
+    return len(prev) == 1 and alpha_eq(prev[0], cert.formula)
+
+
+def _rule_ok(step: TraceStep, prev: tuple[Formula, ...]) -> bool:
+    at, parts = step.at, step.parts
+    if not isinstance(at, int) or not 0 <= at < len(prev):
+        return False
+    if step.rule == 3:
+        return parts == prev[:at] + prev[at + 1:] and any(
+            alpha_eq(prev[at], p) for j, p in enumerate(prev) if j != at)
+    if len(parts) != len(prev) or parts[:at] + parts[at + 1:] != prev[:at] + prev[at + 1:]:
+        return False
+    q = parts[at]
+    if step.rule == 4 and isinstance(q, Forall) and step.var is not None:
+        return (alpha_eq(substitute(q.body, q.var, Var(step.var)), prev[at])
+                and not any(step.var in free_vars(p) for p in parts))
+    if step.rule == 5 and isinstance(q, Exists) and step.term is not None:
+        return alpha_eq(substitute(q.body, q.var, step.term), prev[at])
+    return False

@@ -29,7 +29,7 @@ from .formula import (
     And, App, Atom, Bot, Exists, Forall, Formula, GoedelError, Imp, Neg, Or, Term, Top, Var,
     ParseMemo, alpha_eq, free_vars, parse_term, print_formula, print_term, substitute,
 )
-from .decide import BUDGET
+from .decide import BUDGET, whole_number
 from .goedelset import GoedelSet
 from . import semantics
 
@@ -228,9 +228,9 @@ def system_axioms(system: str) -> dict[str, Callable[[Bindings], Formula]]:
     if system == "H0":
         axioms["ISO_0"] = _ax_ISO0
         return axioms
-    m = re.fullmatch(r"H(\d+)", system)
-    if m and int(m.group(1)) >= 2:
-        axioms["FIN"] = _fin_builder(int(m.group(1)))
+    n = whole_number(system[1:]) if system.startswith("H") else None
+    if n is not None:
+        axioms["FIN"] = _fin_builder(n)
         return axioms
     raise ProofError(f"unknown system {system!r}")
 

@@ -32,7 +32,7 @@ from .decide import (
 )
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Term, Var,
-    free_vars, print_formula, signature,
+    balanced, free_vars, print_formula, signature,
 )
 from .goedelset import GoedelSet, Interval, SeqDown, SeqUp, member, \
     finite_elements, parse_set, print_set
@@ -306,7 +306,7 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
 
     # a countermodel makes goal < 1 (and, for 1-entailment, premise = 1);
     # inf Gamma > B exactly when (&Gamma -> B) < 1
-    conj = _balanced(And, list(premises)) if premises else None
+    conj = balanced(And, list(premises)) if premises else None
     if one_entailment:
         goal, premise = conclusion, conj
     else:
@@ -319,15 +319,6 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
             return EntailmentResult(False, _interpretation(
                 preds, funcs, size, values, V, *found))
     return EntailmentResult(True)
-
-
-def _balanced(join: type, parts: list[Formula]) -> Formula:
-    """parts joined by a binary connective as a balanced tree, so that
-    its depth grows with the logarithm of the number of parts."""
-    while len(parts) > 1:
-        paired = [join(a, b) for a, b in zip(parts[::2], parts[1::2])]
-        parts = paired + parts[len(paired) * 2:]
-    return parts[0]
 
 
 def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int],
@@ -393,7 +384,7 @@ def _grounder(elems: Sequence[App], offsets: Mapping[str, int],
             # min and max over a nonempty universe of one value
             return ground(g.body, env)
         join = And if isinstance(g, Forall) else Or
-        return _balanced(join, [ground(g.body, {**env, g.var: i}) for i in range(size)])
+        return balanced(join, [ground(g.body, {**env, g.var: i}) for i in range(size)])
 
     return ground
 

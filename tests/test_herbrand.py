@@ -1,5 +1,6 @@
 """Herbrand forms, the semantic-tree prover, certificates and traces."""
 
+import dataclasses
 import inspect
 import itertools
 import random
@@ -15,7 +16,7 @@ from goedel_logics.decide import (
     BOT_MARK, ROOT, TOP_MARK, BudgetError, classes, extend,
 )
 from goedel_logics.herbrand import (
-    Certificate, HerbrandProblem, NotPrenexError, TraceConstructionError,
+    Certificate, HerbrandProblem, NotPrenexError, Trace, TraceConstructionError,
     certificate_from_json, closes, compile_instances, match_instance, prove_prenex,
     reassemble, verify_certificate, verify_trace,
 )
@@ -295,6 +296,12 @@ def test_forged_certificate_rejected():
     assert not verify_certificate(bad)
 
 
+def test_long_disjunction_verifies():
+    # the disjunction is joined as a balanced tree, not a 1,200-deep chain
+    cert = Certificate(TRIVIAL, "uncountable", (parse("P(c0()) -> P(c0())"),) * 1200)
+    assert verify_certificate(cert)
+
+
 def test_non_instance_disjunct_rejected():
     # a valid disjunct that is no instance of the Herbrand matrix
     forged = Certificate(C_DOWN_PRENEX, "uncountable", (parse("B -> B"),))
@@ -357,6 +364,66 @@ def test_reassemble_rejects_foreign_formula():
     res = prove_prenex(TRIVIAL, "uncountable", 4)
     with pytest.raises(TraceConstructionError):
         reassemble(res.certificate, C_DOWN_PRENEX)
+    # an empty certificate has nothing to reassemble
+    with pytest.raises(TraceConstructionError):
+        reassemble(Certificate(parse("exists x. (P(x) -> P(x))"), "uncountable", ()))
+
+
+def test_reassemble_round_trip_random_prenex():
+    # every certificate that verifies reassembles into a trace that verifies
+    rng = random.Random(2024)
+    traced = 0
+    for i in range(300):
+        f = random_prenex(rng, 2 + i % 3, ["P", "Q"], rng.randint(2, 4))
+        for mode in ("uncountable", "finite:3"):
+            try:
+                res = prove_prenex(f, mode, 5, node_budget=20000)
+            except BudgetError:
+                continue
+            if res.status == "valid" and verify_certificate(res.certificate):
+                tr = reassemble(res.certificate)
+                assert alpha_eq(tr.final, f), print_formula(f)
+                assert verify_trace(tr, res.certificate), print_formula(f)
+                traced += 1
+    assert traced >= 100
+
+
+PINNED = parse("forall x1. exists x2. forall x3. "
+               "Q(x3) | Q(x2) | (Q(x3) -> Q(x1) & A) | (Q(x3) -> Q(x2))")
+
+
+def test_reassemble_leading_universal_in_two_disjuncts():
+    # the Skolem constant of the leading universal occurs in both
+    # disjuncts; its forall is introduced once, after they are contracted
+    res = prove_prenex(PINNED, "finite:3", 8)
+    assert res.status == "valid" and res.level_reached == 4
+    assert len(res.certificate.disjuncts) == 2 and verify_certificate(res.certificate)
+    tr = reassemble(res.certificate)
+    assert [(s.rule, s.at) for s in tr.steps if s.kind == "rule"] == [
+        (4, 1), (5, 1), (4, 0), (5, 0), (3, 1), (4, 0)]
+    assert alpha_eq(tr.final, PINNED)
+    assert verify_trace(tr, res.certificate)
+
+
+def test_verify_trace_rejects_mutations():
+    res = prove_prenex(PINNED, "finite:3", 8)
+    cert = res.certificate
+    steps = reassemble(cert).steps
+    eigen = [s.var for s in steps if s.kind == "deskolem"]
+    mutants = [steps[:i] + steps[i + 1:] for i in range(len(steps))]  # a dropped step
+    for i, s in enumerate(steps):
+        if s.kind != "rule":
+            continue
+        changed = [dataclasses.replace(s, rule=r) for r in (3, 4, 5, 6, 7) if r != s.rule]
+        if s.rule == 4:
+            changed += [dataclasses.replace(s, var=v) for v in eigen if v != s.var]
+        if s.rule != 3:  # dropping either of two equal disjuncts is the same step
+            changed += [dataclasses.replace(s, at=a)
+                        for a in range(len(steps[i - 1].parts)) if a != s.at]
+        mutants += [steps[:i] + (m,) + steps[i + 1:] for m in changed]
+    assert len(mutants) > 25
+    for steps in mutants:
+        assert not verify_trace(Trace(steps), cert)
 
 
 def test_mixed_prefix_reassembly():

@@ -58,8 +58,12 @@ def test_axioms_by_system():
     assert "ISO_0" in system_axioms("H0")
     assert "FIN" in system_axioms("H4")
     assert "ISO_0" not in system_axioms("H4")
-    with pytest.raises(ProofError):
-        system_axioms("H1")
+    # n in H<n> is at least 2, in ASCII digits that int() takes
+    for system in ("H1", "H\u0663", "H" + "9" * 5000):
+        with pytest.raises(ProofError):
+            system_axioms(system)
+        r = check(replace(d_modus_ponens(), system=system))
+        assert not r.accepted and r.step is None and r.reason.startswith("unknown system")
 
 
 # --- corpus ------------------------------------------------------------------
