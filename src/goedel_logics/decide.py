@@ -20,7 +20,14 @@ that exhaustive evaluation finds first.  LC is decided by the same
 search at m = n + 2, the paper's finite reduction: n letters have at
 most n + 2 classes, so there the search evaluates once at every pinned
 weak order, which settles validity over every infinite truth-value set.
-Both budgets count that search's goal calls (goal_calls).  The
+Both decisions prune that walk on the goal's root disjuncts, the leaves
+of its top |-tree (compile_goal): once the walk places the last letter
+that a disjunct reads, it skips a prefix on which the disjunct is top
+with every point below it.  The goal is the max of its disjuncts, so it
+is top at each skipped point, and the first countermodel is unchanged;
+this is the Herbrand tree's closing rule, a branch closing once an
+instance is top, applied to the propositional search.  Both budgets
+count that search's goal calls before pruning (goal_calls).  The
 enumerator (ROOT, extend) represents an order by the rank vector of its
 letters and grows the Herbrand semantic tree.
 """
@@ -99,13 +106,7 @@ def compile_prop(f: Formula, index: Mapping[Atom, Hashable]) -> RankProgram:
             return x if x < y else y
         return conj
     if isinstance(f, Or):
-        def disj(ranks, top):
-            x = a(ranks, top)
-            if x == top:
-                return top
-            y = b(ranks, top)
-            return x if x > y else y
-        return disj
+        return _disj(a, b)
 
     def cond(ranks, top):
         x = a(ranks, top)
@@ -114,6 +115,52 @@ def compile_prop(f: Formula, index: Mapping[Atom, Hashable]) -> RankProgram:
         y = b(ranks, top)
         return top if x <= y else y
     return cond
+
+
+def _disj(a: RankProgram, b: RankProgram) -> RankProgram:
+    def disj(ranks, top):
+        x = a(ranks, top)
+        if x == top:
+            return top
+        y = b(ranks, top)
+        return x if x > y else y
+    return disj
+
+
+def compile_goal(f: Formula, index: Mapping[Atom, int],
+                 n: int) -> tuple[RankProgram, list[Optional[RankProgram]]]:
+    """(goal, ready): f compiled as by compile_prop, and first_countermodel's
+    ready programs for n letters.  A root disjunct of f, a leaf of its top
+    |-tree, has as last slot the largest index of its atoms (0 if it has
+    none); ready[p], for p < n - 1, is the | of the disjuncts whose last
+    slot is p, or None.  Each disjunct is compiled once and goal is joined
+    from those programs.  The |-tree is walked with a stack, as it may be
+    a long chain."""
+    if not isinstance(f, Or):
+        return compile_prop(f, index), []
+    ready: list[Optional[RankProgram]] = [None] * (n - 1)
+    progs: list[RankProgram] = []
+    stack: list[Optional[Formula]] = [f]
+    while stack:
+        g = stack.pop()
+        if g is None:
+            b = progs.pop()
+            progs.append(_disj(progs.pop(), b))
+        elif isinstance(g, Or):
+            stack += (None, g.right, g.left)
+        else:
+            prog = compile_prop(g, index)
+            progs.append(prog)
+            last, below = 0, [g]
+            for h in below:  # grows as it is read: every node of g once
+                if type(h) is Atom:
+                    if index[h] > last:
+                        last = index[h]
+                elif type(h) is not Bot:
+                    below += (h.left, h.right)
+            if last < n - 1:
+                ready[last] = prog if ready[last] is None else _disj(ready[last], prog)
+    return progs[0], ready
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +254,8 @@ def goal_calls(n: int, m: int, stop: int) -> int:
     return pinned_orders(n, m, stop)
 
 
-def first_countermodel(goal: RankProgram, m: int, n: int) -> Optional[tuple[int, ...]]:
+def first_countermodel(goal: RankProgram, m: int, n: int,
+                       ready: Sequence[Optional[RankProgram]] = ()) -> Optional[tuple[int, ...]]:
     """The first point ranks of range(m)^n, in product order, where goal
     has rank below the top rank m - 1; None if there is none.
 
@@ -216,7 +264,14 @@ def first_countermodel(goal: RankProgram, m: int, n: int) -> Optional[tuple[int,
     order with at most m classes.  goal depends only on order, so closing
     the gaps of a falsifying point keeps it falsifying and lowers every
     rank: the first falsifying point is gap-free.  Entailment runs it once
-    per function table and keeps the least (ranks, table) pair."""
+    per function table and keeps the least (ranks, table) pair.
+
+    ready, from compile_goal, holds for a slot p the | of goal's root
+    disjuncts that read no slot past p, or None.  Once the walk places
+    letter p, a candidate on which it is top is skipped with all the
+    points below it: goal is the max of its disjuncts, so it is top at
+    each of them, and the first countermodel stays the same.  The plain
+    loop ignores ready."""
     top = m - 1
     if m <= 4 or n <= 1:
         # the plain loop: at m <= 3 every point is gap-free and at m = 4 at
@@ -233,6 +288,7 @@ def first_countermodel(goal: RankProgram, m: int, n: int) -> Optional[tuple[int,
         # ranks[:p] are placed; their middle ranks are 1..k but for the
         # holes, which the letters from p on must fill
         left = last - p
+        closing = ready[p] if p < len(ready) else None
         if len(holes) > left:
             cands = holes
         else:
@@ -242,6 +298,8 @@ def first_countermodel(goal: RankProgram, m: int, n: int) -> Optional[tuple[int,
             cands = range(m) if hi >= top else [*range(hi), top]
         for v in cands:
             ranks[p] = v
+            if closing is not None and closing(ranks, top) == top:
+                continue
             if k < v < top:
                 kv, hv = v, holes + [*range(k + 1, v)]
             elif v in holes:
@@ -291,10 +349,12 @@ def _decide(f: Formula, m: Optional[int], budget: int) -> DecideResult:
     if n > budget.bit_length() or min(m, n + 3) ** n > budget:
         count = goal_calls(n, m, budget)
         if count > budget:
-            raise BudgetError(f"{n} letters in {logic}: at least {count} points "
-                              f"exceed the budget of {budget}")
-    prog = compile_prop(f, {a: i for i, a in enumerate(letters)})
-    ranks = first_countermodel(prog, m, n)
+            raise BudgetError(f"{n} letter{'' if n == 1 else 's'} in {logic}: at least "
+                              f"{count} points exceed the budget of {budget}")
+    index = {a: i for i, a in enumerate(letters)}
+    # the plain loop (m <= 4) skips no prefix, so it needs no disjuncts
+    prog, ready = compile_goal(f, index, n) if m > 4 else (compile_prop(f, index), ())
+    ranks = first_countermodel(prog, m, n, ready)
     if ranks is None:
         return DecideResult(True, logic)
     return DecideResult(False, logic, {a: _value(r, m - 1) for a, r in zip(letters, ranks)},

@@ -482,7 +482,9 @@ class _Parser:
             f = self.formula()
             self.expect(")")
             return f
-        if tok is not None and tok[0].isupper():
+        if tok is None:
+            self.next()  # raises "unexpected end of input" at the end column
+        elif tok[0].isupper():
             return self.atom()
         raise self.error(f"expected a formula, found {tok!r}")
 

@@ -28,6 +28,14 @@ def test_parse_ok_and_error(capsys):
     assert code == 0 and "exists" in out
     code, _, err = run(capsys, "parse", "A ->")
     assert code == 3 and "error" in err
+    # a formula cut short is reported at the end of the input
+    for text, at in (("", "1:1"), ("A &", "1:4"), ("A -> ", "1:5"), ("~", "1:2")):
+        assert run(capsys, "parse", text) == (3, "", f"error: {at}: unexpected end of input\n")
+
+
+def test_budget_error_names_one_letter(capsys):
+    assert run(capsys, "decide", "--budget", "2", "--logic", "LC", "A") == (
+        2, "", "error: 1 letter in LC: at least 3 points exceed the budget of 2\n")
 
 
 def test_classify_text_and_json(capsys):

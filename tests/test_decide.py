@@ -6,10 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from goedel_logics.decide import (
-    ROOT, BudgetError, QuantifierError, classes, compile_prop, decide_Gm, decide_LC,
-    _letters, extend, first_countermodel, goal_calls, pinned_orders,
+    ROOT, BudgetError, QuantifierError, classes, compile_goal, compile_prop, decide_Gm,
+    decide_LC, _letters, extend, first_countermodel, goal_calls, pinned_orders,
 )
-from goedel_logics.formula import Atom, Bot, And, Or, Imp, atoms, parse, print_formula
+from goedel_logics.formula import Atom, Bot, And, Or, Imp, Top, atoms, parse, print_formula
+from goedel_logics.goedelset import gm_values
 from goedel_logics.semantics import FiniteInterpretation, evaluate
 from goedel_logics.goedelset import gm_values, unit_interval
 from helpers import (
@@ -94,6 +95,9 @@ def test_gm_budget_counts_order_types_not_valuations():
     with pytest.raises(BudgetError) as e:
         decide_LC(parse(" & ".join(f"A{j}" for j in range(40))), budget=99)
     assert str(e.value) == "40 letters in LC: at least 299 points exceed the budget of 99"
+    with pytest.raises(BudgetError) as e:
+        decide_LC(parse("A"), budget=2)
+    assert str(e.value) == "1 letter in LC: at least 3 points exceed the budget of 2"
 
 
 def _random_formula(rng, depth, leaves):
@@ -180,6 +184,11 @@ def test_fin5_countermodel_in_g6():
     assert r.value == F(4, 5)
     assert r.countermodel == {Atom("A1"): F(4, 5), Atom("A2"): F(3, 4),
                               Atom("A3"): F(2, 3), Atom("A4"): F(1, 2)}
+    # as a root |, the walk prunes on its disjuncts: A1 alone is ready at
+    # the first letter, and the countermodel needs it one below top
+    bare = parse("A1 | (A1 -> A2) | (A2 -> A3) | (A3 -> A4) | ~A4")
+    assert decide_Gm(bare, 5).valid
+    assert (decide_Gm(bare, 6).countermodel, decide_Gm(bare, 6).value) == (r.countermodel, r.value)
 
 
 def test_first_countermodel_matches_the_product_oracle():
@@ -201,6 +210,92 @@ def test_first_countermodel_matches_the_product_oracle():
                 cases += 1
                 late += want is None or any(want[:-1])
     assert cases >= 2000 and late >= 800
+
+
+def _disjunction(rng, letters):
+    # a | of 2-6 random disjuncts, each over a few of the letters, so that
+    # many read only early slots; one in ten is the letter-free top
+    parts = []
+    for _ in range(rng.randint(2, 6)):
+        if rng.random() < 0.1:
+            parts.append(Top())
+            continue
+        leaves = rng.sample(letters, rng.randint(1, min(3, len(letters)))) + [Bot()]
+        parts.append(_random_formula(rng, rng.randint(1, 3), leaves))
+    f = parts.pop()
+    while parts:
+        f = Or(parts.pop(), f) if rng.random() < 0.5 else Or(f, parts.pop())
+    return f
+
+
+def test_pruned_walk_matches_the_product_oracle():
+    # skipping the prefixes on which a placed disjunct is top keeps the
+    # product loop's first falsifying point
+    rng = random.Random(18)
+    cases = pruned = found = 0
+    for n in range(2, 7):
+        letters = [Atom(f"A{j}") for j in range(n)]
+        index = {a: j for j, a in enumerate(letters)}
+        for m in range(5, 9):
+            if m ** n > 20000:
+                continue
+            for _ in range(40):
+                goal, ready = compile_goal(_disjunction(rng, letters), index, n)
+                want = reference_first_countermodel(goal, m, n)
+                assert first_countermodel(goal, m, n, ready) == want, (m, n)
+                cases += 1
+                pruned += any(ready)
+                found += want is not None
+    assert cases >= 600 and pruned >= cases // 2 and found >= cases // 4
+    # a letter-free disjunct that is top closes the walk at the first letter
+    f = Or(Imp(Bot(), Bot()), parse("A0 & A1 & A2"))
+    goal, ready = compile_goal(f, {Atom(f"A{j}"): j for j in range(3)}, 3)
+    assert ready[0] is not None and ready[1] is None
+    assert first_countermodel(goal, 5, 3, ready) is None
+
+
+def test_pruned_decisions_match_the_oracles():
+    # decide_LC and decide_Gm prune on the root disjuncts; their verdicts are
+    # reference_decide_LC's and their countermodels the product loop's first
+    rng = random.Random(19)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        f = _disjunction(rng, [Atom(f"A{j}") for j in range(n)])
+        letters = list(_letters(f).values())
+        prog = compile_prop(f, {a: i for i, a in enumerate(letters)})
+        assert decide_LC(f).valid == reference_decide_LC(f).valid
+        for m in (5, 7, len(letters) + 2):
+            r = decide_LC(f) if m == len(letters) + 2 else decide_Gm(f, m)
+            want = reference_first_countermodel(prog, m, len(letters))
+            assert r.valid == (want is None)
+            if want is not None:
+                values = gm_values(m)
+                assert r.countermodel == {a: values[x] for a, x in zip(letters, want)}
+                assert eval_prop(f, r.countermodel) == r.value == values[prog(want, m - 1)] < 1
+
+
+def _cycle(n):
+    return parse(" | ".join(f"(A{j} -> A{j % n + 1})" for j in range(1, n + 1)))
+
+
+def test_valid_cycles_follow_only_descending_prefixes():
+    # every disjunct of the n-cycle but the last is ready one letter after
+    # its antecedent, so only strictly descending prefixes stay open
+    f = _cycle(8)
+    letters = list(_letters(f).values())
+    prog, ready = compile_goal(f, {a: i for i, a in enumerate(letters)}, 8)
+    calls = 0
+
+    def goal(ranks, top):
+        nonlocal calls
+        calls += 1
+        return prog(ranks, top)
+    assert first_countermodel(goal, 10, 8, ready) is None
+    assert calls <= 100
+    # the budget still counts the unpruned order types before the search
+    assert decide_LC(_cycle(12), budget=10 ** 12).valid
+    with pytest.raises(BudgetError):
+        decide_LC(_cycle(9))
 
 
 def test_gap_free_walk_evaluates_one_point_per_order():

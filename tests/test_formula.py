@@ -41,15 +41,17 @@ def test_parse_quantifier_scope_maximal():
 
 
 PARSE_ERRORS = [
-    ("", 1, 1, "expected a formula, found None"),
-    ("  \n ", 1, 1, "expected a formula, found None"),
-    # at the end of input: the start of the last token, or its end
-    ("A -> ", 1, 3, "expected a formula, found None"),
+    ("", 1, 1, "unexpected end of input"),
+    ("  \n ", 1, 1, "unexpected end of input"),
+    # at the end of input: the end of the last token
+    ("A -> ", 1, 5, "unexpected end of input"),
+    ("A &", 1, 4, "unexpected end of input"),
+    ("~", 1, 2, "unexpected end of input"),
     ("(A -> B", 1, 8, "unexpected end of input"),
     ("A &\n  (B -> )", 2, 9, "expected a formula, found ')'"),
     ("A\r\nB", 2, 1, "trailing input 'B'"),
     ("A\x0cB", 2, 1, "trailing input 'B'"),
-    ("A\x1c &", 2, 2, "expected a formula, found None"),
+    ("A\x1c &", 2, 3, "unexpected end of input"),
     ("A B", 1, 3, "trailing input 'B'"),
     ("forall P. A", 1, 8, "expected variable after forall, found 'P'"),
     ("exists bot. A", 1, 8, "expected variable after exists, found 'bot'"),
