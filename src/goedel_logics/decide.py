@@ -20,16 +20,16 @@ that exhaustive evaluation finds first.  LC is decided by the same
 search at m = n + 2, the paper's finite reduction: n letters have at
 most n + 2 classes, so there the search evaluates once at every pinned
 weak order, which settles validity over every infinite truth-value set.
-Both decisions prune that walk on the goal's root disjuncts, the leaves
-of its top |-tree (compile_goal): once the walk places the last letter
-that a disjunct reads, it skips a prefix on which the disjunct is top
-with every point below it.  The goal is the max of its disjuncts, so it
-is top at each skipped point, and the first countermodel is unchanged;
-this is the Herbrand tree's closing rule, a branch closing once an
-instance is top, applied to the propositional search.  Both budgets
-count that search's goal calls before pruning (goal_calls).  The
-enumerator (ROOT, extend) represents an order by the rank vector of its
-letters and grows the Herbrand semantic tree.
+One walk (read_goal) gives the goal's letters and its root disjuncts,
+the leaves of its top |-tree.  From m = 5 on, the search skips each
+prefix on which a disjunct that reads no later letter is top, with every
+point below it: the goal is the max of its disjuncts, so it is top at
+each skipped point, and the first countermodel is unchanged; this is the
+Herbrand tree's closing rule, a branch closing once an instance is top,
+applied to the propositional search.  Both budgets count the goal calls
+before pruning (goal_calls).  The enumerator (ROOT, extend) represents
+an order by the rank vector of its letters and grows the Herbrand
+semantic tree.
 """
 
 from __future__ import annotations
@@ -39,7 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
-from .formula import Atom, Bot, And, Or, Imp, Formula, GoedelError, atoms, print_formula, print_raw
+from .formula import (
+    Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, balanced, print_formula,
+    print_raw,
+)
 
 BOT_MARK = "bot"
 TOP_MARK = "top"
@@ -127,40 +130,54 @@ def _disj(a: RankProgram, b: RankProgram) -> RankProgram:
     return disj
 
 
-def compile_goal(f: Formula, index: Mapping[Atom, int],
-                 n: int) -> tuple[RankProgram, list[Optional[RankProgram]]]:
-    """(goal, ready): f compiled as by compile_prop, and first_countermodel's
-    ready programs for n letters.  A root disjunct of f, a leaf of its top
-    |-tree, has as last slot the largest index of its atoms (0 if it has
-    none); ready[p], for p < n - 1, is the | of the disjuncts whose last
-    slot is p, or None.  Each disjunct is compiled once and goal is joined
-    from those programs.  The |-tree is walked with a stack, as it may be
-    a long chain."""
-    if not isinstance(f, Or):
-        return compile_prop(f, index), []
-    ready: list[Optional[RankProgram]] = [None] * (n - 1)
-    progs: list[RankProgram] = []
-    stack: list[Optional[Formula]] = [f]
+def read_goal(f: Formula) -> tuple[list[Atom], list[tuple[Formula, int]]]:
+    """(letters, parts) from one walk of f, with its own stack, as the
+    |-tree may be a long chain.  letters are f's atoms, quantified ones too
+    (the budget counts them before compile_prop refuses a quantifier),
+    each printed once and sorted by that text, which fixes the first
+    countermodel.  parts are the leaves of f's top |-tree, left to right (a
+    root that is not a | is one), each with the largest slot it reads or 0."""
+    parts: list[Formula] = []
+    readers: dict[Atom, list[int]] = {}  # the positions of the parts that read an atom
+    stack = [f]
     while stack:
         g = stack.pop()
-        if g is None:
-            b = progs.pop()
-            progs.append(_disj(progs.pop(), b))
-        elif isinstance(g, Or):
-            stack += (None, g.right, g.left)
-        else:
-            prog = compile_prop(g, index)
-            progs.append(prog)
-            last, below = 0, [g]
-            for h in below:  # grows as it is read: every node of g once
-                if type(h) is Atom:
-                    if index[h] > last:
-                        last = index[h]
-                elif type(h) is not Bot:
-                    below += (h.left, h.right)
-            if last < n - 1:
-                ready[last] = prog if ready[last] is None else _disj(ready[last], prog)
-    return progs[0], ready
+        if isinstance(g, Or):
+            stack += (g.right, g.left)
+            continue
+        below = [g]
+        for h in below:  # grows as it is read: every node of g once
+            kind = type(h)
+            if kind is Atom:
+                readers.setdefault(h, []).append(len(parts))
+            elif kind is Forall or kind is Exists:
+                below.append(h.body)
+            elif kind is not Bot:
+                below += (h.left, h.right)
+        parts.append(g)
+    by_name = {print_raw(a): a for a in readers}
+    letters = [by_name[name] for name in sorted(by_name)]
+    # slots ascend, so each part keeps the largest slot it reads
+    last = {k: j for j, a in enumerate(letters) for k in readers[a]}
+    return letters, [(g, last.get(k, 0)) for k, g in enumerate(parts)]
+
+
+def compile_goal(parts: Sequence[tuple[Formula, int]],
+                 letters: Sequence[Atom]) -> tuple[RankProgram, list[Optional[RankProgram]]]:
+    """(goal, ready): each part of read_goal compiled once by compile_prop,
+    letters[j] at slot j, and joined as balanced trees, so a long chain
+    evaluates shallowly: goal joins all parts, and first_countermodel's
+    ready[p], for p < n - 1, those whose last slot is p (None if none)."""
+    index = {a: j for j, a in enumerate(letters)}
+    ready: list[Optional[RankProgram]] = [None] * (len(letters) - 1)
+    progs, by_last = [], {}
+    for g, last in parts:
+        progs.append(compile_prop(g, index))
+        if last < len(ready):
+            by_last.setdefault(last, []).append(progs[-1])
+    for p, ps in by_last.items():
+        ready[p] = balanced(_disj, ps)
+    return balanced(_disj, progs), ready
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +254,6 @@ class DecideResult:
         return self.valid
 
 
-def _letters(f: Formula) -> dict[str, Atom]:
-    """Atoms keyed by their printed form, in sorted order; the enumeration
-    and therefore the first countermodel follow this order."""
-    by_name = {print_raw(a): a for a in atoms(f)}
-    return {name: by_name[name] for name in sorted(by_name)}
-
-
 def goal_calls(n: int, m: int, stop: int) -> int:
     """The most goal calls first_countermodel(goal, m, n) makes: every
     point of range(m)^n on its plain loop (m <= 4), else one per pinned
@@ -271,7 +281,7 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
     letter p, a candidate on which it is top is skipped with all the
     points below it: goal is the max of its disjuncts, so it is top at
     each of them, and the first countermodel stays the same.  The plain
-    loop ignores ready."""
+    loop ignores ready: at m <= 4 the walk costs more than it skips."""
     top = m - 1
     if m <= 4 or n <= 1:
         # the plain loop: at m <= 3 every point is gap-free and at m = 4 at
@@ -340,7 +350,7 @@ def decide_LC(f: Formula, budget: int = BUDGET) -> DecideResult:
 
 def _decide(f: Formula, m: Optional[int], budget: int) -> DecideResult:
     """The one decision: G_m, or LC when m is None."""
-    letters = list(_letters(f).values())
+    letters, parts = read_goal(f)
     n = len(letters)
     logic, m = ("LC", n + 2) if m is None else (f"G{m}", m)
     # 2^n <= goal calls <= min(m, n + 3)^n, as they are m^n on the plain
@@ -351,9 +361,7 @@ def _decide(f: Formula, m: Optional[int], budget: int) -> DecideResult:
         if count > budget:
             raise BudgetError(f"{n} letter{'' if n == 1 else 's'} in {logic}: at least "
                               f"{count} points exceed the budget of {budget}")
-    index = {a: i for i, a in enumerate(letters)}
-    # the plain loop (m <= 4) skips no prefix, so it needs no disjuncts
-    prog, ready = compile_goal(f, index, n) if m > 4 else (compile_prop(f, index), ())
+    prog, ready = compile_goal(parts, letters)
     ranks = first_countermodel(prog, m, n, ready)
     if ranks is None:
         return DecideResult(True, logic)

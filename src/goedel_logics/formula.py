@@ -20,7 +20,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterator, Mapping, Optional, Union
+from typing import AbstractSet, Callable, Iterator, Mapping, Optional, TypeVar, Union
+
+_T = TypeVar("_T")
 
 
 class GoedelError(Exception):
@@ -146,9 +148,9 @@ def Top() -> Imp:
     return Imp(BOT, BOT)
 
 
-def balanced(join: type, parts: list[Formula]) -> Formula:
-    """parts joined by a binary connective as a balanced tree, so that
-    its depth grows with the logarithm of the number of parts."""
+def balanced(join: Callable[[_T, _T], _T], parts: list[_T]) -> _T:
+    """parts joined by a binary join (a connective, or _disj on programs) as
+    a balanced tree, whose depth grows with the logarithm of len(parts)."""
     while len(parts) > 1:
         paired = [join(a, b) for a, b in zip(parts[::2], parts[1::2])]
         parts = paired + parts[len(paired) * 2:]

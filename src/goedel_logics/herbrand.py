@@ -444,8 +444,7 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
                          else (max_level, "unknown"))
 
     closed: list = []  # (level, instance) of each closed branch, in visit order
-    index: dict[Atom, int] = {}  # base atom -> its slot in the orders
-    names: list[str] = []  # the base atoms' names, by slot
+    index: dict[Atom, int] = {}  # base atom -> its slot in the orders, in slot order
     # levels[L]: the instances new at L, compiled when the walk first gets there
     levels = [compile_instances(problem.new_instances(0), index)]
     stack: list[Order] = []  # open nodes not yet extended; an order's level is len - 1
@@ -472,7 +471,7 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
         if still_open:
             if level == stop:
                 return ProveResult(open_status, None, level, problem,
-                                   classes(still_open[0], names))
+                                   classes(still_open[0], [print_raw(a) for a in index]))
             still_open.reverse()  # the first child is extended first
             stack.extend(still_open)
         if not stack:
@@ -483,7 +482,6 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
             try:
                 next_atom = problem.base(level)[-1]
                 index[next_atom] = level
-                names.append(print_raw(next_atom))
                 levels.append(compile_instances(problem.new_instances(level), index))
             except RecursionError:
                 # a deep walk grows terms past what the recursive term code takes
@@ -497,23 +495,14 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
 
 
 def _certificate(problem: HerbrandProblem, mode: str, closed: list) -> Certificate:
-    """The certificate of a closed tree: the instances of closed,
-    deduplicated by their text in tree order.  Branches that closed on
-    one instance share its formula object, so each instance is printed
-    once."""
-    # the instances already printed, by id; holding them keeps their ids unique
-    printed: dict[int, Formula] = {}
-    seen: set[str] = set()
-    disjuncts: list[Formula] = []
-    for _, (_, ground) in closed:
-        if id(ground) in printed:
-            continue
-        printed[id(ground)] = ground
-        text = print_formula(ground)
-        if text not in seen:
-            seen.add(text)
-            disjuncts.append(ground)
-    return Certificate(problem.original, mode, tuple(disjuncts))
+    """The certificate of a closed tree: the instances of closed, each
+    kept once in tree order.  Branches that closed on one instance share its
+    formula object, and no two instance objects print alike: every instance
+    new at level L contains C_L, and the instances within a level differ in
+    the binding of a matrix variable.  So keeping each object once, by
+    identity, is keeping each text once."""
+    grounds = {id(ground): ground for _, (_, ground) in closed}  # closed keeps ids unique
+    return Certificate(problem.original, mode, tuple(grounds.values()))
 
 
 def _instances(problem: HerbrandProblem, disjuncts: Sequence[Formula]) -> bool:

@@ -11,7 +11,7 @@ from typing import Iterator, Optional, Sequence
 
 from goedel_logics.decide import (
     BOT_MARK, ROOT, TOP_MARK, BUDGET, BudgetError, Constraint, DecideError, DecideResult,
-    QuantifierError, _letters, compile_prop, extend, pinned_orders,
+    QuantifierError, compile_prop, extend, pinned_orders,
 )
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula,
@@ -160,7 +160,8 @@ def reference_decide_LC(f: Formula, budget: int = BUDGET) -> DecideResult:
     """The slow oracle for decide.decide_LC: evaluating at the class ranks
     of every pinned weak order of the letters, depth first with the last
     letter innermost; returns the first countermodel found."""
-    atom_of = _letters(f)
+    atom_of = {print_raw(a): a for a in atoms(f)}
+    atom_of = {name: atom_of[name] for name in sorted(atom_of)}
     names = list(atom_of)
     n = len(names)
     count = pinned_orders(n)

@@ -88,6 +88,22 @@ def test_decide_huge_input_exits_on_the_budget(capsys, tmp_path):
     assert err.endswith(" points exceed the budget of 10000000\n")
 
 
+def test_decide_long_chains_evaluate_shallowly(capsys, tmp_path):
+    # the root disjuncts are read with a stack and joined as a balanced
+    # tree, so a 3,000-disjunct chain nests about 12 calls deep, not 3,000
+    chain = tmp_path / "chain.txt"
+    chain.write_text(" | ".join(["A"] * 3000))
+    for logic in ("G5", "LC"):
+        assert run(capsys, "decide", "--logic", logic, f"@{chain}") == (
+            1, "countermodel: {A=0} (value 0)\n", ""), logic
+    # the same holds for each ready program of the walk: here the 1,000
+    # copies of (A1 -> A2) are ready at the second letter
+    cycles = tmp_path / "cycles.txt"
+    cycles.write_text(" | ".join(["(A1 -> A2) | (A2 -> A3) | (A3 -> A1)"] * 1000))
+    for logic in ("G5", "LC"):
+        assert run(capsys, "decide", "--logic", logic, f"@{cycles}") == (0, "valid\n", ""), logic
+
+
 def test_prove_and_verify_roundtrip(capsys, tmp_path):
     cert_file = tmp_path / "cert.json"
     code, out, _ = run(capsys, "prove", "--mode", "finite:3", "--max-level", "8",

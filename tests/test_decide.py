@@ -7,7 +7,7 @@ import pytest
 
 from goedel_logics.decide import (
     ROOT, BudgetError, QuantifierError, classes, compile_goal, compile_prop, decide_Gm,
-    decide_LC, _letters, extend, first_countermodel, goal_calls, pinned_orders,
+    decide_LC, extend, first_countermodel, goal_calls, pinned_orders, read_goal,
 )
 from goedel_logics.formula import Atom, Bot, And, Or, Imp, Top, atoms, parse, print_formula
 from goedel_logics.goedelset import gm_values
@@ -167,7 +167,24 @@ def test_letter_order_is_the_sorted_printed_atoms():
                  "P(g(c(), c())) | P(c()) | A | R(d(), c())"):
         f = parse(text)
         by_name = {print_formula(a): a for a in atoms(f)}
-        assert list(_letters(f).items()) == [(name, by_name[name]) for name in sorted(by_name)]
+        assert read_goal(f)[0] == [by_name[name] for name in sorted(by_name)]
+
+
+def test_read_goal_reads_letters_and_root_disjuncts_in_one_walk():
+    # the leaves of the top |-tree, left to right, each with the largest
+    # slot it reads; a root that is not a | is one disjunct, and atoms
+    # under a quantifier are letters too
+    f = parse("(B | A & C) | (forall x. P(x)) | ~(A | B) | top")
+    letters, parts = read_goal(f)
+    assert letters == [Atom("A"), Atom("B"), Atom("C"), parse("P(x)")]
+    assert [(print_formula(g), last) for g, last in parts] == [
+        ("B", 1), ("A & C", 2), ("forall x1. P(x1)", 3), ("~(A | B)", 1), ("top", 0)]
+    f = parse("A & (B | C)")
+    abc = [Atom("A"), Atom("B"), Atom("C")]
+    assert read_goal(f) == (abc, [(f, 2)])
+    # so a non-| root has no separate path: its one disjunct is never ready
+    goal, ready = compile_goal(read_goal(f)[1], abc)
+    assert ready == [None, None] and goal((1, 0, 2), 2) == 1
 
 
 def test_first_countermodel_is_lexicographic():
@@ -235,21 +252,21 @@ def test_pruned_walk_matches_the_product_oracle():
     cases = pruned = found = 0
     for n in range(2, 7):
         letters = [Atom(f"A{j}") for j in range(n)]
-        index = {a: j for j, a in enumerate(letters)}
         for m in range(5, 9):
             if m ** n > 20000:
                 continue
             for _ in range(40):
-                goal, ready = compile_goal(_disjunction(rng, letters), index, n)
-                want = reference_first_countermodel(goal, m, n)
-                assert first_countermodel(goal, m, n, ready) == want, (m, n)
+                read, parts = read_goal(_disjunction(rng, letters))
+                goal, ready = compile_goal(parts, read)
+                want = reference_first_countermodel(goal, m, len(read))
+                assert first_countermodel(goal, m, len(read), ready) == want, (m, n)
                 cases += 1
                 pruned += any(ready)
                 found += want is not None
     assert cases >= 600 and pruned >= cases // 2 and found >= cases // 4
     # a letter-free disjunct that is top closes the walk at the first letter
     f = Or(Imp(Bot(), Bot()), parse("A0 & A1 & A2"))
-    goal, ready = compile_goal(f, {Atom(f"A{j}"): j for j in range(3)}, 3)
+    goal, ready = compile_goal(read_goal(f)[1], [Atom(f"A{j}") for j in range(3)])
     assert ready[0] is not None and ready[1] is None
     assert first_countermodel(goal, 5, 3, ready) is None
 
@@ -261,7 +278,7 @@ def test_pruned_decisions_match_the_oracles():
     for _ in range(300):
         n = rng.randint(2, 5)
         f = _disjunction(rng, [Atom(f"A{j}") for j in range(n)])
-        letters = list(_letters(f).values())
+        letters = sorted(atoms(f), key=print_formula)
         prog = compile_prop(f, {a: i for i, a in enumerate(letters)})
         assert decide_LC(f).valid == reference_decide_LC(f).valid
         for m in (5, 7, len(letters) + 2):
@@ -282,8 +299,8 @@ def test_valid_cycles_follow_only_descending_prefixes():
     # every disjunct of the n-cycle but the last is ready one letter after
     # its antecedent, so only strictly descending prefixes stay open
     f = _cycle(8)
-    letters = list(_letters(f).values())
-    prog, ready = compile_goal(f, {a: i for i, a in enumerate(letters)}, 8)
+    letters = sorted(atoms(f), key=print_formula)
+    prog, ready = compile_goal(read_goal(f)[1], letters)
     calls = 0
 
     def goal(ranks, top):
