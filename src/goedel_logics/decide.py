@@ -21,20 +21,18 @@ search at m = n + 2, the paper's finite reduction: n letters have at
 most n + 2 classes, so there the search evaluates once at every pinned
 weak order, which settles validity over every infinite truth-value set.
 One walk (read_goal) gives the goal's letters and its root disjuncts,
-the leaves of its top |-tree.  From m = 5 on, the search skips each
-prefix on which a disjunct that reads no later letter is top, with every
-point below it: the goal is the max of its disjuncts, so it is top at
-each skipped point, and the first countermodel is unchanged; this is the
-Herbrand tree's closing rule, a branch closing once an instance is top,
-applied to the propositional search.  Both budgets count the goal calls
-before pruning (goal_calls).  The enumerator (ROOT, extend) represents
-an order by the rank vector of its letters and grows the Herbrand
-semantic tree.
+the leaves of its top |-tree.  The search skips each prefix on which a
+disjunct that reads no later letter is top, with every point below it:
+the goal is the max of its disjuncts, so it is top at each skipped
+point, and the first countermodel is unchanged; this is the Herbrand
+tree's closing rule, a branch closing once an instance is top, applied
+to the propositional search.  Every budget counts the goal calls before
+pruning (search_points).  The enumerator (ROOT, extend) holds an order
+as the rank vector of its letters and grows the Herbrand semantic tree.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping, Optional, Sequence
@@ -254,14 +252,24 @@ class DecideResult:
         return self.valid
 
 
-def goal_calls(n: int, m: int, stop: int) -> int:
-    """The most goal calls first_countermodel(goal, m, n) makes: every
-    point of range(m)^n on its plain loop (m <= 4), else one per pinned
-    weak order with at most m classes.  Once past stop, a lower bound
-    past stop is returned."""
-    if m <= 4:
-        return m ** min(n, stop.bit_length() + 1)
-    return pinned_orders(n, m, stop)
+def search_points(terms: Sequence[tuple[int, int]], m: int, budget: int) -> tuple[int, int]:
+    """(total, k): times the goal calls of first_countermodel(goal, m, n)
+    before pruning, one per order type, summed over the pairs (times, n) of
+    terms to the k-th, the first where total passes budget (a lower bound
+    then), or the last.  The powers min(m, n + 2) ** n bound the counts and
+    cost far less than pinned_orders, which is summed only once they pass."""
+    cap = budget.bit_length() + 1  # 2 ** cap passes budget
+    for exact in (False, True):
+        total = k = 0
+        for times, n in terms:
+            k += 1  # the power below is min(m, n + 2) ** min(n, cap) without builtin calls
+            total += times * (pinned_orders(n, m, budget) if exact
+                              else (m if m < n + 2 else n + 2) ** (n if n < cap else cap))
+            if total > budget:
+                break
+        if total <= budget:
+            break
+    return total, k
 
 
 def first_countermodel(goal: RankProgram, m: int, n: int,
@@ -280,14 +288,11 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
     disjuncts that read no slot past p, or None.  Once the walk places
     letter p, a candidate on which it is top is skipped with all the
     points below it: goal is the max of its disjuncts, so it is top at
-    each of them, and the first countermodel stays the same.  The plain
-    loop ignores ready: at m <= 4 the walk costs more than it skips."""
+    each of them, and the first countermodel stays the same."""
     top = m - 1
-    if m <= 4 or n <= 1:
-        # the plain loop: at m <= 3 every point is gap-free and at m = 4 at
-        # most 5/16 have a gap, so the walk cannot pay; one letter's gap-free
-        # points are 0, 1 and top
-        for ranks in itertools.product(range(m) if m <= 4 else (0, 1, top), repeat=n):
+    if n <= 1:
+        # nothing to walk: one letter's gap-free ranks are 0, 1 and top
+        for ranks in [(v,) for v in sorted({0, 1, top})] if n else [()]:
             if goal(ranks, top) < top:
                 return ranks
         return None
@@ -332,10 +337,9 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
 
 
 def decide_Gm(f: Formula, m: int, budget: int = BUDGET) -> DecideResult:
-    """Decide validity over V_m by first_countermodel, which evaluates
-    one point per pinned weak order with at most m classes; returns the
-    first countermodel in lexicographic order when there is one.  The
-    budget bounds its goal calls (goal_calls), all m^n only for m <= 4."""
+    """Decide validity over V_m by first_countermodel; returns the first
+    countermodel in lexicographic order when there is one.  The budget
+    bounds its goal calls before pruning, one per order type (search_points)."""
     if m < 2:
         raise ValueError("m must be at least 2")
     return _decide(f, m, budget)
@@ -353,14 +357,10 @@ def _decide(f: Formula, m: Optional[int], budget: int) -> DecideResult:
     letters, parts = read_goal(f)
     n = len(letters)
     logic, m = ("LC", n + 2) if m is None else (f"G{m}", m)
-    # 2^n <= goal calls <= min(m, n + 3)^n, as they are m^n on the plain
-    # loop (m <= 4) and at most min(m, n + 2)^n on the walk: count them
-    # unless that power is within budget, which it cannot be once 2^n passes it
-    if n > budget.bit_length() or min(m, n + 3) ** n > budget:
-        count = goal_calls(n, m, budget)
-        if count > budget:
-            raise BudgetError(f"{n} letter{'' if n == 1 else 's'} in {logic}: at least "
-                              f"{count} points exceed the budget of {budget}")
+    count, _ = search_points([(1, n)], m, budget)
+    if count > budget:
+        raise BudgetError(f"{n} letter{'' if n == 1 else 's'} in {logic}: at least "
+                          f"{count} points exceed the budget of {budget}")
     prog, ready = compile_goal(parts, letters)
     ranks = first_countermodel(prog, m, n, ready)
     if ranks is None:

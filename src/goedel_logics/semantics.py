@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .decide import (
-    BUDGET, BudgetError, compile_prop, first_countermodel, goal_calls,
+    BUDGET, BudgetError, compile_prop, first_countermodel, search_points,
 )
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Term, Var,
@@ -277,7 +277,7 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
     tables before function tables) is returned: one search runs per
     function table, and the least (predicate point, table) pair is kept.
     The budget bounds the points the searches may evaluate: over all
-    universe sizes, the function tables times decide.goal_calls.
+    universe sizes, the function tables times decide.search_points.
     """
     if max_universe < 1:
         raise ValueError(f"max_universe must be at least 1, got {max_universe}")
@@ -293,16 +293,15 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
         # a quantifier ranges over one value and size 1 settles every size
         max_universe = 1
 
-    # goal_calls and the capped size ** cap stop once past the budget
+    # a size or a table exponent past cap passes the budget (2 ** cap), so neither is read
     cap = budget.bit_length() + 1
-    total = 0
-    for size in range(1, max_universe + 1):
-        slots = sum(size ** k for k in preds.values())
-        tables = size ** min(sum(size ** k for k in funcs.values()), cap)
-        total += tables * goal_calls(slots, len(values), budget)
-        if total > budget:
-            raise BudgetError(f"the points times function tables of universe "
-                              f"sizes 1..{size} exceed the budget of {budget}")
+    terms = [(size ** min(sum(size ** k for k in funcs.values()), cap),
+              sum(size ** k for k in preds.values()))
+             for size in range(1, min(max_universe, cap) + 1)]
+    total, sizes = search_points(terms, len(values), budget)
+    if total > budget:
+        raise BudgetError(f"the points times function tables of universe "
+                          f"sizes 1..{sizes} exceed the budget of {budget}")
 
     # a countermodel makes goal < 1 (and, for 1-entailment, premise = 1);
     # inf Gamma > B exactly when (&Gamma -> B) < 1

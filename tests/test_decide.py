@@ -7,7 +7,7 @@ import pytest
 
 from goedel_logics.decide import (
     ROOT, BudgetError, QuantifierError, classes, compile_goal, compile_prop, decide_Gm,
-    decide_LC, extend, first_countermodel, goal_calls, pinned_orders, read_goal,
+    decide_LC, extend, first_countermodel, pinned_orders, read_goal, search_points,
 )
 from goedel_logics.formula import Atom, Bot, And, Or, Imp, Top, atoms, parse, print_formula
 from goedel_logics.goedelset import gm_values
@@ -252,7 +252,7 @@ def test_pruned_walk_matches_the_product_oracle():
     cases = pruned = found = 0
     for n in range(2, 7):
         letters = [Atom(f"A{j}") for j in range(n)]
-        for m in range(5, 9):
+        for m in range(2, 9):
             if m ** n > 20000:
                 continue
             for _ in range(40):
@@ -263,7 +263,7 @@ def test_pruned_walk_matches_the_product_oracle():
                 cases += 1
                 pruned += any(ready)
                 found += want is not None
-    assert cases >= 600 and pruned >= cases // 2 and found >= cases // 4
+    assert cases >= 1200 and pruned >= cases // 2 and found >= cases // 4
     # a letter-free disjunct that is top closes the walk at the first letter
     f = Or(Imp(Bot(), Bot()), parse("A0 & A1 & A2"))
     goal, ready = compile_goal(read_goal(f)[1], [Atom(f"A{j}") for j in range(3)])
@@ -281,7 +281,7 @@ def test_pruned_decisions_match_the_oracles():
         letters = sorted(atoms(f), key=print_formula)
         prog = compile_prop(f, {a: i for i, a in enumerate(letters)})
         assert decide_LC(f).valid == reference_decide_LC(f).valid
-        for m in (5, 7, len(letters) + 2):
+        for m in (2, 3, 4, 5, 7, len(letters) + 2):
             r = decide_LC(f) if m == len(letters) + 2 else decide_Gm(f, m)
             want = reference_first_countermodel(prog, m, len(letters))
             assert r.valid == (want is None)
@@ -317,11 +317,10 @@ def test_valid_cycles_follow_only_descending_prefixes():
 
 def test_gap_free_walk_evaluates_one_point_per_order():
     # a valid 5-letter formula: one call per pinned weak order with at
-    # most m classes from m = 5 on, every point of range(4)^5 at m = 4,
-    # and goal_calls counts them
+    # most m classes at every m, which the budget counts
     f = parse("(A1 -> A2) | (A2 -> A3) | (A3 -> A4) | (A4 -> A5) | (A5 -> A1)")
     prog = compile_prop(f, {Atom(f"A{j}"): j - 1 for j in range(1, 6)})
-    for m, want in [(4, 1024), (5, 1563), (6, 2043), (7, 2163), (8, 2163)]:
+    for m, want in [(2, 32), (3, 243), (4, 813), (5, 1563), (6, 2043), (7, 2163), (8, 2163)]:
         calls = 0
 
         def goal(ranks, top):
@@ -329,13 +328,21 @@ def test_gap_free_walk_evaluates_one_point_per_order():
             calls += 1
             return prog(ranks, top)
         assert first_countermodel(goal, m, 5) is None
-        assert calls == goal_calls(5, m, 10 ** 7) == want, m
-        if m >= 5:
-            assert pinned_orders(5, m) == want
-    # so the budget of G4 admits 4^5 calls, not pinned_orders(5, 4) = 813
-    with pytest.raises(BudgetError):
-        decide_Gm(f, 4, budget=1023)
-    assert decide_Gm(f, 4, budget=1024).valid
+        assert calls == pinned_orders(5, m) == want, m
+        assert search_points([(1, 5)], m, want - 1) == (want, 1)
+    # so the budget of G4 admits its 813 order types, not 4^5 = 1,024 points
+    with pytest.raises(BudgetError, match="at least 813 points exceed the budget of 812"):
+        decide_Gm(f, 4, budget=812)
+    assert decide_Gm(f, 4, budget=813).valid
+
+
+def test_search_points_counts_exactly_once_the_powers_pass_the_budget():
+    # 100 searches of 3 letters in G5: 100 * 5^3 points pass 10,000, but
+    # the 51 order types each do not; past the budget the count stops
+    assert search_points([(100, 3)], 5, 10 ** 4) == (5100, 1)
+    assert search_points([(100, 3)], 5, 5099) == (5100, 1)
+    # the sum stops at the first term past the budget
+    assert search_points([(1, 2), (1, 40), (1, 2)], 3, 99) == (9 + 3 ** 5, 2)
 
 
 def test_order_type_enumeration_counts():
