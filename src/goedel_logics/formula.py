@@ -7,12 +7,12 @@ node kind.  Predicates start with an uppercase letter, functions and
 constants are lowercase and always written with parentheses (``c()``),
 variables are bare lowercase identifiers.
 
-The parser tokenizes a text in one regex scan.  Positions are computed
-only on error: a token's ``line:column`` is then found by a second scan.
-A ParseMemo parses a batch of texts that repeat subformulas (the lines of
-one proof file): every formula part it has seen, keyed by its tokens, is
-parsed once and shared, so equal parts are one AST and ``alpha_eq`` stops
-at them.  A standalone ``parse`` does no memo work.
+The parser tokenizes a text in one regex scan, a simple atom such as
+``P(x)`` being one token; a token's ``line:column`` is found by a second
+scan, on error only.  Every node is built through an interning table
+(hash-consing): ``parse`` uses a fresh table per text, a ParseMemo one
+per batch of texts that repeat subformulas (the lines of one proof
+file), so equal parts are one AST and ``alpha_eq`` stops at them.
 """
 
 from __future__ import annotations
@@ -362,31 +362,54 @@ def normalize(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Parser
 
-_TOKEN_RE = re.compile(r"->|[()~&|.,]|[A-Za-z_][A-Za-z0-9_]*|\S")
+# a term of a simple atom: a variable or a constant c(), but no keyword
+_SIMPLE_TERM = r"(?!(?:forall|exists|bot|top)[(,)])[a-z_][A-Za-z0-9_]*(?:\(\))?(?=[,)])"
 
-_NAME_RE = re.compile(r"[a-z_][A-Za-z0-9_]*")
+# an upper-case name takes its arguments into its token when they are simple
+_TOKEN_RE = re.compile(
+    rf"->|[()~&|.,]|[A-Z][A-Za-z0-9_]*(?:\({_SIMPLE_TERM}(?:,{_SIMPLE_TERM})*\))?"
+    r"|[a-z_][A-Za-z0-9_]*|\S")
+
+# a token that starts like a name is a whole name
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyz_")
 
 _KEYWORDS = {"forall", "exists", "bot", "top"}
 
 
+def _shown(tok: str) -> str:
+    """A token as an error names it: a simple atom by its predicate."""
+    return tok.partition("(")[0] or tok
+
+
 class _Parser:
-    """Recursive descent over the tokens of one regex scan.
+    """Recursive descent over the tokens of one regex scan, building every
+    node through an interning table.
 
     Tokens are plain strings closed by a ``None`` sentinel.  No token
     holds whitespace, so the scan skips exactly the characters that
-    str.isspace skips.
+    str.isspace skips.  A simple atom, a predicate over variables and
+    constants written without blanks (``P(x)``, ``R(x,c())``), is one token.
+
+    The table keys a term or an atom by its tokens joined, so a simple
+    atom's token is its key, and any other node by its kind and the ids of
+    its parts (or its bound name): no dataclass __hash__ runs, and the ids
+    stay valid as the table keeps the nodes alive.  Arities are recorded
+    per text, in the order met when every parenthesis is its own token.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, nodes: dict):
         self.text = text
-        self.toks: list[Optional[str]] = _TOKEN_RE.findall(text) + [None]
+        self.toks: list[Optional[str]] = _TOKEN_RE.findall(text)
+        self.toks.append(None)
         if not text.isprintable():
             for i, tok in enumerate(self.toks[:-1]):
                 if len(tok) == 1 and not tok.isprintable():
                     raise self.error_at(i, f"unexpected character {tok!r}")
         self.pos = 0
-        self.preds: dict[str, int] = {}
-        self.funcs: dict[str, int] = {}
+        self.nodes = nodes
+        # predicates start upper-case and functions lower-case, so one
+        # table holds the arities of both
+        self.arities: dict[str, int] = {}
 
     def position(self, i: int) -> tuple[int, int]:
         """1-based line and column of token i, lines split as by
@@ -402,9 +425,6 @@ class _Parser:
             return ParseError(msg, 1, 1)
         return ParseError(msg, *self.position(min(i, len(self.toks) - 2)))
 
-    def error(self, msg: str) -> ParseError:
-        return self.error_at(self.pos, msg)
-
     def next(self) -> str:
         tok = self.toks[self.pos]
         if tok is None:
@@ -417,89 +437,124 @@ class _Parser:
         return tok
 
     def expect(self, text: str) -> None:
-        tok = self.next()
-        if tok != text:
-            raise self.error_at(self.pos - 1, f"expected {text!r}, found {tok!r}")
+        if self.toks[self.pos] != text:
+            tok = self.next()  # raises at the end of input
+            raise self.error_at(self.pos - 1, f"expected {text!r}, found {_shown(tok)!r}")
+        self.pos += 1
 
-    def note_arity(self, table: dict[str, int], name: str, arity: int, i: int) -> None:
-        old = table.setdefault(name, arity)
-        if old != arity:
-            line, col = self.position(i)
-            raise ArityConflictError(
-                f"{line}:{col}: symbol {name} used with arities {old} and {arity}")
+    def arity_error(self, name: str, arity: int, i: int) -> ArityConflictError:
+        """The clash of arity with the recorded arity of name, at token i,
+        or at name's place in the simple atom that token i is."""
+        line, col = self.position(i)
+        if not name[0].isupper() and self.toks[i] != name:
+            # a constant of a simple atom, after '(' or ','
+            col += re.search(rf"[(,]{name}\(", self.toks[i]).start() + 1
+        return ArityConflictError(f"{line}:{col}: symbol {name} used with arities "
+                                  f"{self.arities[name]} and {arity}")
 
-    def whole(self) -> Formula:
-        """The formula that all the tokens form."""
-        f = self.formula()
+    def whole(self, read: Callable[[], _T]) -> _T:
+        """What read() reads from all the tokens."""
+        try:
+            out = read()
+        except RecursionError:
+            raise FormulaError("input nested too deeply") from None
         if self.toks[self.pos] is not None:
-            raise self.error(f"trailing input {self.toks[self.pos]!r}")
-        return f
+            raise self.error_at(self.pos, f"trailing input {_shown(self.toks[self.pos])!r}")
+        return out
 
-    # formula := quant | imp ; imp := or ("->" formula)?
+    # formula := quant | or ("->" formula)? ; or := and ("|" and)* ;
+    # and := unary ("&" unary)*, the last two read by one loop
     def formula(self) -> Formula:
-        if self.toks[self.pos] in ("forall", "exists"):
+        toks = self.toks
+        if toks[self.pos] in ("forall", "exists"):
             return self.quant()
-        left = self.disjunction()
-        if self.toks[self.pos] == "->":
+        nodes = self.nodes
+        left = None  # the disjuncts before f, joined
+        f = self.unary()
+        while True:
+            op = toks[self.pos]
+            if op == "&":
+                self.pos += 1
+                g = self.unary()
+                key = (And, id(f), id(g))
+                f = nodes.get(key) or nodes.setdefault(key, And(f, g))
+                continue
+            if left is not None:
+                key = (Or, id(left), id(f))
+                f = nodes.get(key) or nodes.setdefault(key, Or(left, f))
+            if op != "|":
+                break
             self.pos += 1
-            return Imp(left, self.formula())
-        return left
+            left = f
+            f = self.unary()
+        if op == "->":
+            self.pos += 1
+            g = self.formula()
+            key = (Imp, id(f), id(g))
+            f = nodes.get(key) or nodes.setdefault(key, Imp(f, g))
+        return f
 
     def quant(self) -> Formula:
         kw = self.next()
         var = self.next()
-        if not _NAME_RE.fullmatch(var) or var in _KEYWORDS:
-            raise self.error_at(self.pos - 1, f"expected variable after {kw}, found {var!r}")
+        if var[0] not in _NAME_START or var in _KEYWORDS:
+            raise self.error_at(self.pos - 1,
+                                f"expected variable after {kw}, found {_shown(var)!r}")
         self.expect(".")
         body = self.formula()
-        return Forall(var, body) if kw == "forall" else Exists(var, body)
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.toks[self.pos] == "|":
-            self.pos += 1
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.toks[self.pos] == "&":
-            self.pos += 1
-            f = And(f, self.unary())
-        return f
+        kind = Forall if kw == "forall" else Exists
+        key = (kind, var, id(body))
+        return self.nodes.get(key) or self.nodes.setdefault(key, kind(var, body))
 
     def unary(self) -> Formula:
         tok = self.toks[self.pos]
-        if tok == "~":
+        if tok == "~" or tok == "top":  # top is ~bot
             self.pos += 1
-            return Neg(self.unary())
-        if tok == "bot":
-            self.pos += 1
-            return BOT
-        if tok == "top":
-            self.pos += 1
-            return Top()
+            f = self.unary() if tok == "~" else BOT
+            key = (Imp, id(f), id(BOT))
+            return self.nodes.get(key) or self.nodes.setdefault(key, Imp(f, BOT))
         if tok == "(":
             self.pos += 1
             f = self.formula()
             self.expect(")")
             return f
+        if tok is not None and tok[0].isupper():
+            i = self.pos
+            self.pos += 1
+            if self.toks[self.pos] == "(" and tok[-1] != ")":
+                # an atom with blanks or nested terms
+                self.pos += 1
+                args = self.termlist()
+                self.expect(")")
+                if self.arities.setdefault(tok, len(args)) != len(args):
+                    raise self.arity_error(tok, len(args), i)
+                text = "".join(self.toks[i:self.pos]) if args else tok  # A() is A
+                return (self.nodes.get(text) or self.nodes.setdefault(
+                    text, _atom_entry(tok, args)))[0]
+            atom, pred, arity, constants = self.nodes.get(tok) or self.simple_atom_entry(tok)
+            for name in constants:
+                if self.arities.setdefault(name, 0):
+                    raise self.arity_error(name, 0, i)
+            if self.arities.setdefault(pred, arity) != arity:
+                raise self.arity_error(pred, arity, i)
+            return atom
+        if tok == "bot":
+            self.pos += 1
+            return BOT
         if tok is None:
             self.next()  # raises "unexpected end of input" at the end column
-        elif tok[0].isupper():
-            return self.atom()
-        raise self.error(f"expected a formula, found {tok!r}")
+        raise self.error_at(self.pos, f"expected a formula, found {tok!r}")
 
-    def atom(self) -> Atom:
-        i = self.pos
-        name = self.next()
-        args: tuple[Term, ...] = ()
-        if self.toks[self.pos] == "(":
-            self.pos += 1
-            args = self.termlist()
-            self.expect(")")
-        self.note_arity(self.preds, name, len(args), i)
-        return Atom(name, args)
+    def simple_atom_entry(self, tok: str) -> tuple:
+        """The table entry of a simple atom's token, made."""
+        if tok[-1] != ")":  # a bare predicate
+            return self.nodes.setdefault(tok, (Atom(tok), tok, 0, ()))
+        pred, _, rest = tok.partition("(")
+        args = []
+        for t in rest[:-1].split(","):
+            args.append(self.nodes.get(t) or self.nodes.setdefault(
+                t, App(t[:-2]) if t[-1] == ")" else Var(t)))
+        return self.nodes.setdefault(tok, _atom_entry(pred, tuple(args)))
 
     def termlist(self) -> tuple[Term, ...]:
         if self.toks[self.pos] == ")":
@@ -513,96 +568,34 @@ class _Parser:
     def term(self) -> Term:
         i = self.pos
         name = self.next()
-        if not _NAME_RE.fullmatch(name) or name in _KEYWORDS:
-            raise self.error_at(i, f"expected a term, found {name!r}")
+        if name[0] not in _NAME_START or name in _KEYWORDS:
+            raise self.error_at(i, f"expected a term, found {_shown(name)!r}")
         if self.toks[self.pos] == "(":
             self.pos += 1
             args = self.termlist()
             self.expect(")")
-            self.note_arity(self.funcs, name, len(args), i)
-            return App(name, args)
-        return Var(name)
+            if self.arities.setdefault(name, len(args)) != len(args):
+                raise self.arity_error(name, len(args), i)
+            text = "".join(self.toks[i:self.pos])
+            return self.nodes.get(text) or self.nodes.setdefault(text, App(name, args))
+        return self.nodes.get(name) or self.nodes.setdefault(name, Var(name))
+
+
+def _atom_entry(pred: str, args: tuple[Term, ...]) -> tuple:
+    """An atom's entry in the table: (atom, predicate, arity, constants),
+    a simple atom's symbols in the order a descent notes them."""
+    constants = ()
+    for t in args:
+        if type(t) is App and not t.args:
+            constants += (t.name,)
+    return Atom(pred, args), pred, len(args), constants
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a raw AST (bound names kept as written)."""
-    try:
-        return _Parser(text).whole()
-    except RecursionError:
-        raise FormulaError("input nested too deeply") from None
-
-
-_PAREN_DELTA = {"(": 1, ")": -1}
-
-
-class _Unshared(Exception):
-    """A shared parse that the memo cannot vouch for: a symbol's arity
-    clashes, or a part did not end where its tokens do.  The text is
-    parsed again without the memo, which raises the standalone error."""
-
-
-class _SharedParser(_Parser):
-    """The parser of one text in a ParseMemo.
-
-    A formula that runs to the end of its group or text (a whole text, a
-    parenthesized group, the right side of ``->``, a quantifier body) and
-    an atom with arguments are looked up by their tokens before they are
-    parsed: a hit returns the stored AST and skips the tokens.  Each entry
-    carries the symbols its AST uses with their arities, and a hit merges
-    them into the formula's arity table.
-    """
-
-    def __init__(self, text: str, entries: dict):
-        super().__init__(text)
-        self.entries = entries
-        # predicates start upper-case and functions lower-case, so one
-        # table can hold both arities
-        self.funcs = self.preds
-        # paren depth after each token: the ')' closing a '(' is the
-        # first later token back at the depth before that '('
-        self.depth = list(itertools.accumulate(
-            map(_PAREN_DELTA.get, self.toks, itertools.repeat(0))))
-
-    def shared(self, end: int, parse_part: Callable[[], Formula]) -> Formula:
-        """The AST of the tokens from pos to end: stored, or parsed by
-        parse_part() with an arity table of its own and stored."""
-        key = tuple(self.toks[self.pos:end])
-        entry = self.entries.get(key)
-        if entry is None:
-            outer = self.preds
-            self.preds = self.funcs = {}
-            f = parse_part()
-            if self.pos != end:
-                raise _Unshared
-            entry = self.entries[key] = (f, self.preds)
-            self.preds = self.funcs = outer
-        else:
-            self.pos = end
-        used = entry[1]
-        if not used.items() <= self.preds.items():
-            for name, arity in used.items():
-                if self.preds.setdefault(name, arity) != arity:
-                    raise _Unshared
-        return entry[0]
-
-    def formula(self) -> Formula:
-        i = self.pos
-        try:
-            end = self.depth.index(self.depth[i - 1] - 1 if i else -1, i)
-        except ValueError:
-            end = len(self.toks) - 1
-        return self.shared(end, super().formula)
-
-    def unary(self) -> Formula:
-        i = self.pos
-        tok = self.toks[i]
-        if tok is not None and tok[0].isupper() and self.toks[i + 1] == "(":
-            try:
-                end = self.depth.index(self.depth[i], i + 2) + 1
-            except ValueError:  # unclosed: the plain parse reports it
-                return self.atom()
-            return self.shared(end, self.atom)
-        return super().unary()
+    """Parse concrete syntax into a raw AST (bound names kept as written).
+    Equal subtrees of the AST are one object."""
+    p = _Parser(text, {})
+    return p.whole(p.formula)
 
 
 class ParseMemo:
@@ -610,42 +603,29 @@ class ParseMemo:
     of one proof file.
 
     ``memo.parse(text)`` equals ``parse(text)`` and raises the same
-    errors, but each distinct text, and each formula that runs to the
-    end of a group or text, and each atom with arguments, is parsed once
-    per memo and shared by every formula it occurs in.  Parts are keyed
-    by their tokens, so a binding ``A -> B`` and the group ``(A -> B)`` of
-    a step formula are one AST.  Arity conflicts stay per formula: a
-    formula whose shared parts clash is parsed again without the memo,
-    which raises the standalone error.  A memo keeps every AST it made
-    alive, so create one per batch and drop it after.
+    errors, but all the texts of one memo share one interning table, so
+    every equal subtree of the batch is one object: a binding ``A -> B``
+    and the group ``(A -> B)`` of a step formula are one AST, and
+    ``alpha_eq`` stops at it.  A text given again returns its first AST
+    without a parse.  Arities stay per text.  A memo keeps every AST it
+    made alive, so create one per batch and drop it after.
     """
 
     def __init__(self) -> None:
         self.texts: dict[str, Formula] = {}
-        self.entries: dict[tuple[str, ...], tuple[Formula, dict[str, int]]] = {}
+        self.nodes: dict = {}
 
     def parse(self, text: str) -> Formula:
         f = self.texts.get(text)
         if f is None:
-            try:
-                f = _SharedParser(text, self.entries).whole()
-            except (FormulaError, _Unshared, RecursionError):
-                # raises the standalone error; a RecursionError may be the
-                # shared parser's alone, as it nests deeper per level
-                f = parse(text)
-            self.texts[text] = f
+            p = _Parser(text, self.nodes)
+            f = self.texts[text] = p.whole(p.formula)
         return f
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
-    try:
-        t = p.term()
-    except RecursionError:
-        raise FormulaError("input nested too deeply") from None
-    if p.toks[p.pos] is not None:
-        raise p.error(f"trailing input {p.toks[p.pos]!r}")
-    return t
+    p = _Parser(text, {})
+    return p.whole(p.term)
 
 
 # ---------------------------------------------------------------------------

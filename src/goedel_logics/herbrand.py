@@ -52,8 +52,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .formula import (
-    App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Term, Var,
-    alpha_eq, atoms, balanced, free_vars, fresh_name, is_prenex, normalize, parse,
+    App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, ParseMemo, Term,
+    Var, alpha_eq, atoms, balanced, free_vars, fresh_name, is_prenex, normalize,
     prefix_and_matrix, print_formula, print_raw, print_term, signature, substitute, term_size,
 )
 from .decide import (
@@ -377,6 +377,8 @@ def certificate_from_json(data: Union[str, dict]) -> Certificate:
     if isinstance(data, str):
         data = json.loads(data)
     expect_json(data, dict, "a certificate", CertificateFormatError)
+    # the disjuncts repeat their terms and atoms, so they share one table
+    parse = ParseMemo().parse
     formula = parse(_get(data, "formula", str, "a certificate"))
     mode = _get(data, "mode", str, "a certificate")
     try:

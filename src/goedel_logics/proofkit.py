@@ -9,8 +9,8 @@ the proof files self-documenting.
 A proof file repeats its subformulas: a binding such as ``A := P(x) ->
 ~P(x)`` comes back as a group in its step formula, in later steps and in
 the rules that cite them.  ``parse_derivation`` parses all the formulas
-of one file through one ``formula.ParseMemo``, so each repeated part is
-parsed once and all its occurrences are one AST; ``check`` compares with
+of one file through one ``formula.ParseMemo``, whose interning table
+makes all the occurrences of a part one AST; ``check`` compares with
 ``alpha_eq``, which stops where both sides share a subtree.
 
 Axiom lines that list two schemas in the source system are split into

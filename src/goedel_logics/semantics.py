@@ -333,6 +333,9 @@ def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int
     order, on the goal grounded under that table and compiled; the least
     pair is kept, a tie keeping the earlier table, so only one table's
     programs are alive at a time.
+
+    A search walks only the slots that the grounded goal and premise read:
+    an unread slot at 0 keeps a point falsifying and makes it smaller.
     """
     size = len(elems)
     index = {}
@@ -346,23 +349,34 @@ def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int
         n_func_slots += size ** funcs[g]
     best = None
     for table in itertools.product(range(size), repeat=n_func_slots):
-        ground = _grounder(elems, offsets, table)
-        prog = compile_prop(ground(goal, {}), index)
-        if premise is not None:
-            g, h = prog, compile_prop(ground(premise, {}), index)
+        read: dict = {}
+        ground = _grounder(elems, offsets, table, read)
+        g = ground(goal, {})
+        h = None if premise is None else ground(premise, {})
+        order = sorted(read.values(), key=index.__getitem__)
+        slots = {a: j for j, a in enumerate(order)}
+        prog = compile_prop(g, slots)
+        if h is not None:
+            g, h = prog, compile_prop(h, slots)
             prog = lambda ranks, top: g(ranks, top) if h(ranks, top) == top else top
-        ranks = first_countermodel(prog, n_values, len(index))
-        if ranks is not None and (best is None or ranks < best[0]):
-            best = ranks, table
+        found = first_countermodel(prog, n_values, len(order))
+        if found is not None:
+            ranks = [0] * len(index)
+            for a, rank in zip(order, found):
+                ranks[index[a]] = rank
+            if best is None or tuple(ranks) < best[0]:
+                best = tuple(ranks), table
     return best
 
 
 def _grounder(elems: Sequence[App], offsets: Mapping[str, int],
-              table: Sequence[int]):
+              table: Sequence[int], read: Optional[dict] = None):
     """ground(f, env): the quantifier-free instance of f over the universe
     elems, with function symbols read from the flat table and quantifiers
-    expanded into balanced conjunctions or disjunctions."""
+    expanded into balanced conjunctions or disjunctions.  Each ground atom
+    met is built once and kept in read, by predicate and element indices."""
     size = len(elems)
+    read = {} if read is None else read
 
     def term(t: Term, env: Mapping[str, int]) -> int:
         if isinstance(t, Var):
@@ -374,7 +388,9 @@ def _grounder(elems: Sequence[App], offsets: Mapping[str, int],
 
     def ground(g: Formula, env: Mapping[str, int]) -> Formula:
         if isinstance(g, Atom):
-            return Atom(g.pred, tuple(elems[term(t, env)] for t in g.args))
+            key = (g.pred, *[term(t, env) for t in g.args])
+            return read.get(key) or read.setdefault(
+                key, Atom(g.pred, tuple(map(elems.__getitem__, key[1:]))))
         if isinstance(g, Bot):
             return g
         if isinstance(g, (And, Or, Imp)):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, Bot, And, Or, Imp, Forall, Exists, FormulaError,
     Neg, ParseError, ParseMemo, Top, Var, alpha_eq, free_vars, is_crisp, is_prenex,
-    normalize, parse, parse_term, print_formula, signature, substitute,
+    normalize, parse, parse_term, print_formula, signature, subformulas, substitute,
 )
 from goedel_logics.transforms import relativize_dneg
 
@@ -100,6 +100,24 @@ def test_arity_conflict_rejected():
         with pytest.raises(ArityConflictError) as e:
             parse(text)
         assert str(e.value) == message
+
+
+# a simple atom such as P(f()) is one token: its errors name the places
+# they name when every parenthesis is its own token
+SIMPLE_ATOM_ERRORS = [
+    ("Q(f(x)) & P(f())", ArityConflictError, "1:13: symbol f used with arities 1 and 0"),
+    ("P(c()) & Q(c(x))", ArityConflictError, "1:12: symbol c used with arities 0 and 1"),
+    ("P(bot)", ParseError, "1:3: expected a term, found 'bot'"),
+    ("P(x,)", ParseError, "1:5: expected a term, found ')'"),
+]
+
+
+def test_simple_atom_errors_keep_their_positions():
+    for text, error, message in SIMPLE_ATOM_ERRORS:
+        for fn in (parse, ParseMemo().parse):
+            with pytest.raises(error) as e:
+                fn(text)
+            assert str(e.value) == message
 
 
 def test_print_top_sugar():
@@ -271,6 +289,7 @@ FRAGMENTS = [
     "A", "B1", "P(", "R(", "f(", "c()", "x", "y", "_z", "(", ")", ",", ".",
     "->", "-", ">", "&", "|", "~", "forall", "exists", "bot", "top",
     "forall x.", "forall P.", "exists bot.", "P(c()) & P(c(),c())", "P(x,y)",
+    "P(c())", "P(f())", "Q(f(x))", "R(x,c())", "P(bot)", "P(x,)", "P( x)",
     " ", "  ", "\t", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85",
     "\u2028", "\xa0", "\x00", "\x7f", "\u200b", "\u00e9", "\u00c9", "$", "#",
 ]
@@ -300,6 +319,7 @@ MEMO_FRAGMENTS = [
     "P(x)", "(P(x))", "P", "P(x,x)", "Q(f(x))", "Q(f(x,y))", "A", "A(x)", "c()",
     "(", ")", " -> ", " & ", " | ", "~", "forall x. ", "exists y. ", "bot", "top",
     "(P(x) -> ~P(x))", "P(x) -> ~P(x)", ",", " ", "\n", "x",
+    "P(c())", "P(f())", "R(x,c())", "P(bot)", "P(x,)", "P( x)",
 ]
 memo_texts = st.lists(st.sampled_from(MEMO_FRAGMENTS), max_size=10).map("".join) | texts
 
@@ -317,3 +337,30 @@ def test_parse_memo_matches_standalone_parse(batch):
     for text, got in zip(batch, shared):
         if not isinstance(got, tuple):
             assert memo.parse(text) is got
+
+
+def subtrees(f):
+    """The formula and term nodes of f."""
+    for g in subformulas(f):
+        yield g
+        stack = list(g.args) if isinstance(g, Atom) else []
+        while stack:
+            t = stack.pop()
+            yield t
+            if isinstance(t, App):
+                stack += t.args
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(memo_texts, max_size=6))
+@example(["P(x) & P( x)", "(P(x)) -> Q(x,c())", "Q(x, c()) | ~P(x)"])
+@example(["A", "A() & A ()", "R(f(x), f(x)) -> R(f( x),f(x))"])
+def test_memo_makes_equal_subtrees_one_object(batch):
+    memo = ParseMemo()
+    first = {}
+    for text in batch:
+        f = outcome(memo.parse, text)
+        if isinstance(f, tuple):
+            continue
+        for g in subtrees(f):
+            assert first.setdefault(g, g) is g
