@@ -34,9 +34,9 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _default_budget(args, default: int = decide.BUDGET) -> int:
+def _default_budget(args) -> int:
     text = (os.environ.get("GOEDEL_BUDGET") or None) if args.budget is None else args.budget
-    budget = default if text is None else decide.whole_number(text, 0)
+    budget = decide.BUDGET if text is None else decide.whole_number(text, 0)
     if budget is None:
         raise GoedelError(f"a budget must be an integer >= 0, not {text!r}")
     return budget
@@ -146,8 +146,7 @@ def _cmd_prove(args) -> int:
     if not args.formula:
         raise GoedelError("prove needs a formula (or --verify <certificate>)")
     f = parse(_read_formula(args.formula))
-    result = herbrand.prove_prenex(f, args.mode, args.max_level,
-                                   _default_budget(args, decide.NODE_BUDGET))
+    result = herbrand.prove_prenex(f, args.mode, args.max_level, _default_budget(args))
     if result.status == "valid":
         cert = result.certificate
         if args.out:
@@ -273,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="uncountable or finite:<n>")
     p.add_argument("--max-level", type=int, default=8)
     p.add_argument("--budget",
-                   help=f"semantic-tree nodes (default {decide.NODE_BUDGET}), or "
-                        "points with --verify (default 10^7); also GOEDEL_BUDGET")
+                   help=f"points the search may charge, one per semantic-tree node "
+                        f"(default {decide.BUDGET}); also GOEDEL_BUDGET")
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument("--verify", help="verify an existing certificate file instead")
     p.add_argument("formula", nargs="?", help=FORMULA_HELP)

@@ -26,9 +26,10 @@ disjunct that reads no later letter is top, with every point below it:
 the goal is the max of its disjuncts, so it is top at each skipped
 point, and the first countermodel is unchanged; this is the Herbrand
 tree's closing rule, a branch closing once an instance is top, applied
-to the propositional search.  Every budget counts the goal calls before
-pruning (search_points).  The enumerator (ROOT, extend) holds an order
-as the rank vector of its letters and grows the Herbrand semantic tree.
+to the propositional search.  Every search charges the points it visits
+to one running budget and raises BudgetError once the charge passes it.
+The enumerator (ROOT, extend) holds an order as the rank vector of its
+letters and grows the Herbrand semantic tree.
 """
 
 from __future__ import annotations
@@ -59,10 +60,8 @@ class BudgetError(Exception):
     and herbrand raise for an exhausted bound (the CLI's exit 2)."""
 
 
-# the default budget of the points a search evaluates
-BUDGET = 10 ** 7
-# the default budget of the semantic-tree nodes herbrand.prove_prenex visits
-NODE_BUDGET = 200_000
+# the default budget of the points a search charges as it runs
+BUDGET = 3_000_000
 
 
 def whole_number(text: str, least: int = 2) -> Optional[int]:
@@ -130,8 +129,7 @@ def _disj(a: RankProgram, b: RankProgram) -> RankProgram:
 
 def read_goal(f: Formula) -> tuple[list[Atom], list[tuple[Formula, int]]]:
     """(letters, parts) from one walk of f, with its own stack, as the
-    |-tree may be a long chain.  letters are f's atoms, quantified ones too
-    (the budget counts them before compile_prop refuses a quantifier),
+    |-tree may be a long chain.  letters are f's atoms, quantified ones too,
     each printed once and sorted by that text, which fixes the first
     countermodel.  parts are the leaves of f's top |-tree, left to right (a
     root that is not a | is one), each with the largest slot it reads or 0."""
@@ -219,24 +217,6 @@ def classes(order: Order, names: Sequence[str]) -> Constraint:
     return tuple([tuple(sorted(cls)) for cls in out])
 
 
-def pinned_orders(n: int, m: Optional[int] = None, stop: Optional[int] = None) -> int:
-    """The number of pinned weak orders of n letters with at most m
-    classes (3, 11, 51, 299, ... for n = 1, 2, 3, 4 uncapped): the leaves
-    of the depth-n tree that extend grows from ROOT, and the gap-free
-    points of V_m^n.  It at least doubles per letter; once past stop, that
-    lower bound is returned.  by_classes[k] counts orders of k classes."""
-    by_classes = [0, 0, 1]
-    for _ in range(n):
-        nxt = [0] * (len(by_classes) + 1)
-        for k, count in enumerate(by_classes):
-            nxt[k] += k * count
-            nxt[k + 1] += (k - 1) * count
-        by_classes = nxt if m is None else nxt[:m + 1]
-        if stop is not None and sum(by_classes) > stop:
-            break
-    return sum(by_classes)
-
-
 # ---------------------------------------------------------------------------
 # Decision procedures
 
@@ -252,30 +232,18 @@ class DecideResult:
         return self.valid
 
 
-def search_points(terms: Sequence[tuple[int, int]], m: int, budget: int) -> tuple[int, int]:
-    """(total, k): times the goal calls of first_countermodel(goal, m, n)
-    before pruning, one per order type, summed over the pairs (times, n) of
-    terms to the k-th, the first where total passes budget (a lower bound
-    then), or the last.  The powers min(m, n + 2) ** n bound the counts and
-    cost far less than pinned_orders, which is summed only once they pass."""
-    cap = budget.bit_length() + 1  # 2 ** cap passes budget
-    for exact in (False, True):
-        total = k = 0
-        for times, n in terms:
-            k += 1  # the power below is min(m, n + 2) ** min(n, cap) without builtin calls
-            total += times * (pinned_orders(n, m, budget) if exact
-                              else (m if m < n + 2 else n + 2) ** (n if n < cap else cap))
-            if total > budget:
-                break
-        if total <= budget:
-            break
-    return total, k
+def over_budget(where: str, spent: int, budget: int) -> BudgetError:
+    """The error of a search that got as far as where when spent passed budget."""
+    return BudgetError(f"{where}: {spent} points charged exceed the budget of {budget}")
 
 
 def first_countermodel(goal: RankProgram, m: int, n: int,
-                       ready: Sequence[Optional[RankProgram]] = ()) -> Optional[tuple[int, ...]]:
-    """The first point ranks of range(m)^n, in product order, where goal
-    has rank below the top rank m - 1; None if there is none.
+                       ready: Sequence[Optional[RankProgram]] = (), budget: int = BUDGET,
+                       spent: int = 0, where: str = "search"
+                       ) -> tuple[Optional[tuple[int, ...]], int]:
+    """(ranks, spent): the first point ranks of range(m)^n, in product
+    order, where goal has rank below the top rank m - 1, or None; and
+    spent plus the points this search charged.
 
     Only gap-free points are evaluated: those whose ranks strictly
     between 0 and top are exactly 1..k for some k, one per pinned weak
@@ -288,20 +256,31 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
     disjuncts that read no slot past p, or None.  Once the walk places
     letter p, a candidate on which it is top is skipped with all the
     points below it: goal is the max of its disjuncts, so it is top at
-    each of them, and the first countermodel stays the same."""
+    each of them, and the first countermodel stays the same.
+
+    Each loop over the last letter is charged its points, and each skipped
+    candidate one point for its subtree, so a search that skips nothing is
+    charged exactly its order types.  Once spent passes budget, BudgetError
+    names where and the letters placed."""
+    letters = "letter" if n == 1 else "letters"
+    if n >= budget.bit_length():  # 2^n points or more, one recursion per letter
+        raise BudgetError(f"{where}, {n} {letters}: at least 2^{n} points exceed "
+                          f"the budget of {budget}")
     top = m - 1
     if n <= 1:
         # nothing to walk: one letter's gap-free ranks are 0, 1 and top
-        for ranks in [(v,) for v in sorted({0, 1, top})] if n else [()]:
-            if goal(ranks, top) < top:
-                return ranks
-        return None
+        points = [(v,) for v in sorted({0, 1, top})] if n else [()]
+        spent += len(points)
+        if spent > budget:
+            raise over_budget(f"{where}, 0 of {n} {letters} placed", spent, budget)
+        return next((r for r in points if goal(r, top) < top), None), spent
     ranks = [0] * n
     last = n - 1
 
     def walk(p: int, k: int, holes: list):
         # ranks[:p] are placed; their middle ranks are 1..k but for the
         # holes, which the letters from p on must fill
+        nonlocal spent
         left = last - p
         closing = ready[p] if p < len(ready) else None
         if len(holes) > left:
@@ -314,6 +293,9 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
         for v in cands:
             ranks[p] = v
             if closing is not None and closing(ranks, top) == top:
+                spent += 1
+                if spent > budget:
+                    raise over_budget(f"{where}, {p + 1} of {n} {letters} placed", spent, budget)
                 continue
             if k < v < top:
                 kv, hv = v, holes + [*range(k + 1, v)]
@@ -327,19 +309,23 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
                 continue
             # the last letter in the same loop: it fills the one hole
             # left, or takes 0..kv+1 or top
-            for y in hv or (range(m) if kv + 2 >= top else [*range(kv + 2), top]):
+            ys = hv or (range(m) if kv + 2 >= top else [*range(kv + 2), top])
+            spent += len(ys)
+            if spent > budget:
+                raise over_budget(f"{where}, {last} of {n} {letters} placed", spent, budget)
+            for y in ys:
                 ranks[last] = y
                 if goal(ranks, top) < top:
                     return tuple(ranks)
         return None
 
-    return walk(0, 0, [])
+    return walk(0, 0, []), spent
 
 
 def decide_Gm(f: Formula, m: int, budget: int = BUDGET) -> DecideResult:
     """Decide validity over V_m by first_countermodel; returns the first
     countermodel in lexicographic order when there is one.  The budget
-    bounds its goal calls before pruning, one per order type (search_points)."""
+    bounds the points the search charges as it runs."""
     if m < 2:
         raise ValueError("m must be at least 2")
     return _decide(f, m, budget)
@@ -357,12 +343,8 @@ def _decide(f: Formula, m: Optional[int], budget: int) -> DecideResult:
     letters, parts = read_goal(f)
     n = len(letters)
     logic, m = ("LC", n + 2) if m is None else (f"G{m}", m)
-    count, _ = search_points([(1, n)], m, budget)
-    if count > budget:
-        raise BudgetError(f"{n} letter{'' if n == 1 else 's'} in {logic}: at least "
-                          f"{count} points exceed the budget of {budget}")
     prog, ready = compile_goal(parts, letters)
-    ranks = first_countermodel(prog, m, n, ready)
+    ranks, _ = first_countermodel(prog, m, n, ready, budget, 0, logic)
     if ranks is None:
         return DecideResult(True, logic)
     return DecideResult(False, logic, {a: _value(r, m - 1) for a, r in zip(letters, ranks)},

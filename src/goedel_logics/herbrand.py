@@ -26,7 +26,7 @@ open at its last atom is a countermodel: the answer is "invalid".  A
 walk that closes every branch has visited the nodes of the
 breadth-first tree, and the instances its branches closed on, sorted
 stably by level, come out in breadth-first order, which fixes the order
-of the certificate's disjuncts.
+of the certificate's disjuncts.  Each node visited is charged one point.
 
 Finite-valued mode prunes orders with more than n classes.  A closed
 tree yields a certificate: the formula, the mode and the Herbrand
@@ -57,8 +57,8 @@ from .formula import (
     prefix_and_matrix, print_formula, print_raw, print_term, signature, substitute, term_size,
 )
 from .decide import (
-    BUDGET, NODE_BUDGET, ROOT, BudgetError, Constraint, Order, RankProgram, classes,
-    compile_prop, decide_Gm, decide_LC, extend, whole_number,
+    BUDGET, ROOT, BudgetError, Constraint, Order, RankProgram, classes, compile_prop,
+    decide_Gm, decide_LC, extend, over_budget, whole_number,
 )
 from .semantics import expect_json
 
@@ -428,14 +428,14 @@ class ProveResult:
 
 
 def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
-                 node_budget: int = NODE_BUDGET) -> ProveResult:
+                 budget: int = BUDGET) -> ProveResult:
     """Depth-first semantic tree for a closed prenex formula.
 
     mode is "uncountable" or "finite:<n>".  A closed tree yields a
     certificate ("valid").  The walk stops at the first branch still open
     at max_level ("unknown"), or at the last level of a finite Herbrand
     base, where the open order is a countermodel ("invalid"); both
-    report that order.  node_budget caps the nodes the walk visits.
+    report that order.  Each node, an order, is one point of budget.
     """
     problem = HerbrandProblem(f)
     n_adm = finite_bound(mode)
@@ -454,10 +454,8 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
     nodes = 0
     while True:
         nodes += len(batch)
-        if nodes > node_budget:
-            raise BudgetError(
-                f"semantic tree exceeded the budget of {node_budget} nodes: "
-                f"{nodes} nodes counted, deepest level {len(levels) - 1}")
+        if nodes > budget:
+            raise over_budget(f"semantic tree, deepest level {len(levels) - 1}", nodes, budget)
         # an open parent left every older instance below top, and the
         # child's order keeps that, so only the level's new ones can close
         programs = levels[level]

@@ -10,7 +10,8 @@ universe, terms evaluated under the table), compiles it with
 decide.compile_prop and runs decide.first_countermodel, the search that
 decides G_m, over the integer rank vectors of the ground atoms' tables.
 It keeps the least (rank vector, table) pair and builds only that
-countermodel as an interpretation.
+countermodel as an interpretation.  Each size, table and search charges
+its points to one running budget.
 
 Besides finite structures there is a restricted countable shape, the
 omega interpretation: finitely many explicit prefix elements plus a tail
@@ -27,9 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .decide import (
-    BUDGET, BudgetError, compile_prop, first_countermodel, search_points,
-)
+from .decide import BUDGET, BudgetError, compile_prop, first_countermodel, over_budget
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Term, Var,
     balanced, free_vars, print_formula, signature,
@@ -276,8 +275,9 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
     argument tuples in product order, table values ascending, predicate
     tables before function tables) is returned: one search runs per
     function table, and the least (predicate point, table) pair is kept.
-    The budget bounds the points the searches may evaluate: over all
-    universe sizes, the function tables times decide.search_points.
+    The budget is charged as the search runs: each universe size its atom
+    slots and function-table entries, each function table one point and
+    its search's points; a BudgetError names the size and the table.
     """
     if max_universe < 1:
         raise ValueError(f"max_universe must be at least 1, got {max_universe}")
@@ -293,16 +293,6 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
         # a quantifier ranges over one value and size 1 settles every size
         max_universe = 1
 
-    # a size or a table exponent past cap passes the budget (2 ** cap), so neither is read
-    cap = budget.bit_length() + 1
-    terms = [(size ** min(sum(size ** k for k in funcs.values()), cap),
-              sum(size ** k for k in preds.values()))
-             for size in range(1, min(max_universe, cap) + 1)]
-    total, sizes = search_points(terms, len(values), budget)
-    if total > budget:
-        raise BudgetError(f"the points times function tables of universe "
-                          f"sizes 1..{sizes} exceed the budget of {budget}")
-
     # a countermodel makes goal < 1 (and, for 1-entailment, premise = 1);
     # inf Gamma > B exactly when (&Gamma -> B) < 1
     conj = balanced(And, list(premises)) if premises else None
@@ -311,9 +301,11 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
     else:
         goal, premise = (Imp(conj, conclusion) if conj else conclusion), None
     elems: list[App] = []
+    spent = 0
     for size in range(1, max_universe + 1):
         elems.append(App(f"u{size - 1}"))
-        found = _search_size(goal, premise, preds, funcs, elems, len(values))
+        found, spent = _search_size(goal, premise, preds, funcs, elems, len(values),
+                                    budget, spent)
         if found is not None:
             return EntailmentResult(False, _interpretation(
                 preds, funcs, size, values, V, *found))
@@ -321,10 +313,12 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
 
 
 def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int],
-                 funcs: dict[str, int], elems: Sequence[App], n_values: int
-                 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The least (predicate ranks, function table) over the universe elems
-    where goal has rank below top and premise (if any) rank top.
+                 funcs: dict[str, int], elems: Sequence[App], n_values: int,
+                 budget: int, spent: int
+                 ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]], int]:
+    """(best, spent): the least (predicate ranks, function table) over the
+    universe elems where goal has rank below top and premise (if any) rank
+    top, or None; and spent plus the points this size charged.
 
     Each ground atom P(u_i, ...) has a slot in one rank vector (predicates
     sorted, argument tuples in product order); each function table is a
@@ -338,17 +332,22 @@ def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int
     an unread slot at 0 keeps a point falsifying and makes it smaller.
     """
     size = len(elems)
-    index = {}
-    for p in sorted(preds):
-        for tup in itertools.product(elems, repeat=preds[p]):
-            index[Atom(p, tup)] = len(index)
     offsets = {}
     n_func_slots = 0
     for g in sorted(funcs):
         offsets[g] = n_func_slots
         n_func_slots += size ** funcs[g]
+    # the atom slots and function-table entries are charged before either is built
+    n_slots = sum(size ** k for k in preds.values()) + n_func_slots
+    spent += n_slots
+    if spent > budget:
+        raise over_budget(f"universe size {size}, {n_slots} slots", spent, budget)
+    index = {}
+    for p in sorted(preds):
+        for tup in itertools.product(elems, repeat=preds[p]):
+            index[Atom(p, tup)] = len(index)
     best = None
-    for table in itertools.product(range(size), repeat=n_func_slots):
+    for t, table in enumerate(itertools.product(range(size), repeat=n_func_slots), 1):
         read: dict = {}
         ground = _grounder(elems, offsets, table, read)
         g = ground(goal, {})
@@ -359,14 +358,16 @@ def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int
         if h is not None:
             g, h = prog, compile_prop(h, slots)
             prog = lambda ranks, top: g(ranks, top) if h(ranks, top) == top else top
-        found = first_countermodel(prog, n_values, len(order))
+        # one point for the table, checked with its search's first charge
+        found, spent = first_countermodel(prog, n_values, len(order), (), budget, spent + 1,
+                                          f"universe size {size}, function table {t}")
         if found is not None:
             ranks = [0] * len(index)
             for a, rank in zip(order, found):
                 ranks[index[a]] = rank
             if best is None or tuple(ranks) < best[0]:
                 best = tuple(ranks), table
-    return best
+    return best, spent
 
 
 def _grounder(elems: Sequence[App], offsets: Mapping[str, int],

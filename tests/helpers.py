@@ -11,7 +11,7 @@ from typing import Iterator, Optional, Sequence
 
 from goedel_logics.decide import (
     BOT_MARK, ROOT, TOP_MARK, BUDGET, BudgetError, Constraint, DecideError, DecideResult,
-    QuantifierError, compile_prop, extend, pinned_orders,
+    QuantifierError, compile_prop, extend,
 )
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula,
@@ -20,7 +20,7 @@ from goedel_logics.formula import (
 )
 from goedel_logics.goedelset import GoedelSet, finite_elements
 from goedel_logics.herbrand import (
-    NODE_BUDGET, Certificate, HerbrandProblem, ProveResult, _atom_key,
+    Certificate, HerbrandProblem, ProveResult, _atom_key,
 )
 from goedel_logics.semantics import (
     ONE, EntailmentResult, FiniteInterpretation, _joint_signature, evaluate,
@@ -146,6 +146,22 @@ def eval_prop(f: Formula, valuation: dict[Atom, Fraction]) -> Fraction:
     raise QuantifierError(f"formula is not quantifier-free: {print_formula(f)}")
 
 
+def pinned_orders(n: int, m: Optional[int] = None) -> int:
+    """The oracle count of the pinned weak orders of n letters with at
+    most m classes (3, 11, 51, 299, ... for n = 1, 2, 3, 4 uncapped): the
+    leaves of the depth-n tree that decide.extend grows from ROOT, and the
+    gap-free points of V_m^n, which first_countermodel charges when it
+    skips nothing.  by_classes[k] counts orders of k classes."""
+    by_classes = [0, 0, 1]
+    for _ in range(n):
+        nxt = [0] * (len(by_classes) + 1)
+        for k, count in enumerate(by_classes):
+            nxt[k] += k * count
+            nxt[k + 1] += (k - 1) * count
+        by_classes = nxt if m is None else nxt[:m + 1]
+    return sum(by_classes)
+
+
 def reference_first_countermodel(goal, m: int, n: int):
     """The slow oracle for decide.first_countermodel: every point of
     range(m)^n in product order, gap-free or not."""
@@ -268,8 +284,12 @@ def reference_closes(c: Constraint, programs):
     return None
 
 
+# the reference tree's own node budget, which a test asserts it exceeds
+REFERENCE_NODE_BUDGET = 200_000
+
+
 def reference_prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
-                           node_budget: int = NODE_BUDGET) -> ProveResult:
+                           node_budget: int = REFERENCE_NODE_BUDGET) -> ProveResult:
     """The breadth-first semantic tree as it was before each node checked
     only its level's new instances; an "unknown" or "invalid" answer
     reports the first open order of the last level."""

@@ -35,7 +35,7 @@ def test_parse_ok_and_error(capsys):
 
 def test_budget_error_names_one_letter(capsys):
     assert run(capsys, "decide", "--budget", "2", "--logic", "LC", "A") == (
-        2, "", "error: 1 letter in LC: at least 3 points exceed the budget of 2\n")
+        2, "", "error: LC, 0 of 1 letter placed: 3 points charged exceed the budget of 2\n")
 
 
 def test_classify_text_and_json(capsys):
@@ -75,8 +75,8 @@ def test_decide_lc(capsys):
 
 
 def test_decide_huge_input_exits_on_the_budget(capsys, tmp_path):
-    # a balanced disjunction of 4,000 letters: the order types are counted
-    # only until they pass the budget
+    # a balanced disjunction of 4,000 letters: n letters have at least 2^n
+    # points, so n >= the budget's bit length is refused before any search
     parts = [f"A{j}" for j in range(4000)]
     while len(parts) > 1:
         parts = [f"({' | '.join(parts[i:i + 2])})" for i in range(0, len(parts), 2)]
@@ -84,8 +84,7 @@ def test_decide_huge_input_exits_on_the_budget(capsys, tmp_path):
     path.write_text(parts[0])
     code, out, err = run(capsys, "decide", "--logic", "LC", f"@{path}")
     assert (code, out) == (2, "")
-    assert err.startswith("error: 4000 letters in LC: at least ")
-    assert err.endswith(" points exceed the budget of 10000000\n")
+    assert err == "error: LC, 4000 letters: at least 2^4000 points exceed the budget of 3000000\n"
 
 
 def test_decide_long_chains_evaluate_shallowly(capsys, tmp_path):
@@ -173,16 +172,23 @@ def test_entail_countermodel_is_the_least_over_tables(capsys):
 
 
 def test_entail_budget_counts_order_types(capsys):
-    # over V_6, sizes 1..9 have 6,109,091 order types of P's atoms (not
-    # 12,093,234 points) and sizes 1..10 have 41,355,622
+    # over V_6, a conclusion that holds charges sizes 1..6 17,205 points:
+    # each size s its s slots, one table and the order types of P's s
+    # atoms (14,771 at s = 6, not 6^6 points)
     V6 = "{0,1/2,2/3,3/4,4/5,1}"
-    code, out, _ = run(capsys, "entail", "--truth-set", V6, "--max-universe", "9",
+    f = "forall x. (P(x) -> P(x))"
+    code, out, _ = run(capsys, "entail", "--truth-set", V6, "--max-universe", "6",
+                       "--budget", "17205", f)
+    assert code == 0 and "holds" in out
+    code, out, err = run(capsys, "entail", "--truth-set", V6, "--max-universe", "6",
+                         "--budget", "17204", f)
+    assert (code, out) == (2, "")
+    assert err == ("error: universe size 6, function table 1, 5 of 6 letters placed: "
+                   "17205 points charged exceed the budget of 17204\n")
+    # a countermodel at size 1 is found whatever the largest size
+    code, out, _ = run(capsys, "entail", "--truth-set", V6, "--max-universe", "3000",
                        "forall x. (P(x) | ~P(x))")
     assert code == 1 and "countermodel" in out
-    code, out, err = run(capsys, "entail", "--truth-set", V6, "--max-universe", "10",
-                         "forall x. (P(x) | ~P(x))")
-    assert (code, out) == (2, "")
-    assert err.endswith("sizes 1..10 exceed the budget of 10000000\n")
 
 
 def test_entail_rejects_empty_universe_bound(capsys):
@@ -330,7 +336,8 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("GOEDEL_BUDGET", "10")
     code, _, err = run(capsys, "decide", "--logic", "G5", "A1 | A2 | A3 | A4")
     assert code == 2 and "budget" in err
-    code, _, err = run(capsys, "entail", "--truth-set", "{0,1/2,1}", "A(c())")
+    # a conclusion that holds, so the search reaches size 2
+    code, _, err = run(capsys, "entail", "--truth-set", "{0,1/2,1}", "A(c()) -> A(c())")
     assert code == 2 and "budget" in err
     code, _, err = run(capsys, "prove",
                        "exists x. forall y. exists z. ((A(y) -> B(x)) & (B(z) -> A(y)))")

@@ -7,14 +7,14 @@ import pytest
 
 from goedel_logics.decide import (
     ROOT, BudgetError, QuantifierError, classes, compile_goal, compile_prop, decide_Gm,
-    decide_LC, extend, first_countermodel, pinned_orders, read_goal, search_points,
+    decide_LC, extend, first_countermodel, read_goal,
 )
 from goedel_logics.formula import Atom, Bot, And, Or, Imp, Top, atoms, parse, print_formula
 from goedel_logics.goedelset import gm_values
 from goedel_logics.semantics import FiniteInterpretation, evaluate
 from goedel_logics.goedelset import gm_values, unit_interval
 from helpers import (
-    class_ranks, eval_prop, reference_decide_LC, reference_extend,
+    class_ranks, eval_prop, pinned_orders, reference_decide_LC, reference_extend,
     reference_first_countermodel, representative,
 )
 
@@ -71,12 +71,12 @@ def test_budget_error():
 
 
 def test_lc_budget_counts_pinned_weak_orders():
-    # 6 letters have 18731 pinned weak orders; the budget admits exactly
-    # that many points, not the (6+2)^6 of the finite reduction
+    # 6 letters under a goal that cannot be pruned are charged exactly
+    # their 18731 pinned weak orders, not the (6+2)^6 of the finite reduction
     assert [pinned_orders(n) for n in range(1, 9)] == \
         [3, 11, 51, 299, 2163, 18731, 189171, 2183339]
-    f = parse("A1 & A2 & A3 & A4 & A5 & A6")
-    assert not decide_LC(f, budget=18731).valid
+    f = parse("(A1 & A2 & A3 & A4 & A5 & A6) -> A1")
+    assert decide_LC(f, budget=18731).valid
     with pytest.raises(BudgetError):
         decide_LC(f, budget=18730)
 
@@ -90,14 +90,15 @@ def test_gm_budget_counts_order_types_not_valuations():
     r = decide_Gm(parse("A"), 10 ** 12)
     assert r.countermodel == {Atom("A"): 0} and r.value == 0
     assert decide_Gm(parse("A | (A -> bot)"), 10 ** 12).countermodel == {Atom("A"): F(1, 2)}
-    # the count stops once it passes the budget, so no Bell number is built
-    assert 10 ** 7 < pinned_orders(4000, 4002, 10 ** 7) < 10 ** 9
+    # n letters have at least 2^n points, so n >= budget.bit_length() is
+    # refused before any point is walked
     with pytest.raises(BudgetError) as e:
         decide_LC(parse(" & ".join(f"A{j}" for j in range(40))), budget=99)
-    assert str(e.value) == "40 letters in LC: at least 299 points exceed the budget of 99"
+    assert str(e.value) == "LC, 40 letters: at least 2^40 points exceed the budget of 99"
+    # a loop over the last letter is charged before it runs
     with pytest.raises(BudgetError) as e:
         decide_LC(parse("A"), budget=2)
-    assert str(e.value) == "1 letter in LC: at least 3 points exceed the budget of 2"
+    assert str(e.value) == "LC, 0 of 1 letter placed: 3 points charged exceed the budget of 2"
 
 
 def _random_formula(rng, depth, leaves):
@@ -223,7 +224,7 @@ def test_first_countermodel_matches_the_product_oracle():
             for _ in range(60):
                 goal = compile_prop(_random_formula(rng, rng.randint(1, 6), leaves), index)
                 want = reference_first_countermodel(goal, m, n)
-                assert first_countermodel(goal, m, n) == want, (m, n)
+                assert first_countermodel(goal, m, n)[0] == want, (m, n)
                 cases += 1
                 late += want is None or any(want[:-1])
     assert cases >= 2000 and late >= 800
@@ -259,7 +260,7 @@ def test_pruned_walk_matches_the_product_oracle():
                 read, parts = read_goal(_disjunction(rng, letters))
                 goal, ready = compile_goal(parts, read)
                 want = reference_first_countermodel(goal, m, len(read))
-                assert first_countermodel(goal, m, len(read), ready) == want, (m, n)
+                assert first_countermodel(goal, m, len(read), ready)[0] == want, (m, n)
                 cases += 1
                 pruned += any(ready)
                 found += want is not None
@@ -268,7 +269,7 @@ def test_pruned_walk_matches_the_product_oracle():
     f = Or(Imp(Bot(), Bot()), parse("A0 & A1 & A2"))
     goal, ready = compile_goal(read_goal(f)[1], [Atom(f"A{j}") for j in range(3)])
     assert ready[0] is not None and ready[1] is None
-    assert first_countermodel(goal, 5, 3, ready) is None
+    assert first_countermodel(goal, 5, 3, ready)[0] is None
 
 
 def test_pruned_decisions_match_the_oracles():
@@ -307,17 +308,20 @@ def test_valid_cycles_follow_only_descending_prefixes():
         nonlocal calls
         calls += 1
         return prog(ranks, top)
-    assert first_countermodel(goal, 10, 8, ready) is None
+    assert first_countermodel(goal, 10, 8, ready)[0] is None
     assert calls <= 100
-    # the budget still counts the unpruned order types before the search
-    assert decide_LC(_cycle(12), budget=10 ** 12).valid
-    with pytest.raises(BudgetError):
-        decide_LC(_cycle(9))
+    # the budget counts the points the walk charges, so the 9- and
+    # 12-cycles are valid under the default budget
+    assert decide_LC(_cycle(9)).valid and decide_LC(_cycle(12)).valid
+    # an & root is not pruned: it is charged every order type, and runs
+    # until the budget is spent
+    with pytest.raises(BudgetError, match="LC, 8 of 9 letters placed: 100006 points charged"):
+        decide_LC(And(_cycle(9), parse("A1 -> A1")), budget=10 ** 5)
 
 
 def test_gap_free_walk_evaluates_one_point_per_order():
     # a valid 5-letter formula: one call per pinned weak order with at
-    # most m classes at every m, which the budget counts
+    # most m classes at every m, each charged
     f = parse("(A1 -> A2) | (A2 -> A3) | (A3 -> A4) | (A4 -> A5) | (A5 -> A1)")
     prog = compile_prop(f, {Atom(f"A{j}"): j - 1 for j in range(1, 6)})
     for m, want in [(2, 32), (3, 243), (4, 813), (5, 1563), (6, 2043), (7, 2163), (8, 2163)]:
@@ -327,22 +331,35 @@ def test_gap_free_walk_evaluates_one_point_per_order():
             nonlocal calls
             calls += 1
             return prog(ranks, top)
-        assert first_countermodel(goal, m, 5) is None
+        assert first_countermodel(goal, m, 5) == (None, want), m
         assert calls == pinned_orders(5, m) == want, m
-        assert search_points([(1, 5)], m, want - 1) == (want, 1)
-    # so the budget of G4 admits its 813 order types, not 4^5 = 1,024 points
-    with pytest.raises(BudgetError, match="at least 813 points exceed the budget of 812"):
-        decide_Gm(f, 4, budget=812)
-    assert decide_Gm(f, 4, budget=813).valid
+    # pruned at its root disjuncts, the G4 search is charged 49, not 813
+    with pytest.raises(BudgetError, match="49 points charged exceed the budget of 48"):
+        decide_Gm(f, 4, budget=48)
+    assert decide_Gm(f, 4, budget=49).valid
 
 
-def test_search_points_counts_exactly_once_the_powers_pass_the_budget():
-    # 100 searches of 3 letters in G5: 100 * 5^3 points pass 10,000, but
-    # the 51 order types each do not; past the budget the count stops
-    assert search_points([(100, 3)], 5, 10 ** 4) == (5100, 1)
-    assert search_points([(100, 3)], 5, 5099) == (5100, 1)
-    # the sum stops at the first term past the budget
-    assert search_points([(1, 2), (1, 40), (1, 2)], 3, 99) == (9 + 3 ** 5, 2)
+def test_search_is_charged_exactly_what_it_visits():
+    # an unprunable valid goal is charged exactly its pinned weak orders
+    # with at most m classes, and a budget one below that raises
+    for n in range(1, 6):
+        f = parse(" & ".join(f"A{j}" for j in range(1, n + 1)) + " -> A1")
+        letters, parts = read_goal(f)
+        goal, ready = compile_goal(parts, letters)
+        for m in range(2, 9):
+            want = pinned_orders(n, m)
+            assert first_countermodel(goal, m, n, ready, want) == (None, want), (n, m)
+            with pytest.raises(BudgetError):
+                first_countermodel(goal, m, n, ready, want - 1)
+            assert decide_Gm(f, m, budget=want).valid
+    # the charge runs on from spent: the pruned 5-cycle adds its 49 in G4
+    letters, parts = read_goal(_cycle(5))
+    goal, ready = compile_goal(parts, letters)
+    assert first_countermodel(goal, 4, 5, ready, 10 ** 6, 1000) == (None, 1049)
+    # a countermodel ends the charge at the loop that finds it
+    letters, parts = read_goal(parse("A1 & A2 & A3"))
+    goal, ready = compile_goal(parts, letters)
+    assert first_countermodel(goal, 5, 3, ready) == ((0, 0, 0), 3)
 
 
 def test_order_type_enumeration_counts():

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -176,7 +177,7 @@ THREE_QUANTIFIER = parse("exists x. forall y. exists z. ((A(y) -> B(x)) & (B(z) 
 
 
 def test_first_open_branch_answers_unknown_within_budget():
-    # breadth first needs more than the default budget to finish level 8;
+    # breadth first needs more than its 200,000 nodes to finish level 8;
     # depth first stops at the first branch open there
     with pytest.raises(BudgetError, match="budget of 200000 nodes"):
         reference_prove_prenex(THREE_QUANTIFIER, "uncountable", 8)
@@ -190,9 +191,9 @@ def test_first_open_branch_answers_unknown_within_budget():
 
 def test_budget_error_names_budget_nodes_and_level():
     with pytest.raises(BudgetError) as e:
-        prove_prenex(THREE_QUANTIFIER, "uncountable", 8, node_budget=20)
-    assert str(e.value) == ("semantic tree exceeded the budget of 20 nodes: "
-                            "27 nodes counted, deepest level 6")
+        prove_prenex(THREE_QUANTIFIER, "uncountable", 8, budget=20)
+    assert str(e.value) == ("semantic tree, deepest level 6: "
+                            "27 points charged exceed the budget of 20")
 
 
 def test_deep_walk_stops_with_a_budget_error():
@@ -377,7 +378,7 @@ def test_reassemble_round_trip_random_prenex():
         f = random_prenex(rng, 2 + i % 3, ["P", "Q"], rng.randint(2, 4))
         for mode in ("uncountable", "finite:3"):
             try:
-                res = prove_prenex(f, mode, 5, node_budget=20000)
+                res = prove_prenex(f, mode, 5, budget=20000)
             except BudgetError:
                 continue
             if res.status == "valid" and verify_certificate(res.certificate):
@@ -556,25 +557,26 @@ PRENEX_CORPUS = [
 ]
 
 
-def _outcome(prover, f, mode, max_level, node_budget):
+def _outcome(prover, f, mode, max_level, budget):
     """The prover's outcome, with its result when it finished."""
     try:
-        res = prover(f, mode, max_level, node_budget)
+        res = prover(f, mode, max_level, budget)
     except BudgetError as e:
-        return ("budget", str(e).partition(" nodes")[0]), None  # the budget it names
+        named = re.search(r"budget of (\d+)", str(e))  # the budget it names
+        return ("budget", named[1] if named else str(e)), None
     return (res.status, res.level_reached, res.certificate and res.certificate.dumps(),
             res.open_order), res
 
 
-def _check_against_reference(f, mode, max_level, node_budget):
+def _check_against_reference(f, mode, max_level, budget):
     """The depth-first prover's outcome equals the breadth-first
     reference's whenever the reference finishes within its budget.  Where
     the reference runs out, the depth-first walk may instead stop at its
     first open branch.  An open branch's order refutes every instance."""
-    want, _ = _outcome(reference_prove_prenex, f, mode, max_level, node_budget)
-    got, res = _outcome(prove_prenex, f, mode, max_level, node_budget)
+    want, _ = _outcome(reference_prove_prenex, f, mode, max_level, budget)
+    got, res = _outcome(prove_prenex, f, mode, max_level, budget)
     if want[0] != "budget" or got[0] == "budget":
-        assert got == want, (print_formula(f), mode, max_level, node_budget)
+        assert got == want, (print_formula(f), mode, max_level, budget)
     else:
         assert got[:2] in (("unknown", max_level), ("invalid", res.problem.base_length))
     if got[0] in ("unknown", "invalid"):

@@ -68,6 +68,6 @@ def test_unknown_names_raise():
 def test_submodules_still_import_by_name():
     from goedel_logics import decide, herbrand, semantics
     assert decide.__name__ == "goedel_logics.decide"
-    assert herbrand.NODE_BUDGET == decide.NODE_BUDGET
+    assert herbrand.BUDGET is decide.BUDGET
     assert semantics is importlib.import_module("goedel_logics.semantics")
     assert goedel_logics.__version__ == "0.1.0"

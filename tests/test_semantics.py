@@ -21,7 +21,7 @@ from goedel_logics.semantics import (
     stable_order, tail_value, value_set,
 )
 
-from helpers import random_closed_formula, random_interpretation
+from helpers import pinned_orders, random_closed_formula, random_interpretation
 
 V3 = v_m(3)
 V4 = v_m(4)
@@ -87,21 +87,27 @@ def test_entails_fin3_countermodel_over_v4():
 
 
 def test_budget_error():
-    with pytest.raises(BudgetError):
-        entails_bruteforce([], parse("P(f(g(c()))) | Q(c(),c())"),
-                           V4, 3, budget=1000)
+    # a conclusion that holds at every size: its 2,187 function tables of
+    # size 3 pass the budget
+    f = parse("P(f(g(c()))) | Q(c(),c())")
+    with pytest.raises(BudgetError, match="universe size 3, function table"):
+        entails_bruteforce([], Imp(f, f), V4, 3, budget=1000)
 
 
 def test_budget_error_before_counting_huge_universes():
-    # 3^(3000^2) interpretations at the largest size; the check must stop
-    # at the first size over the budget instead of computing that count
+    # each size is charged its slots before its atoms are indexed, so a
+    # conclusion that holds at every size stops at the first size whose
+    # slots pass the budget, not at size 3000
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match="exceed the budget of 10000000"):
-        entails_bruteforce([], parse("R(c(),c())"), V3, 3000)
-    assert time.perf_counter() - start < 5
-    with pytest.raises(BudgetError):
-        entails_bruteforce([], parse("P(x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x)"
-                                     .replace("x", "c()")), V3, 2)
+    with pytest.raises(BudgetError) as e:
+        entails_bruteforce([], parse("R(c(),c()) -> R(c(),c())"), V3, 3000, budget=10 ** 5)
+    assert str(e.value) == ("universe size 65, 4226 slots: "
+                            "102050 points charged exceed the budget of 100000")
+    # 2^30 slots at size 2 are charged, not built
+    p30 = parse("P(x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x,x)"
+                .replace("x", "c()"))
+    with pytest.raises(BudgetError, match="universe size 2, 1073741825 slots"):
+        entails_bruteforce([], Imp(p30, p30), V3, 2)
     assert time.perf_counter() - start < 5
 
 
@@ -135,11 +141,24 @@ def test_search_memory_stays_flat_in_the_tables():
 
 
 def test_budget_bound_is_exact():
-    # P(c()) over V3: 3 interpretations of size 1, 3^2 * 2 of size 2
+    # P(c()) over V3: size 1 charges its 2 slots, its one function table
+    # and the 3 points of P's one letter, and there finds the countermodel
     f = parse("P(c()) | ~P(c())")
-    assert entails_bruteforce([], f, V3, 2, budget=21).holds is False
-    with pytest.raises(BudgetError, match="sizes 1..2 exceed the budget of 20"):
-        entails_bruteforce([], f, V3, 2, budget=20)
+    assert entails_bruteforce([], f, V3, 2, budget=6).holds is False
+    with pytest.raises(BudgetError) as e:
+        entails_bruteforce([], f, V3, 2, budget=5)
+    assert str(e.value) == ("universe size 1, function table 1, 0 of 1 letter placed: "
+                            "6 points charged exceed the budget of 5")
+    # over V_6 the sizes 1..6 of a conclusion that holds charge 17,205
+    # points in all: each size s its s slots, one table and its s letters'
+    # pinned weak orders with at most 6 classes
+    g, V6 = parse("forall x. (P(x) -> P(x))"), v_m(6)
+    assert sum(s + 1 + pinned_orders(s, 6) for s in range(1, 7)) == 17205
+    assert entails_bruteforce([], g, V6, 6, budget=17205).holds
+    with pytest.raises(BudgetError) as e:
+        entails_bruteforce([], g, V6, 6, budget=17204)
+    assert str(e.value) == ("universe size 6, function table 1, 5 of 6 letters placed: "
+                            "17205 points charged exceed the budget of 17204")
 
 
 @pytest.mark.parametrize("search", [entails_bruteforce, one_entails_bruteforce])
