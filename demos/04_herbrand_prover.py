@@ -1,9 +1,10 @@
-"""The semantic-tree prover for prenex formulas, end to end.
+"""The Herbrand prover for prenex formulas, end to end.
 
-The tree explores weak linear orders of growing Herbrand-base prefixes;
-a branch closes when one ground matrix instance is forced to 1 by the
-order alone.  Closed trees yield certificates that are re-checked
-propositionally and reassembled into rule traces.
+Level L asks whether the disjunction of the ground matrix instances over
+the first L Herbrand-base atoms is valid, with one propositional search
+for a countermodel.  The first level without one yields a certificate,
+those instances, which is re-checked propositionally and reassembled
+into a rule trace.
 """
 
 from goedel_logics import (
@@ -28,8 +29,8 @@ print("independent check:", verify_certificate(res.certificate))
 
 res_u = prove_prenex(c_down, "uncountable", max_level=6)
 print("uncountable:", res_u.status, "at level", res_u.level_reached)
-# "unknown" comes from the first branch still open at the level bound;
-# under its order every instance so far stays below 1
+# "unknown" comes from a countermodel at the level bound; under its
+# order every instance so far stays below 1
 print("   open order:", " < ".join(" = ".join(cls) for cls in res_u.open_order))
 
 # Reassembly: a machine-checkable trace from the Herbrand disjunction

@@ -3,8 +3,8 @@
 Exact evaluation over arbitrary truth-value sets, symbolic
 classification of those sets into axiomatizability classes, Hilbert
 proof checking, propositional decision for G_m and LC, a Herbrand
-semantic-tree prover for prenex formulas, and the fragment-reduction
-formula transformers.
+prover for prenex formulas that decides each level propositionally, and
+the fragment-reduction formula transformers.
 
 Each public name below is loaded from its module on first use, so
 ``import goedel_logics`` loads none of the modules.
@@ -24,11 +24,11 @@ _EXPORTS = {
         entails_bruteforce eval_omega evaluate lift_w load_interpretation
         dump_interpretation map_h one_entails_bruteforce saturate_transfer
         value_set""",
-    "decide": "decide_Gm decide_LC extend",
+    "decide": "decide_Gm decide_LC",
     "proofkit": """Builder CheckResult Derivation Step check format_derivation
         match_axiom parse_derivation soundness_sample""",
-    "herbrand": """Certificate HerbrandProblem certificate_from_json closes
-        prove_prenex reassemble verify_certificate verify_trace""",
+    "herbrand": """Certificate HerbrandProblem certificate_from_json prove_prenex
+        reassemble verify_certificate verify_trace""",
     "transforms": """InadmissibleShiftError ReductionOutput forall_free_shift
         prenex_crisp prenex_crisp_report relativize_dneg to_Ag to_Ah
         to_bot_free""",

@@ -267,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula", help=FORMULA_HELP)
     p.set_defaults(fn=_cmd_decide)
 
-    p = sub.add_parser("prove", help="Herbrand semantic-tree prover for prenex formulas")
+    p = sub.add_parser("prove", help="Herbrand prover for prenex formulas, one search per level")
     p.add_argument("--mode", default="uncountable",
                    help="uncountable or finite:<n>")
     p.add_argument("--max-level", type=int, default=8)
     p.add_argument("--budget",
-                   help=f"points the search may charge, one per semantic-tree node "
+                   help=f"points the levels' searches may charge in all "
                         f"(default {decide.BUDGET}); also GOEDEL_BUDGET")
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument("--verify", help="verify an existing certificate file instead")

@@ -24,12 +24,11 @@ One walk (read_goal) gives the goal's letters and its root disjuncts,
 the leaves of its top |-tree.  The search skips each prefix on which a
 disjunct that reads no later letter is top, with every point below it:
 the goal is the max of its disjuncts, so it is top at each skipped
-point, and the first countermodel is unchanged; this is the Herbrand
-tree's closing rule, a branch closing once an instance is top, applied
-to the propositional search.  Every search charges the points it visits
-to one running budget and raises BudgetError once the charge passes it.
-The enumerator (ROOT, extend) holds an order as the rank vector of its
-letters and grows the Herbrand semantic tree.
+point, and the first countermodel is unchanged.  The Herbrand prover
+passes each level's instances the same way, so that this skip is a
+semantic tree's closing rule, a branch closing once an instance is top.
+Every search charges the points it visits to one running budget and
+raises BudgetError once the charge passes it.
 """
 
 from __future__ import annotations
@@ -180,41 +179,23 @@ def compile_goal(parts: Sequence[tuple[Formula, int]],
 # Pinned weak orders of {bot, letters, top}, as rank vectors
 #
 # An order of the letters L_1..L_n is the tuple (top, r_1, ..., r_n): L_j
-# sits in class r_j, class 0 holds bot, class top holds top, and every
-# class in between holds some letter.  A program compiled with L_j at
-# slot j evaluates at prog(order, order[0]) directly.
+# has rank r_j, rank 0 is bot's and rank top is top's.
 
 
 Order = tuple[int, ...]
 Constraint = tuple[tuple[str, ...], ...]  # an order as its classes of names
 
-ROOT: Order = (1,)
-
-
-def extend(order: Order, n_admissible: Optional[int] = None) -> list[Order]:
-    """All weak-order insertions of the next letter: join any class or sit
-    in a strict gap between adjacent classes (2k-1 children, bottom-up);
-    in finite-valued mode children with more than n classes are pruned."""
-    top = order[0]
-    gaps = n_admissible is None or top + 2 <= n_admissible
-    out: list[Order] = []
-    for i in range(top + 1):
-        out.append(order + (i,))
-        if i < top and gaps:
-            # a new class i+1: top and every class above i move up by one
-            out.append(tuple([r + 1 if r > i else r for r in order]) + (i + 1,))
-    return out
-
 
 def classes(order: Order, names: Sequence[str]) -> Constraint:
     """The order as its classes, bottom-up, each sorted: the names of its
-    letters (names[j-1] for L_j), bot in the first and top in the last."""
+    letters (names[j-1] for L_j), bot in the first and top in the last.
+    A rank that no letter takes gives no class."""
     out: list[list[str]] = [[] for _ in range(order[0] + 1)]
     out[0].append(BOT_MARK)
     out[-1].append(TOP_MARK)
     for name, r in zip(names, order[1:]):
         out[r].append(name)
-    return tuple([tuple(sorted(cls)) for cls in out])
+    return tuple([tuple(sorted(cls)) for cls in out if cls])
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +218,16 @@ def over_budget(where: str, spent: int, budget: int) -> BudgetError:
     return BudgetError(f"{where}: {spent} points charged exceed the budget of {budget}")
 
 
+def refuse_letters(where: str, n: int, budget: int) -> None:
+    """Raise BudgetError at once when n letters, which have at least 2^n
+    points, exceed budget, for a search whose letters nothing else bounds
+    (the walk recurses once per letter)."""
+    if n >= budget.bit_length():
+        letters = "letter" if n == 1 else "letters"
+        raise BudgetError(f"{where}, {n} {letters}: at least 2^{n} points exceed "
+                          f"the budget of {budget}")
+
+
 def first_countermodel(goal: RankProgram, m: int, n: int,
                        ready: Sequence[Optional[RankProgram]] = (), budget: int = BUDGET,
                        spent: int = 0, where: str = "search"
@@ -252,20 +243,20 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
     rank: the first falsifying point is gap-free.  Entailment runs it once
     per function table and keeps the least (ranks, table) pair.
 
-    ready, from compile_goal, holds for a slot p the | of goal's root
-    disjuncts that read no slot past p, or None.  Once the walk places
-    letter p, a candidate on which it is top is skipped with all the
-    points below it: goal is the max of its disjuncts, so it is top at
-    each of them, and the first countermodel stays the same.
+    ready holds for a slot p a program that reads no slot past p, or
+    None, and a point falsifies only where every ready[p] is below top as
+    well.  Once the walk places letter p, a candidate on which ready[p] is
+    top is skipped with all the points below it.  compile_goal's ready[p]
+    joins goal's root disjuncts that read no slot past p, so goal is top
+    at each skipped point and the first countermodel stays the same; the
+    prover's joins the instances of an older level, which its goal leaves
+    out.
 
     Each loop over the last letter is charged its points, and each skipped
     candidate one point for its subtree, so a search that skips nothing is
     charged exactly its order types.  Once spent passes budget, BudgetError
     names where and the letters placed."""
     letters = "letter" if n == 1 else "letters"
-    if n >= budget.bit_length():  # 2^n points or more, one recursion per letter
-        raise BudgetError(f"{where}, {n} {letters}: at least 2^{n} points exceed "
-                          f"the budget of {budget}")
     top = m - 1
     if n <= 1:
         # nothing to walk: one letter's gap-free ranks are 0, 1 and top
@@ -343,6 +334,7 @@ def _decide(f: Formula, m: Optional[int], budget: int) -> DecideResult:
     letters, parts = read_goal(f)
     n = len(letters)
     logic, m = ("LC", n + 2) if m is None else (f"G{m}", m)
+    refuse_letters(logic, n, budget)
     prog, ready = compile_goal(parts, letters)
     ranks, _ = first_countermodel(prog, m, n, ready, budget, 0, logic)
     if ranks is None:

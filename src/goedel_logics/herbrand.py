@@ -1,38 +1,34 @@
-"""Herbrand forms, semantic-tree proving, certificates and reassembly.
+"""Herbrand forms, the prover, certificates and reassembly.
 
 The prover handles closed prenex formulas.  Universal variables are
 replaced by fresh function symbols applied to the preceding existential
-variables; the tree then explores the pinned weak orders of growing
-prefixes C_1..C_L of the Herbrand base, grown by the propositional
-enumerator of ``decide`` (ROOT, extend), whose orders are rank vectors.
-A branch closes once a ground instance of the matrix has the top rank
-at its order, which by order-invariance settles the question for every
-interpretation fulfilling the order.
+variables, and the Herbrand base is enumerated as C_1, C_2, ....  By
+the Herbrand theorem for prenex formulas, the formula is valid once, for
+some level L, the disjunction of the ground instances of its matrix
+whose atoms lie in C_1..C_L is valid: in LC for uncountable mode, and in
+G_n for finite:n.  So each level is one call of
+``decide.first_countermodel`` on that disjunction, with C_j at slot
+j - 1 and m = n, or m = L + 2 in uncountable mode (LC is G_{L+2} over L
+letters).  One budget is charged across the levels.
 
-A node at level L checks only the instances new at L, those that
-contain C_L.  Every older instance was below top at the node's open
-parent, and inserting C_L keeps the order of the older atoms and their
-place relative to 0 and 1, so it stays below top.  The first instance
-that closes the branch is the one a check of every instance would find.
 New instances are generated by matching the matrix atoms against the
-base, and each is compiled once by ``decide.compile_prop`` the first
-time the walk reaches its level.
+base, and each is compiled once by ``decide.compile_prop`` when its
+level is reached.  An instance new at level p + 1 contains C_{p+1} and
+no later atom, so it reads no slot past p: the instances of the older
+levels are the search's ready programs, which skip each prefix that
+makes one of them top, with every point below it, as a semantic tree
+closes a branch once an instance is top.  The goal of a level is the
+disjunction of its new instances alone.
 
-The tree is walked depth first, so the walk stops at the first branch
-still open at the level bound and answers "unknown" with that branch's
-order, under which every instance so far stays below 1.  When no
-predicate takes an argument the Herbrand base is finite, and a branch
-open at its last atom is a countermodel: the answer is "invalid".  A
-walk that closes every branch has visited the nodes of the
-breadth-first tree, and the instances its branches closed on, sorted
-stably by level, come out in breadth-first order, which fixes the order
-of the certificate's disjuncts.  Each node visited is charged one point.
-
-Finite-valued mode prunes orders with more than n classes.  A closed
-tree yields a certificate: the formula, the mode and the Herbrand
-disjunction.  The disjunction is checked independently by the
-propositional decision procedures, and the certificate can be
-reassembled into a rule trace deriving the original formula.
+No countermodel at level L answers "valid" at L, and the certificate is
+the formula, the mode and the Herbrand disjunction: every instance up
+to L, in level order.  A countermodel at the level bound answers
+"unknown" with its order, under which every instance so far stays
+below 1.  When no predicate takes an argument the Herbrand base is
+finite, and a countermodel at its last atom answers "invalid".  The
+disjunction is checked independently by the propositional decision
+procedures, and the certificate can be reassembled into a rule trace
+deriving the original formula.
 
 A trace acts on a flat tuple of disjuncts, so commutation and
 association, rules (1)-(2), are implicit.  After the start, each Skolem
@@ -52,13 +48,13 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 from .formula import (
-    App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, ParseMemo, Term,
+    App, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, ParseMemo, Term,
     Var, alpha_eq, atoms, balanced, free_vars, fresh_name, is_prenex, normalize,
     prefix_and_matrix, print_formula, print_raw, print_term, signature, substitute, term_size,
 )
 from .decide import (
-    BUDGET, ROOT, BudgetError, Constraint, Order, RankProgram, classes, compile_prop,
-    decide_Gm, decide_LC, extend, over_budget, whole_number,
+    BUDGET, BudgetError, Constraint, RankProgram, classes, compile_prop, decide_Gm, decide_LC,
+    first_countermodel, whole_number,
 )
 from .semantics import expect_json
 
@@ -307,29 +303,6 @@ def _match_all(pools: Sequence[tuple[Atom, Sequence[Atom]]],
 
 
 # ---------------------------------------------------------------------------
-# Closing a branch
-
-
-def compile_instances(instances: Sequence[Instance],
-                      index: dict[Atom, int]) -> list[tuple[Instance, RankProgram]]:
-    """Each instance with its matrix compiled to a rank program that reads
-    the rank of base atom a from slot index[a] of an order."""
-    return [(inst, compile_prop(inst[1], index)) for inst in instances]
-
-
-def closes(order: Order,
-           programs: Sequence[tuple[Instance, RankProgram]]) -> Optional[Instance]:
-    """First instance whose matrix gets the top rank at the order's rank
-    vector; by order-invariance this settles every interpretation that
-    fulfills the order."""
-    top = order[0]
-    for inst, prog in programs:
-        if prog(order, top) == top:
-            return inst
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Certificates
 
 
@@ -350,7 +323,7 @@ def finite_bound(mode: str) -> Optional[int]:
 class Certificate:
     formula: Formula
     mode: str                      # "uncountable" | "finite:<n>"
-    disjuncts: tuple[Formula, ...]  # deduped, in tree order
+    disjuncts: tuple[Formula, ...]  # the instances up to a level, in level order
 
     def to_json(self) -> dict:
         return {
@@ -413,7 +386,7 @@ def match_instance(problem: HerbrandProblem, ground: Formula) -> tuple[Term, ...
 
 
 # ---------------------------------------------------------------------------
-# The semantic-tree prover
+# The prover
 
 
 @dataclass
@@ -422,20 +395,21 @@ class ProveResult:
     certificate: Optional[Certificate] = None
     level_reached: Optional[int] = None
     problem: Optional[HerbrandProblem] = None
-    # for "unknown" and "invalid": the open branch's order, under which
+    # for "unknown" and "invalid": the countermodel's order, under which
     # every instance up to level_reached stays below 1
     open_order: Optional[Constraint] = None
 
 
 def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
                  budget: int = BUDGET) -> ProveResult:
-    """Depth-first semantic tree for a closed prenex formula.
+    """One propositional search per level for a closed prenex formula.
 
-    mode is "uncountable" or "finite:<n>".  A closed tree yields a
-    certificate ("valid").  The walk stops at the first branch still open
-    at max_level ("unknown"), or at the last level of a finite Herbrand
-    base, where the open order is a countermodel ("invalid"); both
-    report that order.  Each node, an order, is one point of budget.
+    mode is "uncountable" or "finite:<n>".  Level L searches for a
+    countermodel of the disjunction of every instance up to L.  The first
+    level without one answers "valid", with those instances as the
+    certificate.  A countermodel at max_level answers "unknown", and one
+    at the last level of a finite Herbrand base "invalid"; both report its
+    order.  The levels charge their points to one budget.
     """
     problem = HerbrandProblem(f)
     n_adm = finite_bound(mode)
@@ -445,64 +419,34 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
     stop, open_status = ((last, "invalid") if last is not None and last <= max_level
                          else (max_level, "unknown"))
 
-    closed: list = []  # (level, instance) of each closed branch, in visit order
-    index: dict[Atom, int] = {}  # base atom -> its slot in the orders, in slot order
-    # levels[L]: the instances new at L, compiled when the walk first gets there
-    levels = [compile_instances(problem.new_instances(0), index)]
-    stack: list[Order] = []  # open nodes not yet extended; an order's level is len - 1
-    level, batch = 0, [ROOT]  # the children of one parent, all at one level
-    nodes = 0
-    while True:
-        nodes += len(batch)
-        if nodes > budget:
-            raise over_budget(f"semantic tree, deepest level {len(levels) - 1}", nodes, budget)
-        # an open parent left every older instance below top, and the
-        # child's order keeps that, so only the level's new ones can close
-        programs = levels[level]
-        still_open = batch
-        if programs:
-            still_open = []
-            for order in batch:
-                hit = closes(order, programs)
-                if hit is not None:
-                    closed.append((level, hit))
-                else:
-                    still_open.append(order)
-        if still_open:
-            if level == stop:
-                return ProveResult(open_status, None, level, problem,
-                                   classes(still_open[0], [print_raw(a) for a in index]))
-            still_open.reverse()  # the first child is extended first
-            stack.extend(still_open)
-        if not stack:
-            break
-        parent = stack.pop()
-        level = len(parent)
-        if level == len(levels):
-            try:
-                next_atom = problem.base(level)[-1]
-                index[next_atom] = level
-                levels.append(compile_instances(problem.new_instances(level), index))
-            except RecursionError:
-                # a deep walk grows terms past what the recursive term code takes
-                raise BudgetError(
-                    f"Herbrand base atom {level} is nested too deeply") from None
-        batch = extend(parent, n_adm)
-    # depth first visits each level's nodes in breadth-first order
-    closed.sort(key=lambda branch: branch[0])
-    level = closed[-1][0]
-    return ProveResult("valid", _certificate(problem, mode, closed), level, problem)
-
-
-def _certificate(problem: HerbrandProblem, mode: str, closed: list) -> Certificate:
-    """The certificate of a closed tree: the instances of closed, each
-    kept once in tree order.  Branches that closed on one instance share its
-    formula object, and no two instance objects print alike: every instance
-    new at level L contains C_L, and the instances within a level differ in
-    the binding of a matrix variable.  So keeping each object once, by
-    identity, is keeping each text once."""
-    grounds = {id(ground): ground for _, (_, ground) in closed}  # closed keeps ids unique
-    return Certificate(problem.original, mode, tuple(grounds.values()))
+    index: dict[Atom, int] = {}  # base atom C_j -> slot j - 1
+    grounds: list[Formula] = []  # every instance so far, in level order
+    ready: list[RankProgram] = []  # ready[p]: the | of the instances new at level p + 1
+    spent = 0
+    for level in range(stop + 1):
+        try:
+            if level:
+                index[problem.base(level)[-1]] = level - 1
+            new = [ground for _, ground in problem.new_instances(level)]
+            # a level without new instances has the goal bot
+            goal = compile_prop(balanced(Or, new) if new else BOT, index)
+        except RecursionError:
+            # a deep level grows terms past what the recursive term code takes
+            raise BudgetError(f"Herbrand base atom {level} is nested too deeply") from None
+        grounds += new
+        m = level + 2 if n_adm is None else n_adm
+        ranks, spent = first_countermodel(goal, m, level, ready, budget, spent,
+                                          f"Herbrand level {level}")
+        if ranks is None:
+            cert = Certificate(problem.original, mode, tuple(grounds))
+            return ProveResult("valid", cert, level, problem)
+        if level == stop:
+            names = [print_raw(a) for a in index]
+            return ProveResult(open_status, None, level, problem,
+                               classes((m - 1, *ranks), names))
+        if level:
+            # the instances of level 0 read no slot: a countermodel leaves them below top
+            ready.append(goal)
 
 
 def _instances(problem: HerbrandProblem, disjuncts: Sequence[Formula]) -> bool:

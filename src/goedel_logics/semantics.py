@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .decide import BUDGET, BudgetError, compile_prop, first_countermodel, over_budget
+from .decide import (
+    BUDGET, BudgetError, compile_prop, first_countermodel, over_budget, refuse_letters,
+)
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Term, Var,
     balanced, free_vars, print_formula, signature,
@@ -332,42 +334,56 @@ def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int
     an unread slot at 0 keeps a point falsifying and makes it smaller.
     """
     size = len(elems)
-    offsets = {}
-    n_func_slots = 0
-    for g in sorted(funcs):
-        offsets[g] = n_func_slots
-        n_func_slots += size ** funcs[g]
+    offsets, n_func_slots = _first_slots(funcs, size)
+    firsts, n_atom_slots = _first_slots(preds, size)
     # the atom slots and function-table entries are charged before either is built
-    n_slots = sum(size ** k for k in preds.values()) + n_func_slots
+    n_slots = n_atom_slots + n_func_slots
     spent += n_slots
     if spent > budget:
         raise over_budget(f"universe size {size}, {n_slots} slots", spent, budget)
-    index = {}
-    for p in sorted(preds):
-        for tup in itertools.product(elems, repeat=preds[p]):
-            index[Atom(p, tup)] = len(index)
+
+    def slot(key: tuple) -> int:
+        # the predicate's first slot plus its element indices in mixed radix
+        j = 0
+        for i in key[1:]:
+            j = j * size + i
+        return firsts[key[0]] + j
+
     best = None
     for t, table in enumerate(itertools.product(range(size), repeat=n_func_slots), 1):
+        where = f"universe size {size}, function table {t}"
         read: dict = {}
         ground = _grounder(elems, offsets, table, read)
         g = ground(goal, {})
         h = None if premise is None else ground(premise, {})
-        order = sorted(read.values(), key=index.__getitem__)
-        slots = {a: j for j, a in enumerate(order)}
+        keys = sorted(read)  # (predicate, element indices) sort in slot order
+        refuse_letters(where, len(keys), budget)
+        slots = {read[key]: j for j, key in enumerate(keys)}
         prog = compile_prop(g, slots)
         if h is not None:
             g, h = prog, compile_prop(h, slots)
             prog = lambda ranks, top: g(ranks, top) if h(ranks, top) == top else top
         # one point for the table, checked with its search's first charge
-        found, spent = first_countermodel(prog, n_values, len(order), (), budget, spent + 1,
-                                          f"universe size {size}, function table {t}")
+        found, spent = first_countermodel(prog, n_values, len(keys), (), budget, spent + 1,
+                                          where)
         if found is not None:
-            ranks = [0] * len(index)
-            for a, rank in zip(order, found):
-                ranks[index[a]] = rank
+            ranks = [0] * n_atom_slots
+            for key, rank in zip(keys, found):
+                ranks[slot(key)] = rank
             if best is None or tuple(ranks) < best[0]:
                 best = tuple(ranks), table
     return best, spent
+
+
+def _first_slots(arities: Mapping[str, int], size: int) -> tuple[dict[str, int], int]:
+    """Each symbol's first slot in one flat table over a universe of size
+    elements, symbols sorted and argument tuples in product order; and the
+    table's length."""
+    firsts, n = {}, 0
+    for name in sorted(arities):
+        firsts[name] = n
+        n += size ** arities[name]
+    return firsts, n
 
 
 def _grounder(elems: Sequence[App], offsets: Mapping[str, int],

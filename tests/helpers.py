@@ -10,8 +10,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from goedel_logics.decide import (
-    BOT_MARK, ROOT, TOP_MARK, BUDGET, BudgetError, Constraint, DecideError, DecideResult,
-    QuantifierError, compile_prop, extend,
+    BOT_MARK, TOP_MARK, BUDGET, BudgetError, Constraint, DecideError, DecideResult, Order,
+    QuantifierError, compile_prop,
 )
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula,
@@ -146,10 +146,32 @@ def eval_prop(f: Formula, valuation: dict[Atom, Fraction]) -> Fraction:
     raise QuantifierError(f"formula is not quantifier-free: {print_formula(f)}")
 
 
+# The weak-order enumerator by insertion: an order of the letters
+# L_1..L_n is the rank vector (top, r_1, ..., r_n) of decide.classes, in
+# which every class between bot's and top's holds some letter.
+
+ROOT: Order = (1,)  # no letters: bot in class 0, top in class 1
+
+
+def extend(order: Order, n_admissible: Optional[int] = None) -> list[Order]:
+    """All weak-order insertions of the next letter: join any class or sit
+    in a strict gap between adjacent classes (2k-1 children, bottom-up);
+    children with more than n_admissible classes are pruned."""
+    top = order[0]
+    gaps = n_admissible is None or top + 2 <= n_admissible
+    out: list[Order] = []
+    for i in range(top + 1):
+        out.append(order + (i,))
+        if i < top and gaps:
+            # a new class i+1: top and every class above i move up by one
+            out.append(tuple([r + 1 if r > i else r for r in order]) + (i + 1,))
+    return out
+
+
 def pinned_orders(n: int, m: Optional[int] = None) -> int:
     """The oracle count of the pinned weak orders of n letters with at
     most m classes (3, 11, 51, 299, ... for n = 1, 2, 3, 4 uncapped): the
-    leaves of the depth-n tree that decide.extend grows from ROOT, and the
+    leaves of the depth-n tree that extend grows from ROOT, and the
     gap-free points of V_m^n, which first_countermodel charges when it
     skips nothing.  by_classes[k] counts orders of k classes."""
     by_classes = [0, 0, 1]

@@ -6,15 +6,15 @@ from fractions import Fraction as F
 import pytest
 
 from goedel_logics.decide import (
-    ROOT, BudgetError, QuantifierError, classes, compile_goal, compile_prop, decide_Gm,
-    decide_LC, extend, first_countermodel, read_goal,
+    BudgetError, QuantifierError, classes, compile_goal, compile_prop, decide_Gm,
+    decide_LC, first_countermodel, read_goal,
 )
 from goedel_logics.formula import Atom, Bot, And, Or, Imp, Top, atoms, parse, print_formula
 from goedel_logics.goedelset import gm_values
 from goedel_logics.semantics import FiniteInterpretation, evaluate
 from goedel_logics.goedelset import gm_values, unit_interval
 from helpers import (
-    class_ranks, eval_prop, pinned_orders, reference_decide_LC, reference_extend,
+    ROOT, class_ranks, eval_prop, extend, pinned_orders, reference_decide_LC, reference_extend,
     reference_first_countermodel, representative,
 )
 

@@ -1,29 +1,28 @@
-"""Herbrand forms, the semantic-tree prover, certificates and traces."""
+"""Herbrand forms, the prover, certificates and traces."""
 
 import dataclasses
 import inspect
 import itertools
 import random
-import re
 import sys
 from fractions import Fraction as F
 
 import pytest
 
 from goedel_logics.formula import (
-    App, Atom, Or, Var, alpha_eq, parse, print_formula, print_raw,
+    App, Atom, Or, Var, alpha_eq, balanced, parse, print_formula, print_raw,
 )
 from goedel_logics.decide import (
-    BOT_MARK, ROOT, TOP_MARK, BudgetError, classes, extend,
+    BOT_MARK, BUDGET, TOP_MARK, BudgetError, classes, compile_prop, decide_Gm, decide_LC,
 )
 from goedel_logics.herbrand import (
     Certificate, HerbrandProblem, NotPrenexError, Trace, TraceConstructionError,
-    certificate_from_json, closes, compile_instances, match_instance, prove_prenex,
-    reassemble, verify_certificate, verify_trace,
+    certificate_from_json, finite_bound, match_instance, prove_prenex, reassemble,
+    verify_certificate, verify_trace,
 )
 from helpers import (
-    eval_prop, open_order_refutes, random_prenex, reference_instances, reference_prove_prenex,
-    representative, restrict,
+    ROOT, eval_prop, extend, open_order_refutes, random_prenex, reference_instances,
+    reference_prove_prenex, representative, restrict,
 )
 
 C_DOWN_PRENEX = parse("exists x. forall y. (A(y) -> A(x))")
@@ -100,16 +99,6 @@ def test_representative_values():
     assert representative(c2)[TOP_MARK] == 1
 
 
-def test_closes_cases():
-    p = HerbrandProblem(C_DOWN_PRENEX)
-    inst = p.new_instances(2)
-    # orders (top, rank of A(c0()), rank of A(f1(c0())))
-    programs = compile_instances(inst, {a: j for j, a in enumerate(p.base(2), 1)})
-    assert closes((3, 2, 1), programs) is not None   # A(f1 c0) < A(c0)
-    assert closes((3, 1, 2), programs) is None       # A(c0) < A(f1 c0)
-    assert closes((1, 1, 1), programs) is not None   # both at top
-
-
 def test_representative_agreement_with_all_fulfilling_valuations():
     # the single-representative check agrees with exhaustive small grids:
     # any valuation fulfilling the constraint makes the same instances 1
@@ -123,10 +112,11 @@ def test_representative_agreement_with_all_fulfilling_valuations():
         atom_of[print_raw(atom)] = atom
         frontier = [k for o in frontier for k in extend(o)]
         instances += p.new_instances(level)
-        programs = compile_instances(instances, {a: j for j, a in enumerate(p.base(level), 1)})
+        index = {a: j for j, a in enumerate(p.base(level), 1)}
+        programs = [compile_prop(g, index) for _, g in instances]
         sample = frontier if len(frontier) <= 40 else rng.sample(frontier, 40)
         for o in sample:
-            verdicts = [closes(o, [prog]) is not None for prog in programs]
+            verdicts = [prog(o, o[0]) == o[0] for prog in programs]
             for val in _fulfilling_valuations(classes(o, list(atom_of))):
                 by_atom = {atom_of[name]: v for name, v in val.items() if name in atom_of}
                 got = [eval_prop(g, by_atom) == 1 for _, g in instances]
@@ -177,8 +167,8 @@ THREE_QUANTIFIER = parse("exists x. forall y. exists z. ((A(y) -> B(x)) & (B(z) 
 
 
 def test_first_open_branch_answers_unknown_within_budget():
-    # breadth first needs more than its 200,000 nodes to finish level 8;
-    # depth first stops at the first branch open there
+    # the breadth-first tree needs more than its 200,000 nodes to finish
+    # level 8; the search of level 8 stops at its first countermodel
     with pytest.raises(BudgetError, match="budget of 200000 nodes"):
         reference_prove_prenex(THREE_QUANTIFIER, "uncountable", 8)
     res = prove_prenex(THREE_QUANTIFIER, "uncountable", 8)
@@ -190,16 +180,27 @@ def test_first_open_branch_answers_unknown_within_budget():
 
 
 def test_budget_error_names_budget_nodes_and_level():
+    # one budget runs across the levels' searches
     with pytest.raises(BudgetError) as e:
         prove_prenex(THREE_QUANTIFIER, "uncountable", 8, budget=20)
-    assert str(e.value) == ("semantic tree, deepest level 6: "
-                            "27 points charged exceed the budget of 20")
+    assert str(e.value) == ("Herbrand level 6, 3 of 6 letters placed: "
+                            "21 points charged exceed the budget of 20")
+
+
+def test_levels_past_the_letter_guard_answer_unknown():
+    # level L searches L letters; decide refuses 22 letters or more at the
+    # default budget before it walks, and the prover applies no such guard
+    assert (1 << 21) <= BUDGET < (1 << 22)
+    for f, level in ((THREE_QUANTIFIER, 24), (C_DOWN_PRENEX, 100)):
+        res = prove_prenex(f, "uncountable", level)
+        assert (res.status, res.level_reached) == ("unknown", level)
+        assert open_order_refutes(res)
 
 
 def test_deep_walk_stops_with_a_budget_error():
-    # the chain's walk opens one level per base atom and soon reaches
-    # atoms nested deeper than the recursive term code takes (about level
-    # 250 at the default recursion limit, lowered here to keep it quick)
+    # the chain opens one level per base atom and soon reaches atoms
+    # nested deeper than the recursive term code takes (about level 250 at
+    # the default recursion limit, lowered here to keep it quick)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
@@ -558,30 +559,32 @@ PRENEX_CORPUS = [
 
 
 def _outcome(prover, f, mode, max_level, budget):
-    """The prover's outcome, with its result when it finished."""
+    """The prover's result, or None when it ran out of budget."""
     try:
-        res = prover(f, mode, max_level, budget)
-    except BudgetError as e:
-        named = re.search(r"budget of (\d+)", str(e))  # the budget it names
-        return ("budget", named[1] if named else str(e)), None
-    return (res.status, res.level_reached, res.certificate and res.certificate.dumps(),
-            res.open_order), res
+        return prover(f, mode, max_level, budget)
+    except BudgetError:
+        return None
 
 
 def _check_against_reference(f, mode, max_level, budget):
-    """The depth-first prover's outcome equals the breadth-first
-    reference's whenever the reference finishes within its budget.  Where
-    the reference runs out, the depth-first walk may instead stop at its
-    first open branch.  An open branch's order refutes every instance."""
-    want, _ = _outcome(reference_prove_prenex, f, mode, max_level, budget)
-    got, res = _outcome(prove_prenex, f, mode, max_level, budget)
-    if want[0] != "budget" or got[0] == "budget":
-        assert got == want, (print_formula(f), mode, max_level, budget)
+    """The prover's status and level equal the breadth-first reference
+    tree's whenever both finish within the budget (points for the prover,
+    nodes for the tree).  Every certificate verifies and holds instances of
+    the Herbrand matrix alone; an open order refutes every instance."""
+    want = _outcome(reference_prove_prenex, f, mode, max_level, budget)
+    res = _outcome(prove_prenex, f, mode, max_level, budget)
+    if res is None:
+        return None, False
+    if want is not None:
+        assert (res.status, res.level_reached) == (want.status, want.level_reached), (
+            print_formula(f), mode, max_level, budget)
+    if res.status == "valid":
+        assert verify_certificate(res.certificate), print_formula(f)
+        for d in res.certificate.disjuncts:
+            match_instance(res.problem, d)
     else:
-        assert got[:2] in (("unknown", max_level), ("invalid", res.problem.base_length))
-    if got[0] in ("unknown", "invalid"):
         assert open_order_refutes(res), print_formula(f)
-    return got
+    return res.status, want is not None
 
 
 def test_new_instances_are_the_full_product_restricted():
@@ -610,16 +613,46 @@ def test_prover_matches_reference_on_corpus():
                 _check_against_reference(f, mode, max_level, 30_000)
 
 
+MODES = ["uncountable", "finite:2", "finite:3", "finite:4", "finite:5"]
+
+
 def test_prover_matches_reference_on_random_prenex():
-    # status, level, certificate text, open order and budget errors are
-    # those of the tree that checks every instance at every node
+    # status and level are those of the tree that checks every instance at
+    # every node
     rng = random.Random(61)
-    modes = ["uncountable", "finite:2", "finite:3", "finite:4", "finite:5"]
-    closed = 0
+    closed = compared = 0
     for _ in range(200):
         f = random_prenex(rng, rng.randint(1, 3), ["P", "Q"][:rng.randint(1, 2)],
                           rng.randint(2, 5))
-        args = (f, rng.choice(modes), rng.randint(0, 6), rng.choice([40, 400, 4000]))
-        got = _check_against_reference(*args)
-        closed += got[0] == "valid"
-    assert closed >= 40
+        args = (f, rng.choice(MODES), rng.randint(0, 6), rng.choice([40, 400, 4000]))
+        status, both = _check_against_reference(*args)
+        closed += status == "valid"
+        compared += both
+    assert closed >= 40 and compared >= 100
+
+
+def test_valid_at_a_level_is_the_decision_of_its_disjunction():
+    # by the Herbrand theorem for prenex formulas: valid at level L exactly
+    # when the disjunction of every instance up to L is valid (LC in
+    # uncountable mode, G_n in finite:n) and the one up to L - 1 is not
+    rng = random.Random(83)
+
+    def valid_up_to(problem, level, n):
+        grounds = [g for _, g in reference_instances(problem, level)]
+        if not grounds:
+            return False
+        disjunction = balanced(Or, grounds)
+        return (decide_LC(disjunction) if n is None else decide_Gm(disjunction, n)).valid
+
+    closed = 0
+    for i in range(150):
+        f = random_prenex(rng, rng.randint(1, 3), ["P", "Q"][:rng.randint(1, 2)],
+                          rng.randint(2, 5))
+        mode = MODES[i % len(MODES)]
+        res = prove_prenex(f, mode, rng.randint(0, 5))
+        level, n = res.level_reached, finite_bound(mode)
+        for k in range(level + 1):
+            want = res.status == "valid" and k == level
+            assert valid_up_to(res.problem, k, n) == want, (print_formula(f), mode, k)
+        closed += res.status == "valid"
+    assert closed >= 30

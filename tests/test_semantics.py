@@ -161,6 +161,16 @@ def test_budget_bound_is_exact():
                             "17205 points charged exceed the budget of 17204")
 
 
+def test_a_tables_letters_past_the_budget_are_refused_at_once():
+    # n letters have at least 2^n points, so a function table whose
+    # grounded goal reads budget.bit_length() letters or more is refused
+    f = parse(" & ".join(f"A{j}" for j in range(40)))
+    with pytest.raises(BudgetError) as e:
+        entails_bruteforce([], f, V3, 1, budget=99)
+    assert str(e.value) == ("universe size 1, function table 1, 40 letters: "
+                            "at least 2^40 points exceed the budget of 99")
+
+
 @pytest.mark.parametrize("search", [entails_bruteforce, one_entails_bruteforce])
 @pytest.mark.parametrize("bound", [0, -1])
 def test_empty_universe_bound_is_an_error(search, bound):
