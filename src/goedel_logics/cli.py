@@ -164,8 +164,8 @@ def _cmd_prove(args) -> int:
         _emit(args, payload, f"invalid (the Herbrand base ends at level "
                              f"{result.level_reached})\n  countermodel order: {text}")
         return EXIT_REJECTED
-    _emit(args, payload, f"unknown (open branches at level {result.level_reached})\n"
-                         f"  open order: {text}")
+    _emit(args, payload, f"unknown (the instances up to level {result.level_reached} "
+                         f"have a countermodel)\n  open order: {text}")
     return EXIT_UNKNOWN
 
 

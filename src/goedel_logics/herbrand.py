@@ -462,7 +462,7 @@ def _instances(problem: HerbrandProblem, disjuncts: Sequence[Formula]) -> bool:
 def verify_certificate(cert: Certificate, budget: int = BUDGET) -> bool:
     """Check that every disjunct is a ground instance of the formula's
     Herbrand matrix, then the Herbrand disjunction propositionally,
-    independently of the tree that produced it: LC for uncountable mode,
+    independently of the search that produced it: LC for uncountable mode,
     G_n for finite mode.  A formula that is open or not prenex raises
     NotPrenexError."""
     problem = HerbrandProblem(cert.formula)

@@ -1,10 +1,15 @@
 """Hilbert-style derivations and their checker for IL, H, H_n and H_0.
 
-The checker verifies user-supplied metavariable bindings instead of
-searching for a schema match: every axiom or rule step carries explicit
-bindings, the checker instantiates the schema and compares with the step
-formula up to alpha-equivalence.  That keeps checking linear and makes
-the proof files self-documenting.
+Every axiom and rule is written once, as the paper's formula, in one
+schema table (``_TABLE``), parsed at import; FIN(n) alone is built by
+``_fin``, from the bindings A1, A2, ... as it reads them, so a huge n
+costs nothing.  An axiom is a schema without premises.  The checker
+verifies user-supplied metavariable bindings instead of searching for a
+schema match: every axiom or rule step carries explicit bindings, the
+checker puts them in for the schema's metavariables (``_instance``) and
+compares the cited steps and the step's formula with the premises and
+conclusion so made, up to alpha-equivalence.  That keeps checking linear
+and makes the proof files self-documenting.
 
 A proof file repeats its subformulas: a binding such as ``A := P(x) ->
 ~P(x)`` comes back as a group in its step formula, in later steps and in
@@ -23,11 +28,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .formula import (
     And, App, Atom, Bot, Exists, Forall, Formula, GoedelError, Imp, Neg, Or, Term, Top, Var,
-    ParseMemo, alpha_eq, free_vars, parse_term, print_formula, print_term, substitute,
+    ParseMemo, alpha_eq, free_vars, parse, parse_term, print_formula, print_term, substitute,
 )
 from .decide import BUDGET, whole_number
 from .goedelset import GoedelSet
@@ -61,6 +67,10 @@ def _formula(bindings: Bindings, key: str) -> Formula:
     return v
 
 
+# a variable as the parser reads one: a lower-case name that is no keyword
+_VARIABLE = re.compile(r"(?!(?:forall|exists|bot|top)\Z)[a-z_][A-Za-z0-9_]*")
+
+
 def _variable(bindings: Bindings, key: str = "x") -> str:
     try:
         v = bindings[key]
@@ -68,7 +78,7 @@ def _variable(bindings: Bindings, key: str = "x") -> str:
         raise BindingIncompleteError(f"missing variable binding {key}") from None
     if isinstance(v, Var):
         return v.name
-    if isinstance(v, str):
+    if isinstance(v, str) and _VARIABLE.fullmatch(v):
         return v
     raise BindingIncompleteError(f"binding {key} is not a variable")
 
@@ -89,150 +99,107 @@ def _not_free(var: str, f: Formula, schema: str, slot: str) -> None:
             f"{schema}: variable {var} must not be free in {slot}", var)
 
 
-# --- axiom schema builders -------------------------------------------------
+# --- the schemas -------------------------------------------------------------
+#
+# name: (premises, conclusion).  The metavariables are the formulas A, B,
+# C, the variable x, the term t, and At, the formula A with t put in for
+# x (the parser takes no predicate A at two arities in one text).
 
-def _ax_I3a(b: Bindings) -> Formula:
-    A = _formula(b, "A")
-    return Imp(Or(A, A), A)
-
-
-def _ax_I3b(b: Bindings) -> Formula:
-    A = _formula(b, "A")
-    return Imp(A, And(A, A))
-
-
-def _ax_I4a(b: Bindings) -> Formula:
-    return Imp(_formula(b, "A"), Or(_formula(b, "A"), _formula(b, "B")))
-
-
-def _ax_I4b(b: Bindings) -> Formula:
-    return Imp(And(_formula(b, "A"), _formula(b, "B")), _formula(b, "A"))
-
-
-def _ax_I5a(b: Bindings) -> Formula:
-    A, B = _formula(b, "A"), _formula(b, "B")
-    return Imp(Or(A, B), Or(B, A))
-
-
-def _ax_I5b(b: Bindings) -> Formula:
-    A, B = _formula(b, "A"), _formula(b, "B")
-    return Imp(And(A, B), And(B, A))
-
-
-def _ax_I9(b: Bindings) -> Formula:
-    return Imp(Bot(), _formula(b, "A"))
-
-
-def _ax_I11(b: Bindings) -> Formula:
-    A, x, t = _formula(b, "A"), _variable(b), _term(b)
-    return Imp(Forall(x, A), substitute(A, x, t))
-
-
-def _ax_I12(b: Bindings) -> Formula:
-    A, x, t = _formula(b, "A"), _variable(b), _term(b)
-    return Imp(substitute(A, x, t), Exists(x, A))
-
-
-def _ax_QS(b: Bindings) -> Formula:
-    A, C, x = _formula(b, "A"), _formula(b, "C"), _variable(b)
-    _not_free(x, C, "QS", "C")
-    return Imp(Forall(x, Or(C, A)), Or(C, Forall(x, A)))
-
-
-def _ax_LIN(b: Bindings) -> Formula:
-    A, B = _formula(b, "A"), _formula(b, "B")
-    return Or(Imp(A, B), Imp(B, A))
-
-
-def _ax_ISO0(b: Bindings) -> Formula:
-    A, x = _formula(b, "A"), _variable(b)
-    return Imp(Forall(x, Neg(Neg(A))), Neg(Neg(Forall(x, A))))
-
-
-def _fin_builder(n: int) -> Callable[[Bindings], Formula]:
-    def build(b: Bindings) -> Formula:
-        parts = [Imp(Top(), _formula(b, "A1"))]
-        for i in range(1, n - 1):
-            parts.append(Imp(_formula(b, f"A{i}"), _formula(b, f"A{i + 1}")))
-        parts.append(Imp(_formula(b, f"A{n - 1}"), Bot()))
-        out: Formula = parts[0]
-        for p in parts[1:]:
-            out = Or(out, p)
-        return out
-    return build
-
-
-_IL_AXIOMS = {
-    "I3a": _ax_I3a, "I3b": _ax_I3b, "I4a": _ax_I4a, "I4b": _ax_I4b,
-    "I5a": _ax_I5a, "I5b": _ax_I5b, "I9": _ax_I9, "I11": _ax_I11, "I12": _ax_I12,
+_TABLE = {
+    "I1": (("A", "A -> B"), "B"),
+    "I2": (("A -> B", "B -> C"), "A -> C"),
+    "I3a": ((), "A | A -> A"),
+    "I3b": ((), "A -> A & A"),
+    "I4a": ((), "A -> A | B"),
+    "I4b": ((), "A & B -> A"),
+    "I5a": ((), "A | B -> B | A"),
+    "I5b": ((), "A & B -> B & A"),
+    "I6": (("A -> B",), "C | A -> C | B"),
+    "I7": (("A & B -> C",), "A -> B -> C"),
+    "I8": (("A -> B -> C",), "A & B -> C"),
+    "I9": ((), "bot -> A"),
+    "I10": (("B -> A",), "B -> forall x. A"),
+    "I11": ((), "(forall x. A) -> At"),
+    "I12": ((), "At -> exists x. A"),
+    "I13": (("A -> B",), "(exists x. A) -> B"),
+    "QS": ((), "(forall x. C | A) -> C | (forall x. A)"),
+    "LIN": ((), "(A -> B) | (B -> A)"),
+    "ISO_0": ((), "(forall x. ~~A) -> ~~(forall x. A)"),
 }
 
+# the metavariable in which x must not be free
+_NOT_FREE = {"QS": "C", "I10": "B", "I13": "B"}
 
-# --- rule schemas ----------------------------------------------------------
+_SCHEMAS = {name: (tuple(map(parse, premises)), parse(conclusion))
+            for name, (premises, conclusion) in _TABLE.items()}
 
-def _rule_I1(b: Bindings) -> tuple[list[Formula], Formula]:
-    A, B = _formula(b, "A"), _formula(b, "B")
-    return [A, Imp(A, B)], B
+_RULES = tuple(name for name, (premises, _) in _TABLE.items() if premises)
+_IL_AXIOMS = ("I3a", "I3b", "I4a", "I4b", "I5a", "I5b", "I9", "I11", "I12")
 
-
-def _rule_I2(b: Bindings) -> tuple[list[Formula], Formula]:
-    A, B, C = _formula(b, "A"), _formula(b, "B"), _formula(b, "C")
-    return [Imp(A, B), Imp(B, C)], Imp(A, C)
-
-
-def _rule_I6(b: Bindings) -> tuple[list[Formula], Formula]:
-    A, B, C = _formula(b, "A"), _formula(b, "B"), _formula(b, "C")
-    return [Imp(A, B)], Imp(Or(C, A), Or(C, B))
+_Instance = tuple[tuple[Formula, ...], Formula]
 
 
-def _rule_I7(b: Bindings) -> tuple[list[Formula], Formula]:
-    A, B, C = _formula(b, "A"), _formula(b, "B"), _formula(b, "C")
-    return [Imp(And(A, B), C)], Imp(A, Imp(B, C))
+def _put(f: Formula, b: Bindings) -> Formula:
+    """The schema formula f with the bindings put in for its metavariables."""
+    kind = type(f)
+    if kind is Atom:
+        if f.pred == "At":
+            return substitute(_formula(b, "A"), _variable(b), _term(b))
+        return _formula(b, f.pred)
+    if kind is Forall or kind is Exists:
+        body = _put(f.body, b)
+        return kind(_variable(b), body)
+    if kind is Bot:
+        return f
+    return kind(_put(f.left, b), _put(f.right, b))
 
 
-def _rule_I8(b: Bindings) -> tuple[list[Formula], Formula]:
-    A, B, C = _formula(b, "A"), _formula(b, "B"), _formula(b, "C")
-    return [Imp(A, Imp(B, C))], Imp(And(A, B), C)
+def _instance(schema: str, b: Bindings) -> _Instance:
+    """The premises and conclusion of the named schema for the bindings,
+    its side condition enforced."""
+    premises, conclusion = _SCHEMAS[schema]
+    out = tuple([_put(p, b) for p in premises]), _put(conclusion, b)
+    slot = _NOT_FREE.get(schema)
+    if slot is not None:
+        _not_free(_variable(b), _formula(b, slot), schema, slot)
+    return out
 
 
-def _rule_I10(b: Bindings) -> tuple[list[Formula], Formula]:
-    A, B, x = _formula(b, "A"), _formula(b, "B"), _variable(b)
-    _not_free(x, B, "I10", "B")
-    return [Imp(B, A)], Imp(B, Forall(x, A))
-
-
-def _rule_I13(b: Bindings) -> tuple[list[Formula], Formula]:
-    A, B, x = _formula(b, "A"), _formula(b, "B"), _variable(b)
-    _not_free(x, B, "I13", "B")
-    return [Imp(A, B)], Imp(Exists(x, A), B)
-
-
-_RULES = {
-    "I1": _rule_I1, "I2": _rule_I2, "I6": _rule_I6, "I7": _rule_I7,
-    "I8": _rule_I8, "I10": _rule_I10, "I13": _rule_I13,
-}
+def _fin(n: int, b: Bindings) -> _Instance:
+    """FIN(n) = (top -> A1) | (A1 -> A2) | ... | (A(n-1) -> bot), joined
+    from the left as the bindings A1, A2, ... are read: a missing one
+    stops it, so n may be far larger than any proof."""
+    last = _formula(b, "A1")
+    out: Formula = Imp(Top(), last)
+    for i in range(2, n):
+        a = _formula(b, f"A{i}")
+        out, last = Or(out, Imp(last, a)), a
+    return (), Or(out, Neg(last))
 
 
 # --- systems ---------------------------------------------------------------
 
 
-def system_axioms(system: str) -> dict[str, Callable[[Bindings], Formula]]:
-    """Axiom builders available in IL, H, H0 or H<n>."""
-    axioms = dict(_IL_AXIOMS)
-    if system == "IL":
-        return axioms
-    axioms["QS"] = _ax_QS
-    axioms["LIN"] = _ax_LIN
-    if system == "H":
-        return axioms
-    if system == "H0":
-        axioms["ISO_0"] = _ax_ISO0
-        return axioms
+_IL = {name: partial(_instance, name) for name in _RULES + _IL_AXIOMS}
+_H = dict(_IL, QS=partial(_instance, "QS"), LIN=partial(_instance, "LIN"))
+_SYSTEMS = {"IL": _IL, "H": _H, "H0": dict(_H, ISO_0=partial(_instance, "ISO_0"))}
+
+
+def _schemas(system: str) -> dict[str, Callable[[Bindings], _Instance]]:
+    """The rules and the axioms of IL, H, H0 or H<n>, by name."""
+    if system in _SYSTEMS:
+        return _SYSTEMS[system]
     n = whole_number(system[1:]) if system.startswith("H") else None
-    if n is not None:
-        axioms["FIN"] = _fin_builder(n)
-        return axioms
-    raise ProofError(f"unknown system {system!r}")
+    if n is None:
+        raise ProofError(f"unknown system {system!r}")
+    return dict(_H, FIN=partial(_fin, n))
+
+
+def system_axioms(system: str) -> dict[str, Callable[[Bindings], Formula]]:
+    """Axiom builders available in IL, H, H0 or H<n>: each maps bindings
+    to its schema's instance."""
+    return {name: (lambda b, schema=schema: schema(b)[1])
+            for name, schema in _schemas(system).items() if name not in _RULES}
 
 
 def match_axiom(name: str, candidate: Formula, bindings: Bindings,
@@ -282,11 +249,13 @@ class CheckResult:
 
 
 def check(d: Derivation) -> CheckResult:
-    """Verify every step; rejections carry the step number and a reason."""
+    """Verify every step; rejections carry the step number and a reason.
+    An axiom is a schema without premises, so an axiom step and a rule
+    step are checked alike: the cites, each premise, the conclusion."""
     if not d.steps:
         return CheckResult(False, None, "empty derivation")
     try:
-        axioms = system_axioms(d.system)
+        schemas = _schemas(d.system)
     except ProofError as e:
         return CheckResult(False, None, str(e))
     for idx, step in enumerate(d.steps, start=1):
@@ -294,44 +263,32 @@ def check(d: Derivation) -> CheckResult:
             if not any(alpha_eq(step.formula, p) for p in d.premises):
                 return CheckResult(False, idx, "formula is not among the premises")
             continue
-        if step.kind == "axiom":
-            if step.name not in axioms:
-                return CheckResult(False, idx, f"axiom {step.name} not in system {d.system}")
-            try:
-                built = axioms[step.name](step.binding_map())
-            except ProofError as e:
-                return CheckResult(False, idx, str(e))
-            if not alpha_eq(built, step.formula):
+        if step.kind not in ("axiom", "rule"):
+            return CheckResult(False, idx, f"unknown step kind {step.kind!r}")
+        if step.name not in schemas or (step.name in _RULES) != (step.kind == "rule"):
+            return CheckResult(False, idx, f"unknown rule {step.name}" if step.kind == "rule"
+                               else f"axiom {step.name} not in system {d.system}")
+        for c in step.cites:
+            if not 1 <= c < idx:
+                return CheckResult(False, idx, f"citation of step {c} violates ordering")
+        try:
+            premises, conclusion = schemas[step.name](step.binding_map())
+        except ProofError as e:
+            return CheckResult(False, idx, str(e))
+        if len(step.cites) != len(premises):
+            return CheckResult(
+                False, idx,
+                f"{step.kind} {step.name} needs {len(premises)} premises, got {len(step.cites)}")
+        for c, want in zip(step.cites, premises):
+            have = d.steps[c - 1].formula
+            if not alpha_eq(have, want):
                 return CheckResult(
                     False, idx,
-                    f"not an instance of {step.name}: expected {print_formula(built)}")
-            continue
-        if step.kind == "rule":
-            if step.name not in _RULES:
-                return CheckResult(False, idx, f"unknown rule {step.name}")
-            for c in step.cites:
-                if not 1 <= c < idx:
-                    return CheckResult(False, idx, f"citation of step {c} violates ordering")
-            try:
-                premises, conclusion = _RULES[step.name](step.binding_map())
-            except ProofError as e:
-                return CheckResult(False, idx, str(e))
-            if len(step.cites) != len(premises):
-                return CheckResult(
-                    False, idx,
-                    f"rule {step.name} needs {len(premises)} premises, got {len(step.cites)}")
-            for c, want in zip(step.cites, premises):
-                have = d.steps[c - 1].formula
-                if not alpha_eq(have, want):
-                    return CheckResult(
-                        False, idx,
-                        f"step {c} is {print_formula(have)}, rule wants {print_formula(want)}")
-            if not alpha_eq(conclusion, step.formula):
-                return CheckResult(
-                    False, idx,
-                    f"conclusion mismatch: rule yields {print_formula(conclusion)}")
-            continue
-        return CheckResult(False, idx, f"unknown step kind {step.kind!r}")
+                    f"step {c} is {print_formula(have)}, rule wants {print_formula(want)}")
+        if not alpha_eq(conclusion, step.formula):
+            return CheckResult(
+                False, idx,
+                f"not an instance of {step.name}: expected {print_formula(conclusion)}")
     return CheckResult(True)
 
 
@@ -495,7 +452,7 @@ class Builder:
         return self._add(Step(built, "axiom", name, (), tuple(sorted(bindings.items()))))
 
     def rule(self, name: str, cites: Sequence[int], **bindings: object) -> int:
-        _, conclusion = _RULES[name](bindings)  # type: ignore[arg-type]
+        _, conclusion = _instance(name, bindings)  # type: ignore[arg-type]
         return self._add(Step(conclusion, "rule", name, tuple(cites),
                               tuple(sorted(bindings.items()))))
 

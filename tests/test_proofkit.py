@@ -66,6 +66,68 @@ def test_axioms_by_system():
         assert not r.accepted and r.step is None and r.reason.startswith("unknown system")
 
 
+# each schema pinned against the paper, with A := P(x), B := Q(y), C := R,
+# x := x, t := c() and A1, A2, A3 := P(c()), Q(c()), R: premises, conclusion
+SCHEMA_INSTANCES = [
+    ("H", "I1", ["P(x)", "P(x) -> Q(y)"], "Q(y)"),
+    ("H", "I2", ["P(x) -> Q(y)", "Q(y) -> R"], "P(x) -> R"),
+    ("IL", "I3a", [], "P(x) | P(x) -> P(x)"),
+    ("IL", "I3b", [], "P(x) -> P(x) & P(x)"),
+    ("IL", "I4a", [], "P(x) -> P(x) | Q(y)"),
+    ("IL", "I4b", [], "P(x) & Q(y) -> P(x)"),
+    ("IL", "I5a", [], "P(x) | Q(y) -> Q(y) | P(x)"),
+    ("IL", "I5b", [], "P(x) & Q(y) -> Q(y) & P(x)"),
+    ("H", "I6", ["P(x) -> Q(y)"], "R | P(x) -> R | Q(y)"),
+    ("H", "I7", ["P(x) & Q(y) -> R"], "P(x) -> Q(y) -> R"),
+    ("H", "I8", ["P(x) -> Q(y) -> R"], "P(x) & Q(y) -> R"),
+    ("IL", "I9", [], "bot -> P(x)"),
+    ("H", "I10", ["Q(y) -> P(x)"], "Q(y) -> forall x1. P(x1)"),
+    ("IL", "I11", [], "(forall x1. P(x1)) -> P(c())"),
+    ("IL", "I12", [], "P(c()) -> exists x1. P(x1)"),
+    ("H", "I13", ["P(x) -> Q(y)"], "(exists x1. P(x1)) -> Q(y)"),
+    ("H", "QS", [], "(forall x1. R | P(x1)) -> R | (forall x2. P(x2))"),
+    ("H", "LIN", [], "(P(x) -> Q(y)) | (Q(y) -> P(x))"),
+    ("H0", "ISO_0", [], "(forall x1. ~~P(x1)) -> ~~(forall x2. P(x2))"),
+    ("H2", "FIN", [], "(top -> P(c())) | ~P(c())"),
+    ("H3", "FIN", [], "(top -> P(c())) | (P(c()) -> Q(c())) | ~Q(c())"),
+    ("H4", "FIN", [], "(top -> P(c())) | (P(c()) -> Q(c())) | (Q(c()) -> R) | ~R"),
+]
+
+
+@pytest.mark.parametrize("system, name, premises, conclusion", SCHEMA_INSTANCES)
+def test_schema_instance_is_the_papers_formula(system, name, premises, conclusion):
+    b = {"A": P_x, "B": parse("Q(y)"), "C": parse("R"), "x": "x", "t": App("c"),
+         "A1": P_c, "A2": Q_c, "A3": parse("R")}
+    have_premises, have = proofkit._schemas(system)[name](b)
+    assert [print_formula(p) for p in have_premises] == premises
+    assert print_formula(have) == conclusion
+    if not premises:
+        assert print_formula(system_axioms(system)[name](b)) == conclusion
+
+
+def test_every_schema_is_pinned():
+    pinned = {name for _, name, _, _ in SCHEMA_INSTANCES}
+    assert pinned == set(proofkit._schemas("H0")) | {"FIN"}
+
+
+def test_fin_is_read_from_the_bindings_lazily_in_n():
+    system = "H" + "9" * 30
+    assert "FIN" in system_axioms(system)
+    assert check(replace(d_modus_ponens(), system=system)).accepted
+    fin = Step(parse("(top -> P(c())) | (P(c()) -> Q(c())) | ~Q(c())"), "axiom", "FIN", (),
+               (("A1", P_c), ("A2", Q_c)))
+    r = check(Derivation(system, (), (fin,)))
+    assert (r.accepted, r.step, r.reason) == (False, 1, "missing formula binding A3")
+
+
+@pytest.mark.parametrize("value", ["P(x)", "", "forall"])
+def test_a_variable_binding_is_a_variable_name(value):
+    d = parse_derivation("system: H\n1. (forall y. P(x)) -> P(x) ; "
+                         f"axiom I11 [A := P(x), x := {value}, t := c()]\n")
+    r = check(d)
+    assert (r.accepted, r.step, r.reason) == (False, 1, "binding x is not a variable")
+
+
 # --- corpus ------------------------------------------------------------------
 
 
