@@ -26,15 +26,18 @@ disjunct that reads no later letter is top, with every point below it:
 the goal is the max of its disjuncts, so it is top at each skipped
 point, and the first countermodel is unchanged.  The Herbrand prover
 passes each level's instances the same way, so that this skip is a
-semantic tree's closing rule, a branch closing once an instance is top.
+semantic tree's closing rule, a branch closing once an instance is top,
+and starts each level's search at the last level's countermodel.
 Every search charges the points it visits to one running budget and
 raises BudgetError once the charge passes it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from .formula import (
@@ -230,7 +233,7 @@ def refuse_letters(where: str, n: int, budget: int) -> None:
 
 def first_countermodel(goal: RankProgram, m: int, n: int,
                        ready: Sequence[Optional[RankProgram]] = (), budget: int = BUDGET,
-                       spent: int = 0, where: str = "search"
+                       spent: int = 0, where: str = "search", start: Sequence[int] = ()
                        ) -> tuple[Optional[tuple[int, ...]], int]:
     """(ranks, spent): the first point ranks of range(m)^n, in product
     order, where goal has rank below the top rank m - 1, or None; and
@@ -255,8 +258,16 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
     Each loop over the last letter is charged its points, and each skipped
     candidate one point for its subtree, so a search that skips nothing is
     charged exactly its order types.  Once spent passes budget, BudgetError
-    names where and the letters placed."""
+    names where and the letters placed.
+
+    start, the ranks of at most n - 1 leading letters, resumes the walk
+    there: every point whose leading ranks come before start in product
+    order is skipped uncharged, so the answer is the same whenever no
+    countermodel comes before start."""
     letters = "letter" if n == 1 else "letters"
+    path = len(start)  # walk(p) follows start while p < path
+    if path and path >= n:
+        raise ValueError("start places at most n - 1 letters")
     top = m - 1
     if n <= 1:
         # nothing to walk: one letter's gap-free ranks are 0, 1 and top
@@ -271,10 +282,18 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
     def walk(p: int, k: int, holes: list):
         # ranks[:p] are placed; their middle ranks are 1..k but for the
         # holes, which the letters from p on must fill
-        nonlocal spent
+        nonlocal spent, path
         left = last - p
         closing = ready[p] if p < len(ready) else None
-        if len(holes) > left:
+        if p < path and p and ranks[p - 1] != start[p - 1]:
+            path = 0  # past start: no later letter is bounded
+        if p < path:
+            # on start's path: the candidates from start's rank on, lazily,
+            # as the first of them mostly settles it
+            lo, hi = start[p], k + 2 + left - len(holes)
+            cands = (holes[bisect_left(holes, lo):] if len(holes) > left
+                     else range(lo, m) if hi >= top else chain(range(lo, hi), (top,)))
+        elif len(holes) > left:
             cands = holes
         else:
             # 0, a rank up to k, top, or a new rank that leaves no more

@@ -11,14 +11,26 @@ G_n for finite:n.  So each level is one call of
 j - 1 and m = n, or m = L + 2 in uncountable mode (LC is G_{L+2} over L
 letters).  One budget is charged across the levels.
 
-New instances are generated by matching the matrix atoms against the
-base, and each is compiled once by ``decide.compile_prop`` when its
+Each ground term and base atom is built once, with its size and text,
+so base atoms are matched and looked up by identity, never compared or
+printed through their nesting.  New instances are generated by matching
+the matrix atoms against the base; their atoms are the base atoms
+matched, and each is compiled once by ``decide.compile_prop`` when its
 level is reached.  An instance new at level p + 1 contains C_{p+1} and
 no later atom, so it reads no slot past p: the instances of the older
 levels are the search's ready programs, which skip each prefix that
 makes one of them top, with every point below it, as a semantic tree
 closes a branch once an instance is top.  The goal of a level is the
 disjunction of its new instances alone.
+
+Each level resumes the search of the last.  A countermodel of level
+L + 1 leaves every instance up to L below top, so its first L ranks,
+with gaps closed (which only lowers them), are a countermodel of level
+L, no earlier in product order than the one level L found.  So level
+L + 1's walk starts at that countermodel, its top rank mapped to the
+new top: the first countermodel, and so the answer, the certificate and
+the open order, stay those of a walk from the first point, and a chain
+that stays open is charged about L points at level L, not L^2/2.
 
 No countermodel at level L answers "valid" at L, and the certificate is
 the formula, the mode and the Herbrand disjunction: every instance up
@@ -45,12 +57,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from operator import eq, is_
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .formula import (
-    App, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, ParseMemo, Term,
-    Var, alpha_eq, atoms, balanced, free_vars, fresh_name, is_prenex, normalize,
-    prefix_and_matrix, print_formula, print_raw, print_term, signature, substitute, term_size,
+    App, ArityConflictError, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError,
+    ParseMemo, Term, Var, alpha_eq, balanced, free_vars, fresh_name, normalize,
+    prefix_and_matrix, print_formula, print_raw, print_term, subst_term, substitute, term_size,
+    term_vars,
 )
 from .decide import (
     BUDGET, BudgetError, Constraint, RankProgram, classes, compile_prop, decide_Gm, decide_LC,
@@ -85,18 +99,64 @@ Instance = tuple[tuple[Term, ...], Formula]  # existential terms, ground matrix
 class HerbrandProblem:
     """A prenex formula together with its Herbrand form and a fixed
     non-repetitive enumeration of the Herbrand base (by total term size,
-    ties broken lexicographically)."""
+    ties broken lexicographically).
+
+    The formula is read in one pass over its prefix and one walk of its
+    matrix, which renames the binders as ``normalize`` does, checks that
+    the formula is closed and prenex, and collects its signature; the
+    Skolem matrix is then one substitution.  Each ground term and base
+    atom is built once, from terms built before, with its size and text
+    kept beside it, so two ground terms are equal only when they are one
+    object, and sorting and naming them prints nothing."""
 
     def __init__(self, original: Formula):
-        if free_vars(original):
-            raise NotPrenexError("formula must be closed")
-        if not is_prenex(original):
-            raise NotPrenexError(f"formula is not prenex: {print_formula(original)}")
-        self.original = normalize(original)
-        prefix, matrix = prefix_and_matrix(self.original)
-        self.prefix = tuple(prefix)
+        prefix, matrix = prefix_and_matrix(original)
+        # binders are numbered as normalize numbers them; the last of equal names binds
+        env = {var: Var(f"x{i}") for i, (_, var) in enumerate(prefix, 1)}
+        self.prefix = tuple((kind, f"x{i}") for i, (kind, _) in enumerate(prefix, 1))
+        preds: dict[str, int] = {}
+        funcs: dict[str, int] = {}
+        conflicts: list[ArityConflictError] = []
+        free: list[str] = []  # the free variables met
+        used_vars: set[str] = set()  # the renamed variables the matrix reads
 
-        preds, funcs = signature(matrix)
+        def note(table: dict[str, int], name: str, arity: int, kind: str) -> None:
+            old = table.setdefault(name, arity)
+            if old != arity:
+                conflicts.append(ArityConflictError(
+                    f"{kind} symbol {name} used with arities {old} and {arity}"))
+
+        def term(t: Term) -> Term:
+            if type(t) is Var:
+                v = env.get(t.name)
+                if v is None:
+                    free.append(t.name)
+                    return t
+                used_vars.add(v.name)
+                return v
+            note(funcs, t.name, len(t.args), "function")
+            return App(t.name, tuple([term(a) for a in t.args])) if t.args else t
+
+        def rename(a: Atom) -> Atom:
+            note(preds, a.pred, len(a.args), "predicate")
+            return Atom(a.pred, tuple([term(t) for t in a.args])) if a.args else a
+
+        try:
+            self.matrix = _map_atoms(matrix, rename)
+        except NotPrenexError:
+            if free_vars(original):
+                raise NotPrenexError("formula must be closed") from None
+            raise NotPrenexError(f"formula is not prenex: {print_formula(original)}") from None
+        if free:
+            raise NotPrenexError("formula must be closed")
+        if conflicts:
+            raise conflicts[0]
+        # the prefix over the renamed matrix: normalize(original)
+        body = self.matrix
+        for kind, var in reversed(self.prefix):
+            body = (Forall if kind == "forall" else Exists)(var, body)
+        self.original = body
+
         used = set(funcs)
 
         def fresh(base: str) -> str:
@@ -107,6 +167,7 @@ class HerbrandProblem:
         existentials: list[str] = []
         mapping: dict[str, Term] = {}
         skolem: list[tuple[str, int]] = []
+        hu_funcs = dict(funcs)
         self.universal_terms: list[tuple[int, str, tuple[str, ...]]] = []
         n_univ = 0
         for pos, (kind, var) in enumerate(self.prefix):
@@ -119,54 +180,69 @@ class HerbrandProblem:
                 skolem.append((name, len(args)))
                 mapping[var] = App(name, tuple(Var(v) for v in args))
                 self.universal_terms.append((pos, name, args))
+                if var in used_vars:  # the Skolem term occurs in the Herbrand form
+                    hu_funcs[name] = len(args)
 
         self.existential_vars = tuple(existentials)
         self.skolem_symbols = tuple(skolem)
-        self.matrix = matrix
+        # one substitution; equal atoms are made one object, the first of
+        # them kept in order: the patterns new_instances matches
+        self._patterns: dict[Atom, Atom] = {}
 
-        body = matrix
-        for var, t in mapping.items():
-            body = substitute(body, var, t)
-        self.skolem_matrix = body
+        def skolemize(a: Atom) -> Atom:
+            b = Atom(a.pred, tuple([subst_term(t, mapping) for t in a.args])) if a.args else a
+            return self._patterns.setdefault(b, b)
+
+        self.skolem_matrix = _map_atoms(self.matrix, skolemize)
         # the Herbrand form: the Skolem matrix under the existential prefix
-        hform: Formula = body
+        hform: Formula = self.skolem_matrix
         for var in reversed(existentials):
             hform = Exists(var, hform)
         self.existential_form = hform
 
-        hu_preds, hu_funcs = signature(body)
         if not any(k == 0 for k in hu_funcs.values()):
             hu_funcs[fresh("c0")] = 0
         if not any(k > 0 for k in hu_funcs.values()):
             hu_funcs[fresh("g0")] = 1
         self.hu_functions = dict(sorted(hu_funcs.items()))
-        self.predicates = dict(sorted(hu_preds.items()))
+        self.predicates = dict(sorted(preds.items()))
         # the number of atoms in the base when it is finite: with no
         # predicate taking an argument it holds the 0-ary atoms alone
         self.base_length: Optional[int] = (
             None if any(self.predicates.values()) else len(self.predicates))
-
+        self._vars = {id(q): frozenset().union(*map(term_vars, q.args)) for q in self._patterns}
         self._terms_by_size: list[list[Term]] = [[]]  # index = size
+        # each ground term built: by its symbol and argument ids, and its
+        # (size, text) by its id
+        self._term_of: dict[tuple[str, tuple[int, ...]], App] = {}
+        self._key: dict[int, tuple[int, str]] = {}
         self._base: list[Atom] = []
+        self._at: dict[tuple[str, tuple[int, ...]], int] = {}  # (pred, argument ids) -> slot
+        self._names: list[str] = []  # the text of each base atom, as print_raw gives it
         self._base_size = 0  # last term-size block already enumerated
 
     # -- Herbrand universe / base enumeration
 
     def _grow_terms(self, size: int) -> None:
+        key = self._key
         while len(self._terms_by_size) <= size:
             s = len(self._terms_by_size)
-            terms: list[Term] = []
+            terms: list[tuple[str, Term]] = []
             for name, arity in self.hu_functions.items():
                 if arity == 0:
                     if s == 1:
-                        terms.append(App(name))
+                        terms.append((f"{name}()", App(name)))
                     continue
                 for split in _compositions(s - 1, arity):
                     pools = [self._terms_by_size[part] for part in split]
                     for args in itertools.product(*pools):
-                        terms.append(App(name, args))
-            terms.sort(key=_term_key)
-            self._terms_by_size.append(terms)
+                        text = f"{name}({','.join([key[id(a)][1] for a in args])})"
+                        terms.append((text, App(name, args)))
+            terms.sort(key=lambda e: e[0])
+            for text, t in terms:
+                key[id(t)] = (s, text)
+                self._term_of[t.name, tuple(map(id, t.args))] = t
+            self._terms_by_size.append([t for _, t in terms])
 
     def terms_up_to(self, size: int) -> list[Term]:
         self._grow_terms(size)
@@ -178,22 +254,27 @@ class HerbrandProblem:
     def base(self, count: int) -> list[Atom]:
         """C_1 .. C_count of the Herbrand base (non-repetitive), or the
         whole base when it is finite and shorter."""
+        key = self._key
         while len(self._base) < count and len(self._base) != self.base_length:
             self._base_size += 1
             size = self._base_size
-            block: list[Atom] = []
+            block: list[tuple[tuple, Atom]] = []
             for pred, arity in self.predicates.items():
                 if arity == 0:
                     if size == 1:
-                        block.append(Atom(pred))
+                        block.append(((pred, ()), Atom(pred)))
                     continue
                 for split in _compositions(size, arity):
                     self._grow_terms(max(split))
                     pools = [self._terms_by_size[part] for part in split]
                     for args in itertools.product(*pools):
-                        block.append(Atom(pred, args))
-            block.sort(key=_atom_key)
-            self._base.extend(block)
+                        block.append(((pred, tuple([key[id(t)][1] for t in args])),
+                                      Atom(pred, args)))
+            block.sort(key=lambda e: e[0])
+            for (pred, texts), atom in block:
+                self._at[pred, tuple(map(id, atom.args))] = len(self._base)
+                self._base.append(atom)
+                self._names.append(f"{pred}({','.join(texts)})" if texts else pred)
         return self._base[:count]
 
     def new_instances(self, level: int) -> list[Instance]:
@@ -206,23 +287,56 @@ class HerbrandProblem:
 
         Each is found by matching the matrix atoms against the base: the
         first atom on C_level binds its variables, earlier atoms take
-        older base atoms and later ones any, so no tuple comes twice."""
-        patterns = atoms(self.skolem_matrix)
+        older base atoms and later ones any, so no tuple comes twice.  The
+        atoms of an instance are the base atoms they matched."""
+        patterns = list(self._patterns)
         if level == 0:
-            return [] if patterns else [self._instance({})]
-        base = self.base(level)
-        if len(base) < level:
+            return [] if patterns else [self._instance({}, {})]
+        if len(self.base(level)) < level:
             return []  # the level lies beyond a finite base
-        found: list[dict[str, Term]] = []
+        last = self._base[level - 1]
+        found: list[tuple[dict[str, Term], dict[int, Atom]]] = []
         for j, pattern in enumerate(patterns):
             bound: dict[str, Term] = {}
-            if _match_atom(pattern, base[-1], bound):
-                pools = [(q, base[:-1] if i < j else base)
+            if _match_atom(pattern, last, bound, is_):
+                pools = [(q, level - 1 if i < j else level)
                          for i, q in enumerate(patterns) if i != j]
-                found.extend(_match_all(pools, bound))
-        out = [self._instance(b) for b in found]
-        out.sort(key=lambda inst: [_term_key(t) for t in inst[0]])
+                found.extend(self._match_all(pools, bound, {id(pattern): last}))
+        out = [self._instance(*b) for b in found]
+        key = self._key
+        out.sort(key=lambda inst: [key[id(t)] for t in inst[0]])
         return out
+
+    def _match_all(self, pools: Sequence[tuple[Atom, int]], bindings: dict[str, Term],
+                   chosen: dict[int, Atom]) -> Iterator[tuple[dict[str, Term], dict[int, Atom]]]:
+        """Every extension of bindings that maps each pattern to a base atom
+        before its slot limit, with the atom chosen for each pattern's id.
+        A pattern whose variables are all bound is looked up by its
+        argument ids; any other is matched against the base atoms, by
+        identity."""
+        if not pools:
+            yield bindings, chosen
+            return
+        (pattern, limit), rest = pools[0], pools[1:]
+        if self._vars[id(pattern)] <= bindings.keys():
+            slot = self._at.get((pattern.pred, tuple([id(self._term_for(t, bindings))
+                                                      for t in pattern.args])))
+            if slot is not None and slot < limit:
+                yield from self._match_all(rest, bindings,
+                                           {**chosen, id(pattern): self._base[slot]})
+            return
+        for actual in self._base[:limit]:
+            extended = dict(bindings)
+            if _match_atom(pattern, actual, extended, is_):
+                yield from self._match_all(rest, extended, {**chosen, id(pattern): actual})
+
+    def _term_for(self, t: Term, bindings: dict[str, Term]) -> Optional[Term]:
+        """The ground term built for t under bindings that bind all its
+        variables, or None when none is built."""
+        if type(t) is Var:
+            return bindings[t.name]
+        args = [self._term_for(a, bindings) for a in t.args]
+        return self._term_of.get((t.name, tuple(map(id, args))))
 
     def combo(self, bindings: dict[str, Term]) -> tuple[Term, ...]:
         """The existential terms of bindings; a variable absent from the
@@ -230,9 +344,8 @@ class HerbrandProblem:
         filler = self.terms_up_to(1)[0]
         return tuple(bindings.get(v, filler) for v in self.existential_vars)
 
-    def _instance(self, bindings: dict[str, Term]) -> Instance:
-        combo = self.combo(bindings)
-        return combo, _substitute_many(self.skolem_matrix, dict(zip(self.existential_vars, combo)))
+    def _instance(self, bindings: dict[str, Term], chosen: dict[int, Atom]) -> Instance:
+        return self.combo(bindings), _map_atoms(self.skolem_matrix, lambda a: chosen[id(a)])
 
     def full_term_vector(self, combo: Sequence[Term]) -> list[Term]:
         """Terms for all prefix positions: existential positions from the
@@ -258,48 +371,32 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _term_key(t: Term):
-    return (term_size(t), print_term(t))
+def _map_atoms(f: Formula, put: Callable[[Atom], Atom]) -> Formula:
+    """The quantifier-free f with each atom a replaced by put(a), left to
+    right; a quantifier raises NotPrenexError."""
+    kind = type(f)
+    if kind is Atom:
+        return put(f)
+    if kind is Bot:
+        return f
+    if kind is Forall or kind is Exists:
+        raise NotPrenexError("a quantifier in the matrix")
+    return kind(_map_atoms(f.left, put), _map_atoms(f.right, put))
 
 
-def _atom_key(a: Atom):
-    return (sum(term_size(t) for t in a.args), a.pred,
-            tuple(print_term(t) for t in a.args))
-
-
-def _substitute_many(f: Formula, mapping: dict[str, Term]) -> Formula:
-    out = f
-    for var, t in mapping.items():
-        out = substitute(out, var, t)
-    return out
-
-
-def _match_term(pattern: Term, actual: Term, bindings: dict[str, Term]) -> bool:
-    """Whether actual is pattern under bindings, extended in place."""
+def _match_term(pattern: Term, actual: Term, bindings: dict[str, Term], same) -> bool:
+    """Whether actual is pattern under bindings, extended in place; a
+    variable met twice must take terms that are the same(...)."""
     if isinstance(pattern, Var):
-        bound = bindings.setdefault(pattern.name, actual)
-        return bound is actual or bound == actual
+        return same(bindings.setdefault(pattern.name, actual), actual)
     return (isinstance(actual, App) and pattern.name == actual.name
             and len(pattern.args) == len(actual.args)
-            and all(_match_term(p, a, bindings) for p, a in zip(pattern.args, actual.args)))
+            and all(_match_term(p, a, bindings, same) for p, a in zip(pattern.args, actual.args)))
 
 
-def _match_atom(pattern: Atom, actual: Atom, bindings: dict[str, Term]) -> bool:
+def _match_atom(pattern: Atom, actual: Atom, bindings: dict[str, Term], same) -> bool:
     return (pattern.pred == actual.pred and len(pattern.args) == len(actual.args)
-            and all(_match_term(p, a, bindings) for p, a in zip(pattern.args, actual.args)))
-
-
-def _match_all(pools: Sequence[tuple[Atom, Sequence[Atom]]],
-               bindings: dict[str, Term]) -> Iterator[dict[str, Term]]:
-    """Every extension of bindings that maps each pattern into its pool."""
-    if not pools:
-        yield bindings
-        return
-    pattern, pool = pools[0]
-    for actual in pool:
-        extended = dict(bindings)
-        if _match_atom(pattern, actual, extended):
-            yield from _match_all(pools[1:], extended)
+            and all(_match_term(p, a, bindings, same) for p, a in zip(pattern.args, actual.args)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +462,24 @@ def certificate_from_json(data: Union[str, dict]) -> Certificate:
 
 def match_instance(problem: HerbrandProblem, ground: Formula) -> tuple[Term, ...]:
     """Recover the existential-variable terms that instantiate the Skolem
-    matrix to the given ground formula."""
+    matrix to the given ground formula; a formula that is no instance, or
+    not a ground one, raises TraceConstructionError."""
     bindings: dict[str, Term] = {}
 
     def go(pattern: Formula, actual: Formula) -> bool:
         if type(pattern) is not type(actual):
             return False
         if isinstance(pattern, Atom):
-            return _match_atom(pattern, actual, bindings)
+            return _match_atom(pattern, actual, bindings, eq)
         if isinstance(pattern, Bot):
             return True
         if isinstance(pattern, (And, Or, Imp)):
             return go(pattern.left, actual.left) and go(pattern.right, actual.right)
         raise HerbrandError("Skolem matrix must be quantifier-free")
 
-    if not go(problem.skolem_matrix, ground):
+    if not go(problem.skolem_matrix, ground) or any(map(term_vars, bindings.values())):
         raise TraceConstructionError(
-            f"{print_formula(ground)} is not an instance of the Herbrand matrix")
+            f"{print_formula(ground)} is not a ground instance of the Herbrand matrix")
     return problem.combo(bindings)
 
 
@@ -409,7 +507,10 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
     level without one answers "valid", with those instances as the
     certificate.  A countermodel at max_level answers "unknown", and one
     at the last level of a finite Herbrand base "invalid"; both report its
-    order.  The levels charge their points to one budget.
+    order.  The levels charge their points to one budget, and each level's
+    search resumes at the last level's countermodel.  The problem builds
+    each base term once, so no level recurses through deep terms; a level
+    past what the recursion limit lets its walk place raises BudgetError.
     """
     problem = HerbrandProblem(f)
     n_adm = finite_bound(mode)
@@ -419,34 +520,50 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
     stop, open_status = ((last, "invalid") if last is not None and last <= max_level
                          else (max_level, "unknown"))
 
-    index: dict[Atom, int] = {}  # base atom C_j -> slot j - 1
+    slots = _Slots()
     grounds: list[Formula] = []  # every instance so far, in level order
     ready: list[RankProgram] = []  # ready[p]: the | of the instances new at level p + 1
     spent = 0
+    start: tuple[int, ...] = ()  # where the level's walk resumes
     for level in range(stop + 1):
+        m = level + 2 if n_adm is None else n_adm
         try:
             if level:
-                index[problem.base(level)[-1]] = level - 1
+                slots.by_id[id(problem.base(level)[-1])] = level - 1
             new = [ground for _, ground in problem.new_instances(level)]
             # a level without new instances has the goal bot
-            goal = compile_prop(balanced(Or, new) if new else BOT, index)
+            goal = compile_prop(balanced(Or, new) if new else BOT, slots)
+            grounds += new
+            ranks, spent = first_countermodel(goal, m, level, ready, budget, spent,
+                                              f"Herbrand level {level}", start=start)
+            if ranks is None:
+                cert = Certificate(problem.original, mode, tuple(grounds))
+                return ProveResult("valid", cert, level, problem)
+            if level == stop:
+                return ProveResult(open_status, None, level, problem,
+                                   classes((m - 1, *ranks), problem._names[:level]))
         except RecursionError:
-            # a deep level grows terms past what the recursive term code takes
-            raise BudgetError(f"Herbrand base atom {level} is nested too deeply") from None
-        grounds += new
-        m = level + 2 if n_adm is None else n_adm
-        ranks, spent = first_countermodel(goal, m, level, ready, budget, spent,
-                                          f"Herbrand level {level}")
-        if ranks is None:
-            cert = Certificate(problem.original, mode, tuple(grounds))
-            return ProveResult("valid", cert, level, problem)
-        if level == stop:
-            names = [print_raw(a) for a in index]
-            return ProveResult(open_status, None, level, problem,
-                               classes((m - 1, *ranks), names))
+            # the walk recurses once per letter, about 990 at the default limit
+            raise BudgetError(f"Herbrand level {level} is nested too deeply") from None
         if level:
             # the instances of level 0 read no slot: a countermodel leaves them below top
             ready.append(goal)
+        # a countermodel of the next level falsifies every instance up to
+        # this one, so its first ranks, with gaps closed, are one of this
+        # level's and come no earlier than ranks: resume there, top mapped
+        top = m if n_adm is None else m - 1
+        start = tuple([top if r == m - 1 else r for r in ranks])
+
+
+class _Slots:
+    """The slots of the base atoms, looked up by identity: each base atom
+    is built once, and hashing a deep one recurses through its terms."""
+
+    def __init__(self) -> None:
+        self.by_id: dict[int, int] = {}
+
+    def __getitem__(self, atom: Atom) -> int:
+        return self.by_id[id(atom)]
 
 
 def _instances(problem: HerbrandProblem, disjuncts: Sequence[Formula]) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .formula import (
     And, App, Atom, Bot, Exists, Forall, Formula, GoedelError, Imp, Neg, Or, Term, Top, Var,
@@ -130,8 +130,33 @@ _TABLE = {
 # the metavariable in which x must not be free
 _NOT_FREE = {"QS": "C", "I10": "B", "I13": "B"}
 
-_SCHEMAS = {name: (tuple(map(parse, premises)), parse(conclusion))
-            for name, (premises, conclusion) in _TABLE.items()}
+
+def _reads(f: Formula) -> Iterator[str]:
+    """The metavariables of the schema formula f, left to right, with a
+    quantifier's x after its body and At after the A, x and t it is made
+    from: the order in which an instance reads its bindings."""
+    kind = type(f)
+    if kind is Atom:
+        yield from ("A", "x", "t", "At") if f.pred == "At" else (f.pred,)
+    elif kind is Forall or kind is Exists:
+        yield from _reads(f.body)
+        yield "x"
+    elif kind is not Bot:
+        yield from _reads(f.left)
+        yield from _reads(f.right)
+
+
+def _schema(name: str, premises: Sequence[str], conclusion: str):
+    """(premises, conclusion, keys): the schema parsed, and the
+    metavariables it reads, each once, in order, its side condition's last."""
+    parsed = tuple(map(parse, premises)), parse(conclusion)
+    reads = [k for f in (*parsed[0], parsed[1]) for k in _reads(f)]
+    if name in _NOT_FREE:
+        reads += ("x", _NOT_FREE[name])
+    return (*parsed, tuple(dict.fromkeys(reads)))
+
+
+_SCHEMAS = {name: _schema(name, *schema) for name, schema in _TABLE.items()}
 
 _RULES = tuple(name for name, (premises, _) in _TABLE.items() if premises)
 _IL_AXIOMS = ("I3a", "I3b", "I4a", "I4b", "I5a", "I5b", "I9", "I11", "I12")
@@ -139,29 +164,32 @@ _IL_AXIOMS = ("I3a", "I3b", "I4a", "I4b", "I5a", "I5b", "I9", "I11", "I12")
 _Instance = tuple[tuple[Formula, ...], Formula]
 
 
-def _put(f: Formula, b: Bindings) -> Formula:
-    """The schema formula f with the bindings put in for its metavariables."""
+def _put(f: Formula, got: Mapping[str, Union[Formula, Term, str]]) -> Formula:
+    """The schema formula f with the bindings got put in for its metavariables."""
     kind = type(f)
     if kind is Atom:
-        if f.pred == "At":
-            return substitute(_formula(b, "A"), _variable(b), _term(b))
-        return _formula(b, f.pred)
+        return got[f.pred]
     if kind is Forall or kind is Exists:
-        body = _put(f.body, b)
-        return kind(_variable(b), body)
+        return kind(got["x"], _put(f.body, got))
     if kind is Bot:
         return f
-    return kind(_put(f.left, b), _put(f.right, b))
+    return kind(_put(f.left, got), _put(f.right, got))
 
 
 def _instance(schema: str, b: Bindings) -> _Instance:
     """The premises and conclusion of the named schema for the bindings,
-    its side condition enforced."""
-    premises, conclusion = _SCHEMAS[schema]
-    out = tuple([_put(p, b) for p in premises]), _put(conclusion, b)
+    its side condition enforced.  Each metavariable is read once, in the
+    order the schema reads it, so a missing one is named as it is met."""
+    premises, conclusion, keys = _SCHEMAS[schema]
+    got: dict[str, Union[Formula, Term, str]] = {}
+    for key in keys:
+        got[key] = (substitute(got["A"], got["x"], got["t"]) if key == "At"
+                    else _variable(b) if key == "x" else _term(b) if key == "t"
+                    else _formula(b, key))
+    out = tuple([_put(p, got) for p in premises]), _put(conclusion, got)
     slot = _NOT_FREE.get(schema)
     if slot is not None:
-        _not_free(_variable(b), _formula(b, slot), schema, slot)
+        _not_free(got["x"], got[slot], schema, slot)
     return out
 
 

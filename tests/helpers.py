@@ -15,13 +15,11 @@ from goedel_logics.decide import (
 )
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula,
-    Neg, ParseError, Term, Top, Var, atoms, free_vars, print_formula, print_raw,
-    substitute, term_size,
+    Neg, ParseError, Term, Top, Var, atoms, free_vars, fresh_name, is_prenex, normalize,
+    prefix_and_matrix, print_formula, print_raw, print_term, signature, substitute, term_size,
 )
 from goedel_logics.goedelset import GoedelSet, finite_elements
-from goedel_logics.herbrand import (
-    Certificate, HerbrandProblem, ProveResult, _atom_key,
-)
+from goedel_logics.herbrand import Certificate, HerbrandProblem, NotPrenexError, ProveResult
 from goedel_logics.semantics import (
     ONE, EntailmentResult, FiniteInterpretation, _joint_signature, evaluate,
 )
@@ -269,6 +267,51 @@ def reference_extend(c: Constraint, atom_name: str,
             if n_admissible is None or k + 1 <= n_admissible:
                 out.append(c[:i + 1] + ((atom_name,),) + c[i + 1:])
     return out
+
+
+def reference_problem(original: Formula) -> dict:
+    """The oracle for HerbrandProblem's one-pass reading: its fields as
+    the walks of the formula gave them before, namely free_vars,
+    is_prenex, normalize, prefix_and_matrix, signature twice and one
+    substitute per universal variable."""
+    if free_vars(original):
+        raise NotPrenexError("formula must be closed")
+    if not is_prenex(original):
+        raise NotPrenexError(f"formula is not prenex: {print_formula(original)}")
+    f = normalize(original)
+    prefix, matrix = prefix_and_matrix(f)
+    used = set(signature(matrix)[1])
+
+    def fresh(base: str) -> str:
+        name = fresh_name(base, used)
+        used.add(name)
+        return name
+
+    existentials: list[str] = []
+    universal_terms = []
+    body = matrix
+    for pos, (kind, var) in enumerate(prefix):
+        if kind == "exists":
+            existentials.append(var)
+            continue
+        args = tuple(existentials)
+        n = len(universal_terms) + 1
+        name = fresh(f"f{n}" if args else f"c{n}")
+        universal_terms.append((pos, name, args))
+        body = substitute(body, var, App(name, tuple(Var(v) for v in args)))
+    preds, funcs = signature(body)
+    if not any(k == 0 for k in funcs.values()):
+        funcs[fresh("c0")] = 0
+    if not any(k > 0 for k in funcs.values()):
+        funcs[fresh("g0")] = 1
+    return {"original": f, "matrix": matrix, "skolem_matrix": body, "prefix": tuple(prefix),
+            "universal_terms": universal_terms, "hu_functions": dict(sorted(funcs.items())),
+            "predicates": dict(sorted(preds.items())),
+            "base_length": None if any(preds.values()) else len(preds)}
+
+
+def _atom_key(a: Atom):
+    return (sum(term_size(t) for t in a.args), a.pred, tuple(print_term(t) for t in a.args))
 
 
 def reference_instances(problem: HerbrandProblem, level: int) -> list[tuple[tuple[Term, ...], Formula]]:

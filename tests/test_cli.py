@@ -430,6 +430,13 @@ def test_verify_rejects_malformed_certificates(capsys, tmp_path):
                                 "mode": "uncountable", "disjuncts": ["B -> B"]}))
     code, out, _ = run(capsys, "prove", "--verify", str(cert))
     assert (code, out) == (1, "certificate rejected\n")
+    # and so is one whose disjunct has a free variable: it is no ground instance
+    for disjunct, verdict in (("P(c0()) | ~P(c0())", (0, "certificate verified\n")),
+                              ("P(y) | ~P(y)", (1, "certificate rejected\n")),
+                              ("P(x1) | ~P(x1)", (1, "certificate rejected\n"))):
+        cert.write_text(json.dumps({"formula": "exists x. P(x) | ~P(x)", "mode": "finite:2",
+                                    "disjuncts": [disjunct]}))
+        assert run(capsys, "prove", "--verify", str(cert))[:2] == verdict, disjunct
     # a disjunction with no letters has one order type, whatever m is
     cert.write_text(json.dumps({"formula": "top", "mode": "finite:1000000000000",
                                 "disjuncts": ["top"]}))

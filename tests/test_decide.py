@@ -362,6 +362,38 @@ def test_search_is_charged_exactly_what_it_visits():
     assert first_countermodel(goal, 5, 3, ready) == ((0, 0, 0), 3)
 
 
+def test_start_at_or_before_the_first_countermodel_changes_nothing():
+    # resuming at any start point no later than the first countermodel
+    # returns that countermodel, charged no more points than a full walk
+    rng = random.Random(25)
+    cases = tight = 0
+    for n in range(2, 7):
+        letters = [Atom(f"A{j}") for j in range(n)]
+        for m in range(2, 9):
+            if m ** n > 20000:
+                continue
+            for _ in range(30):
+                read, parts = read_goal(_disjunction(rng, letters))
+                goal, ready = compile_goal(parts, read)
+                want, spent = first_countermodel(goal, m, len(read), ready)
+                for _ in range(5):
+                    size = rng.randint(0, max(len(read) - 1, 0))
+                    start = tuple(rng.randrange(m) for _ in range(size))
+                    if want is not None and start > want[:size]:
+                        # a point before want: its prefix, one rank lowered
+                        start = want[:size]
+                        if size and rng.random() < 0.5 and max(start):
+                            i = rng.choice([i for i, r in enumerate(start) if r])
+                            start = start[:i] + (rng.randrange(start[i]),) + start[i + 1:]
+                    got, charged = first_countermodel(goal, m, len(read), ready, start=start)
+                    assert got == want and charged <= spent, (m, n, start)
+                    cases += 1
+                    tight += want is not None and start == want[:size] and size > 0
+    assert cases >= 3000 and tight >= 500
+    with pytest.raises(ValueError, match="at most n - 1 letters"):
+        first_countermodel(lambda ranks, top: 0, 3, 2, start=(0, 0))
+
+
 def test_order_type_enumeration_counts():
     # 3 atoms: 13 weak orders, each with 0/1 gluing flags, minus the
     # impossible single-block glued-both-ways cases: 51 pinned weak orders

@@ -9,11 +9,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from goedel_logics import herbrand
 from goedel_logics.formula import (
-    App, Atom, Or, Var, alpha_eq, balanced, parse, print_formula, print_raw,
+    App, ArityConflictError, Atom, Exists, Forall, Or, Var, alpha_eq, balanced, parse,
+    print_formula, print_raw,
 )
 from goedel_logics.decide import (
     BOT_MARK, BUDGET, TOP_MARK, BudgetError, classes, compile_prop, decide_Gm, decide_LC,
+    first_countermodel,
 )
 from goedel_logics.herbrand import (
     Certificate, HerbrandProblem, NotPrenexError, Trace, TraceConstructionError,
@@ -21,8 +24,8 @@ from goedel_logics.herbrand import (
     verify_certificate, verify_trace,
 )
 from helpers import (
-    ROOT, eval_prop, extend, open_order_refutes, random_prenex, reference_instances,
-    reference_prove_prenex, representative, restrict,
+    ROOT, eval_prop, extend, open_order_refutes, random_closed_formula, random_prenex,
+    reference_instances, reference_problem, reference_prove_prenex, representative, restrict,
 )
 
 C_DOWN_PRENEX = parse("exists x. forall y. (A(y) -> A(x))")
@@ -179,12 +182,31 @@ def test_first_open_branch_answers_unknown_within_budget():
     assert open_order_refutes(deep)
 
 
-def test_budget_error_names_budget_nodes_and_level():
-    # one budget runs across the levels' searches
+def test_budget_error_names_points_charged_and_level():
+    # one budget of points runs across the levels' searches, each charged
+    # only the points its walk visits from the last level's countermodel on
     with pytest.raises(BudgetError) as e:
         prove_prenex(THREE_QUANTIFIER, "uncountable", 8, budget=20)
-    assert str(e.value) == ("Herbrand level 6, 3 of 6 letters placed: "
-                            "21 points charged exceed the budget of 20")
+    assert str(e.value) == ("Herbrand level 6, 5 of 6 letters placed: "
+                            "22 points charged exceed the budget of 20")
+    assert prove_prenex(THREE_QUANTIFIER, "uncountable", 8, budget=30).status == "unknown"
+
+
+def test_chain_levels_resume_the_last_countermodel():
+    # each level of the chain starts where the last one stopped, so level L
+    # is charged about L points, not the L^2/2 of a walk from the first point
+    # (1,333,702 in all up to level 200)
+    res = prove_prenex(C_DOWN_PRENEX, "uncountable", 200, budget=20302)
+    assert (res.status, res.level_reached) == ("unknown", 200)
+    with pytest.raises(BudgetError, match="Herbrand level 200, 199 of 200 letters placed: "
+                                          "20302 points charged exceed the budget of 20301"):
+        prove_prenex(C_DOWN_PRENEX, "uncountable", 200, budget=20301)
+    # every base atom is named without a recursive print: C_j is A(f1^(j-1)(c0()))
+    assert res.open_order[:2] == (("A(c0())", BOT_MARK), ("A(f1(c0()))",))
+    assert res.open_order[-2:] == ((f"A({'f1(' * 199}c0(){')' * 199})",), (TOP_MARK,))
+    assert len(res.open_order) == 201  # bot = C_1 < C_2 < ... < C_200 < top
+    deep = prove_prenex(C_DOWN_PRENEX, "uncountable", 400)
+    assert (deep.status, deep.level_reached, len(deep.open_order)) == ("unknown", 400, 401)
 
 
 def test_levels_past_the_letter_guard_answer_unknown():
@@ -198,9 +220,9 @@ def test_levels_past_the_letter_guard_answer_unknown():
 
 
 def test_deep_walk_stops_with_a_budget_error():
-    # the chain opens one level per base atom and soon reaches atoms
-    # nested deeper than the recursive term code takes (about level 250 at
-    # the default recursion limit, lowered here to keep it quick)
+    # the chain opens one level per base atom, and level L's walk recurses
+    # once per letter; at about level 990 under the default recursion limit
+    # (lowered here to keep it quick) that is a budget error, not a crash
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
@@ -311,6 +333,19 @@ def test_non_instance_disjunct_rejected():
     assert not verify_certificate(certificate_from_json(forged.to_json()))
     with pytest.raises(NotPrenexError):
         verify_certificate(Certificate(parse("A(x)"), "uncountable", (parse("A(x)"),)))
+
+
+def test_disjunct_with_a_free_variable_rejected():
+    # a disjunct must be a ground instance: P(y) | ~P(y) matches the matrix
+    # with x1 := y, and P(x1) | ~P(x1) with x1 := x1, but neither is ground
+    f = parse("exists x. P(x) | ~P(x)")
+    assert verify_certificate(Certificate(f, "finite:2", (parse("P(c0()) | ~P(c0())"),)))
+    for text in ("P(y) | ~P(y)", "P(x1) | ~P(x1)"):
+        cert = Certificate(f, "finite:2", (parse(text),))
+        assert not verify_certificate(cert), text
+        assert not verify_certificate(certificate_from_json(cert.dumps())), text
+        with pytest.raises(TraceConstructionError, match="not a ground instance"):
+            match_instance(HerbrandProblem(f), parse(text))
 
 
 def test_match_instance_and_mismatch():
@@ -656,3 +691,74 @@ def test_valid_at_a_level_is_the_decision_of_its_disjunction():
             assert valid_up_to(res.problem, k, n) == want, (print_formula(f), mode, k)
         closed += res.status == "valid"
     assert closed >= 30
+
+
+def _problem_fields(p):
+    return {"original": p.original, "matrix": p.matrix, "skolem_matrix": p.skolem_matrix,
+            "prefix": p.prefix, "universal_terms": p.universal_terms,
+            "hu_functions": p.hu_functions, "predicates": p.predicates,
+            "base_length": p.base_length}
+
+
+def _built_or_error(build, f):
+    try:
+        return build(f)
+    except (NotPrenexError, ArityConflictError) as e:
+        return type(e), str(e)
+
+
+def test_one_pass_problem_equals_the_reference_construction():
+    # HerbrandProblem reads the formula in one pass; every field, and every
+    # error and its message, is that of normalize, prefix_and_matrix,
+    # signature and substitute
+    x, y = Var("x"), Var("y")
+    cases = [parse(text) for text in (
+        "forall x. exists x. P(x)",                      # a shadowed binder
+        "exists x. forall x. forall y. P(x)",
+        "forall y. forall z. exists x. P(x)",            # universals absent from the matrix
+        "forall u. exists x. forall v. (A -> B | P(x))",
+        "A | ~A", "exists x. (A -> B)", "exists x. bot",  # 0-ary letters
+        "forall x. exists y. (R(f(x), c1()) -> R(y, f(c1())))",
+        "forall x. exists y. forall z. (Q(g(x, y), z) | (Q(c(), z) -> P(y)))",
+        "P(x)", "forall x. P(y)", "exists x. (P(x) -> forall y. P(y))",  # open, not prenex
+        "exists x. (P(x) -> forall y. P(z))",
+    )]
+    cases += [Exists("x", Or(Atom("P", (x,)), Atom("P", (x, x)))),  # arity conflicts
+              Forall("x", Or(Atom("P", (App("f", (x,)),)), Atom("P", (App("f", (x, x)),)))),
+              Forall("y", Or(Atom("P", (y,)), Atom("P", (x, y))))]  # open and a conflict
+    rng = random.Random(17)
+    cases += [random_prenex(rng, rng.randint(1, 4), ["P", "Q"], rng.randint(1, 5))
+              for _ in range(300)]
+    cases += [random_closed_formula(rng, 4) for _ in range(200)]
+    errors = 0
+    for f in cases:
+        want = _built_or_error(reference_problem, f)
+        got = _built_or_error(lambda g: _problem_fields(HerbrandProblem(g)), f)
+        assert got == want, print_raw(f)
+        errors += isinstance(want, tuple)
+    assert errors >= 50
+
+
+def _answer(f, mode, max_level):
+    try:
+        res = prove_prenex(f, mode, max_level)
+    except BudgetError:
+        return None
+    cert = res.certificate.dumps() if res.certificate else None
+    return res.status, res.level_reached, cert, res.open_order
+
+
+def test_resuming_changes_no_answer(monkeypatch):
+    # each level's walk starts at the last level's countermodel; a walk from
+    # the first point at every level gives byte-identical answers
+    rng = random.Random(2025)
+    cases = [(random_prenex(rng, rng.randint(1, 3), ["P", "Q"][:rng.randint(1, 2)],
+                            rng.randint(2, 5)), MODES[i % len(MODES)], i % 8)
+             for i in range(1500)]
+    resumed = [_answer(*case) for case in cases]
+    monkeypatch.setattr(herbrand, "first_countermodel",
+                        lambda *args, start: first_countermodel(*args))
+    fresh = [_answer(*case) for case in cases]
+    assert resumed == fresh
+    statuses = [a[0] for a in resumed if a is not None]
+    assert statuses.count("valid") >= 300 and statuses.count("unknown") >= 300
