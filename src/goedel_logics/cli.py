@@ -34,12 +34,18 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
+def _whole_number(text: str, what: str) -> int:
+    """The integer >= 0 that text writes in ASCII digits, else a usage
+    error that names what was given: a budget or a flag."""
+    n = decide.whole_number(text, 0)
+    if n is None:
+        raise GoedelError(f"{what} must be an integer >= 0, not {text!r}")
+    return n
+
+
 def _default_budget(args) -> int:
     text = (os.environ.get("GOEDEL_BUDGET") or None) if args.budget is None else args.budget
-    budget = decide.BUDGET if text is None else decide.whole_number(text, 0)
-    if budget is None:
-        raise GoedelError(f"a budget must be an integer >= 0, not {text!r}")
-    return budget
+    return decide.BUDGET if text is None else _whole_number(text, "a budget")
 
 
 FORMULA_HELP = "formula text, '-' to read it from stdin, or @path to read it from a file"
@@ -90,7 +96,8 @@ def _cmd_entail(args) -> int:
     premises = [parse(p) for p in args.premise]
     goal = parse(_read_formula(args.formula))
     fn = semantics.one_entails_bruteforce if args.one else semantics.entails_bruteforce
-    result = fn(premises, goal, V, args.max_universe, _default_budget(args))
+    max_universe = _whole_number(args.max_universe, "--max-universe")
+    result = fn(premises, goal, V, max_universe, _default_budget(args))
     if result.holds:
         _emit(args, {"result": "holds"}, "holds (no countermodel at this scale)")
         return EXIT_OK
@@ -146,7 +153,8 @@ def _cmd_prove(args) -> int:
     if not args.formula:
         raise GoedelError("prove needs a formula (or --verify <certificate>)")
     f = parse(_read_formula(args.formula))
-    result = herbrand.prove_prenex(f, args.mode, args.max_level, _default_budget(args))
+    max_level = _whole_number(args.max_level, "--max-level")
+    result = herbrand.prove_prenex(f, args.mode, max_level, _default_budget(args))
     if result.status == "valid":
         cert = result.certificate
         if args.out:
@@ -251,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entail", help="brute-force entailment over a finite truth set")
     p.add_argument("--truth-set", required=True)
     p.add_argument("--premise", action="append", default=[])
-    p.add_argument("--max-universe", type=int, default=2)
+    p.add_argument("--max-universe", default="2")
     p.add_argument("--budget")
     p.add_argument("--one", action="store_true", help="use 1-entailment")
     p.add_argument("formula", help=FORMULA_HELP)
@@ -270,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="Herbrand prover for prenex formulas, one search per level")
     p.add_argument("--mode", default="uncountable",
                    help="uncountable or finite:<n>")
-    p.add_argument("--max-level", type=int, default=8)
+    p.add_argument("--max-level", default="8")
     p.add_argument("--budget",
                    help=f"points the levels' searches may charge in all "
                         f"(default {decide.BUDGET}); also GOEDEL_BUDGET")

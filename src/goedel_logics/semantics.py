@@ -10,8 +10,12 @@ universe, terms evaluated under the table), compiles it with
 decide.compile_prop and runs decide.first_countermodel, the search that
 decides G_m, over the integer rank vectors of the ground atoms' tables.
 It keeps the least (rank vector, table) pair and builds only that
-countermodel as an interpretation.  Each size, table and search charges
-its points to one running budget.
+countermodel as an interpretation.  Cloning an element turns a
+countermodel into one over a larger universe, so a probe of the largest
+size alone, over one table per renaming of the elements and within a
+tenth of the budget, settles "holds"; the ordered search over the sizes
+runs when it cannot.  Each search charges its sizes, tables and points
+to a running budget from zero.
 
 Besides finite structures there is a restricted countable shape, the
 omega interpretation: finitely many explicit prefix elements plus a tail
@@ -26,14 +30,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .decide import (
     BUDGET, BudgetError, compile_prop, first_countermodel, over_budget, refuse_letters,
 )
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Term, Var,
-    balanced, free_vars, print_formula, signature,
+    balanced, free_vars, print_formula, signature, subformulas,
 )
 from .goedelset import GoedelSet, Interval, SeqDown, SeqUp, member, \
     finite_elements, parse_set, print_set
@@ -272,14 +276,37 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
     not a validity proof.  When no predicate takes an argument, only size
     1 is searched, since the size cannot change any value.  Entailment
     compares inf of the premises against the conclusion; 1-entailment
-    asks that all-1 premises force a 1 conclusion.  The first countermodel
-    in the enumeration order of the tables (symbols sorted by name,
-    argument tuples in product order, table values ascending, predicate
-    tables before function tables) is returned: one search runs per
-    function table, and the least (predicate point, table) pair is kept.
-    The budget is charged as the search runs: each universe size its atom
-    slots and function-table entries, each function table one point and
-    its search's points; a BudgetError names the size and the table.
+    asks that all-1 premises force a 1 conclusion.
+
+    Cloning an element (a new element whose every table entry is read
+    through the map that sends it to the original) keeps the value of
+    every closed formula, so a countermodel over k elements gives one
+    over k + 1, and a size without a countermodel has none below it.  So
+    a probe first searches the largest size alone, one function table
+    per renaming of the elements, and answers "holds" if it finds no
+    countermodel.  It may charge a tenth of the budget, from zero.  It
+    runs only when every function symbol is a constant (one with
+    arguments has size^(size^k) tables, and a probe of the largest size
+    could cost far more than the sizes it skips), and not where
+    refuse_letters would refuse every table: at the tenth's bit length
+    in elements or more when a quantifier's body reads its variable, as
+    each of its instances then reads its own atom.
+
+    Once the probe finds a countermodel or passes its tenth, the ordered
+    search runs from zero as it would alone, and returns the first
+    countermodel in the enumeration order of the tables (sizes
+    ascending, symbols sorted by name, argument tuples in product order,
+    table values ascending, predicate tables before function tables):
+    one search runs per function table, and the least (predicate point,
+    table) pair is kept.
+
+    The budget is charged as each search runs: each universe size its
+    atom slots and function-table entries before it builds any, each
+    function table one point and its search's points.  So a call charges
+    at most 1.1 budgets, a conclusion that holds is answered when its
+    largest size fits a tenth of the budget or all its sizes fit the
+    budget, and every other answer and BudgetError, which names the size
+    and the table, is the ordered search's.
     """
     if max_universe < 1:
         raise ValueError(f"max_universe must be at least 1, got {max_universe}")
@@ -302,12 +329,25 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
         goal, premise = conclusion, conj
     else:
         goal, premise = (Imp(conj, conclusion) if conj else conclusion), None
-    elems: list[App] = []
+
+    # the probe may charge a tenth of the budget, so a call charges at most
+    # 1.1 budgets in all; it does not run where refuse_letters would refuse
+    # every table of the largest size
+    cap = budget // 10
+    refused = max_universe >= cap.bit_length() and any(
+        isinstance(g, (Forall, Exists)) and g.var in free_vars(g.body)
+        for f in formulas for g in subformulas(f))
+    if not any(funcs.values()) and not refused:
+        try:
+            if _search_size(goal, premise, preds, funcs, max_universe, len(values), cap, 0,
+                            probe=True)[0] is None:
+                return EntailmentResult(True)
+        except BudgetError:
+            pass
     spent = 0
     for size in range(1, max_universe + 1):
-        elems.append(App(f"u{size - 1}"))
-        found, spent = _search_size(goal, premise, preds, funcs, elems, len(values),
-                                    budget, spent)
+        found, spent = _search_size(goal, premise, preds, funcs, size, len(values), budget,
+                                    spent)
         if found is not None:
             return EntailmentResult(False, _interpretation(
                 preds, funcs, size, values, V, *found))
@@ -315,12 +355,13 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
 
 
 def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int],
-                 funcs: dict[str, int], elems: Sequence[App], n_values: int,
-                 budget: int, spent: int
+                 funcs: dict[str, int], size: int, n_values: int,
+                 budget: int, spent: int, probe: bool = False
                  ) -> tuple[Optional[tuple[tuple[int, ...], tuple[int, ...]]], int]:
-    """(best, spent): the least (predicate ranks, function table) over the
-    universe elems where goal has rank below top and premise (if any) rank
-    top, or None; and spent plus the points this size charged.
+    """(best, spent): the least (predicate ranks, function table) over a
+    universe of size elements where goal has rank below top and premise
+    (if any) rank top, or None; and spent plus the points this size
+    charged.
 
     Each ground atom P(u_i, ...) has a slot in one rank vector (predicates
     sorted, argument tuples in product order); each function table is a
@@ -330,13 +371,19 @@ def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int
     pair is kept, a tie keeping the earlier table, so only one table's
     programs are alive at a time.
 
+    The probe, for function symbols that are all constants, only asks
+    whether a countermodel exists: it visits one table per renaming of
+    the elements (_renamings), since renaming the elements of a
+    countermodel gives a countermodel, and returns the first it finds.
+
     A search walks only the slots that the grounded goal and premise read:
     an unread slot at 0 keeps a point falsifying and makes it smaller.
+    The size charges its atom slots and function-table entries before
+    it builds any element or table, each table one point, and each
+    search its points.
     """
-    size = len(elems)
     offsets, n_func_slots = _first_slots(funcs, size)
     firsts, n_atom_slots = _first_slots(preds, size)
-    # the atom slots and function-table entries are charged before either is built
     n_slots = n_atom_slots + n_func_slots
     spent += n_slots
     if spent > budget:
@@ -349,11 +396,13 @@ def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int
             j = j * size + i
         return firsts[key[0]] + j
 
+    tables = (_renamings(n_func_slots, size) if probe
+              else itertools.product(range(size), repeat=n_func_slots))
     best = None
-    for t, table in enumerate(itertools.product(range(size), repeat=n_func_slots), 1):
+    for t, table in enumerate(tables, 1):
         where = f"universe size {size}, function table {t}"
         read: dict = {}
-        ground = _grounder(elems, offsets, table, read)
+        ground = _grounder(size, offsets, table, read)
         g = ground(goal, {})
         h = None if premise is None else ground(premise, {})
         keys = sorted(read)  # (predicate, element indices) sort in slot order
@@ -372,7 +421,27 @@ def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int
                 ranks[slot(key)] = rank
             if best is None or tuple(ranks) < best[0]:
                 best = tuple(ranks), table
+            if probe:
+                break
     return best, spent
+
+
+def _renamings(n: int, size: int) -> Iterator[tuple[int, ...]]:
+    """The tables of n constants over size elements, one per renaming of
+    the elements: the restricted-growth tables, where constant j takes an
+    element no higher than 1 plus the highest taken before it, in
+    lexicographic order."""
+    table = [0] * n
+    while True:
+        yield tuple(table)
+        highs = list(itertools.accumulate(table, max, initial=-1))
+        # the last constant that can take a higher element; those after it restart at 0
+        j = next((j for j in reversed(range(n))
+                  if table[j] <= highs[j] and table[j] < size - 1), None)
+        if j is None:
+            return
+        table[j] += 1
+        table[j + 1:] = [0] * (n - j - 1)
 
 
 def _first_slots(arities: Mapping[str, int], size: int) -> tuple[dict[str, int], int]:
@@ -386,14 +455,15 @@ def _first_slots(arities: Mapping[str, int], size: int) -> tuple[dict[str, int],
     return firsts, n
 
 
-def _grounder(elems: Sequence[App], offsets: Mapping[str, int],
+def _grounder(size: int, offsets: Mapping[str, int],
               table: Sequence[int], read: Optional[dict] = None):
     """ground(f, env): the quantifier-free instance of f over the universe
-    elems, with function symbols read from the flat table and quantifiers
-    expanded into balanced conjunctions or disjunctions.  Each ground atom
-    met is built once and kept in read, by predicate and element indices."""
-    size = len(elems)
+    u0..u<size-1>, with function symbols read from the flat table and
+    quantifiers expanded into balanced conjunctions or disjunctions.  Each
+    ground atom met is built once and kept in read, by predicate and
+    element indices; only the elements some atom reads are built."""
     read = {} if read is None else read
+    elems: dict[int, App] = {}
 
     def term(t: Term, env: Mapping[str, int]) -> int:
         if isinstance(t, Var):
@@ -407,7 +477,8 @@ def _grounder(elems: Sequence[App], offsets: Mapping[str, int],
         if isinstance(g, Atom):
             key = (g.pred, *[term(t, env) for t in g.args])
             return read.get(key) or read.setdefault(
-                key, Atom(g.pred, tuple(map(elems.__getitem__, key[1:]))))
+                key, Atom(g.pred, tuple(elems.get(i) or elems.setdefault(i, App(f"u{i}"))
+                                        for i in key[1:])))
         if isinstance(g, Bot):
             return g
         if isinstance(g, (And, Or, Imp)):
@@ -806,12 +877,18 @@ def _descriptor_to_json(d: TailDescriptor) -> dict:
 def load_interpretation(data: Mapping) -> Union[FiniteInterpretation, OmegaInterpretation]:
     """Interpretation from its JSON form (rationals as "p/q" strings,
     tables keyed "P/1" with comma-joined argument keys).  A document of
-    the wrong shape raises InterpretationFormatError."""
+    the wrong shape, or a universe (an omega prefix) that names an
+    element twice, raises InterpretationFormatError."""
     expect_json(data, dict, "an interpretation")
     if "universe" not in data or "truth_set" not in data:
         raise InterpretationFormatError('an interpretation needs "universe" and "truth_set"')
     universe = tuple(expect_json(u, str, "a universe element")
                      for u in expect_json(data["universe"], list, '"universe"'))
+    seen: set[str] = set()
+    for u in universe:
+        if u in seen:
+            raise InterpretationFormatError(f'"universe" names the element {u!r} twice')
+        seen.add(u)
     truth_set = parse_set(expect_json(data["truth_set"], str, '"truth_set"'))
     preds: dict[str, dict[tuple[str, ...], Fraction]] = {}
     for key, table in expect_json(data.get("predicates", {}), dict, '"predicates"').items():

@@ -191,6 +191,22 @@ def test_entail_budget_counts_order_types(capsys):
     assert code == 1 and "countermodel" in out
 
 
+def test_entail_answers_below_a_probe_past_the_budget(capsys):
+    # the probe at size 6 needs 2,728 points to find its first countermodel,
+    # past its tenth of a budget of 100; the ordered search then finds the
+    # least countermodel at size 1 for 5 points
+    V6 = "{0,1/2,2/3,3/4,4/5,1}"
+    f = "(forall x. P(x)) | ~(forall x. P(x))"
+    code, out, _ = run(capsys, "--json", "entail", "--truth-set", V6, "--max-universe", "6",
+                       "--budget", "100", f)
+    assert code == 1
+    assert json.loads(out)["interpretation"] == {
+        "universe": ["u0"], "truth_set": V6, "predicates": {"P/1": {"u0": "1/2"}},
+        "functions": {}}
+    assert run(capsys, "--json", "entail", "--truth-set", V6, "--max-universe", "6", f) == (
+        code, out, "")
+
+
 def test_entail_rejects_empty_universe_bound(capsys):
     for flag in ([], ["--one"]):
         code, out, err = run(capsys, "entail", "--truth-set", "{0,1}", *flag,
@@ -276,7 +292,11 @@ def test_malformed_interpretation_is_an_input_error(capsys, tmp_path):
             '{"universe": ["u0"], "truth_set": "[0,1]", "tail": {"P/1": {"kind": "harmonic",'
             ' "limit": "1", "sign": "*"}}}',
             '{"universe": ["u0"], "truth_set": "[0,1]", "tail": {"P/1": {"kind": "harmonic",'
-            ' "limit": "1/2", "sign": "+", "offset": -1}}}']
+            ' "limit": "1/2", "sign": "+", "offset": -1}}}',
+            # a universe or an omega prefix that names an element twice
+            '{"universe": ["a", "a"], "truth_set": "[0,1]", "predicates": {"P/1": {"a": "1"}}}',
+            '{"universe": ["a", "b", "a"], "truth_set": "[0,1]", "predicates": {"P/1": '
+            '{"a": "1", "b": "0"}}, "tail": {"P/1": {"kind": "const", "value": "1"}}}']
     for doc in docs:
         path = tmp_path / "f.json"
         path.write_text(doc)
@@ -350,17 +370,26 @@ def test_budget_env_var(capsys, monkeypatch):
 
 
 def test_budget_is_an_integer_from_zero_up(capsys, monkeypatch):
-    # --budget and GOEDEL_BUDGET are read in one place, with one message
+    # --budget and GOEDEL_BUDGET are read in one place, with one message,
+    # and so are --max-universe and --max-level, by their flag's name
     commands = [["decide", "--logic", "G5", "A1 | A2"],
                 ["entail", "--truth-set", "{0,1/2,1}", "A(c())"],
                 ["prove", "exists x. (P(x) -> P(x))"]]
-    for text in ("abc", "-1", "1.5", "1e3", " 5", "+5", "9" * 5000, "\uff11\uff10"):
+    flags = [("--max-universe", commands[1]), ("--max-level", commands[2])]
+    for text in ("abc", "-1", "1.5", "1e3", " 5", "+5", "1_0", "9" * 5000, "\uff11\uff10"):
         message = f"error: a budget must be an integer >= 0, not {text!r}\n"
         for argv in commands:
             assert run(capsys, argv[0], "--budget", text, *argv[1:]) == (3, "", message)
             monkeypatch.setenv("GOEDEL_BUDGET", text)
             assert run(capsys, *argv) == (3, "", message)
             monkeypatch.delenv("GOEDEL_BUDGET")
+        for flag, argv in flags:
+            message = f"error: {flag} must be an integer >= 0, not {text!r}\n"
+            assert run(capsys, argv[0], flag, text, *argv[1:]) == (3, "", message)
+    # plain ASCII digits are read as before, leading zeros included
+    for flag, argv in flags:
+        for text in ("3", "003"):
+            assert run(capsys, argv[0], flag, text, *argv[1:])[0] in (0, 1)
     # a budget of 0 admits no work at all; an empty GOEDEL_BUDGET is unset
     for argv in commands:
         code, out, err = run(capsys, argv[0], "--budget", "0", *argv[1:])

@@ -1,5 +1,6 @@
 """Evaluation laws, entailment search, value-map lifting, omega tails."""
 
+import itertools
 import json
 import random
 import time
@@ -111,6 +112,26 @@ def test_budget_error_before_counting_huge_universes():
     assert time.perf_counter() - start < 5
 
 
+def test_probe_builds_only_what_its_atoms_read():
+    # a probe of 200,000 elements charges their slots but builds only the
+    # element P(c()) reads, so the conclusion holds at once; a
+    # quantified conclusion is not probed at 600 elements, as each table
+    # there would ground 360,000 instances only to be refused its 600
+    # letters, and the ordered search gives its own budget error
+    f = parse("(forall x. forall y. (P(x) & P(y))) -> P(c())")
+    tracemalloc.start()
+    try:
+        assert entails_bruteforce([], parse("P(c()) -> P(c())"), V3, 2 * 10 ** 5).holds
+        with pytest.raises(BudgetError) as e:
+            entails_bruteforce([], f, V3, 600, budget=10 ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == ("universe size 7, function table 2, 6 of 7 letters placed: "
+                            "10003 points charged exceed the budget of 10000")
+    assert peak < 10 ** 6
+
+
 def test_argument_free_formulas_search_size_one_only():
     # no value depends on the universe, so only size 1 is searched and
     # counted: a huge max_universe is neither slow nor over the budget
@@ -151,7 +172,8 @@ def test_budget_bound_is_exact():
                             "6 points charged exceed the budget of 5")
     # over V_6 the sizes 1..6 of a conclusion that holds charge 17,205
     # points in all: each size s its s slots, one table and its s letters'
-    # pinned weak orders with at most 6 classes
+    # pinned weak orders with at most 6 classes; size 6 alone charges
+    # 14,778, past a tenth of either budget, so the probe gives way
     g, V6 = parse("forall x. (P(x) -> P(x))"), v_m(6)
     assert sum(s + 1 + pinned_orders(s, 6) for s in range(1, 7)) == 17205
     assert entails_bruteforce([], g, V6, 6, budget=17205).holds
@@ -159,6 +181,33 @@ def test_budget_bound_is_exact():
         entails_bruteforce([], g, V6, 6, budget=17204)
     assert str(e.value) == ("universe size 6, function table 1, 5 of 6 letters placed: "
                             "17205 points charged exceed the budget of 17204")
+    # the probe may charge a tenth of the budget: up to size 1000 it
+    # charges P(c()) -> P(c()) 1,000 + 1 slots, one table and 3 points,
+    # so 10,050 holds, and one point less leaves it to the ordered search,
+    # which spends the budget by size 63
+    h = parse("P(c()) -> P(c())")
+    assert entails_bruteforce([], h, V3, 1000, budget=10050).holds
+    with pytest.raises(BudgetError) as e:
+        entails_bruteforce([], h, V3, 1000, budget=10049)
+    assert str(e.value) == ("universe size 63, function table 40, 0 of 1 letter placed: "
+                            "10051 points charged exceed the budget of 10049")
+
+
+def test_renamings_are_one_table_per_renaming_of_the_elements():
+    # a table's restricted-growth form names its elements in order of
+    # first use; each table of constants has exactly one such form
+    from goedel_logics.semantics import _renamings
+
+    def first_use(table):
+        names: dict = {}
+        return tuple(names.setdefault(i, len(names)) for i in table)
+
+    for n in range(5):
+        for size in range(1, 5):
+            tables = list(_renamings(n, size))
+            assert len(set(tables)) == len(tables) and tables == sorted(tables)
+            assert set(tables) == {first_use(t) for t in
+                                   itertools.product(range(size), repeat=n)}
 
 
 def test_a_tables_letters_past_the_budget_are_refused_at_once():
@@ -187,7 +236,6 @@ def test_large_universe_keeps_grounding_shallow():
 
 def test_quantifier_instances_join_as_balanced_tree():
     # n instances of a body nest about log2(n) deep, not n deep
-    from goedel_logics.formula import App
     from goedel_logics.semantics import _grounder
 
     def depth(g):
@@ -195,12 +243,11 @@ def test_quantifier_instances_join_as_balanced_tree():
             return 1 + max(depth(g.left), depth(g.right))
         return 0
 
-    elems = [App(f"u{i}") for i in range(1000)]
-    ground = _grounder(elems, {}, ())
+    ground = _grounder(1000, {}, ())
     assert depth(ground(parse("forall x. P(x)"), {})) == 10
     assert depth(ground(parse("(exists x. P(x)) -> A"), {})) == 11
     # f(u_i) = u_(i+1 mod 30): the first instance is R(u0, f(u0)) = R(u0, u1)
-    ground = _grounder(elems[:30], {"f": 0}, [(i + 1) % 30 for i in range(30)])
+    ground = _grounder(30, {"f": 0}, [(i + 1) % 30 for i in range(30)])
     g = ground(parse("forall x. exists y. R(x, f(y))"), {})
     assert depth(g) == 10
     while not isinstance(g, Atom):
@@ -429,6 +476,16 @@ def test_interpretation_json_roundtrip():
     J = load_interpretation(data)
     assert isinstance(J, OmegaInterpretation)
     assert eval_omega(parse("exists x. (A(x) -> forall y. A(y))"), J) == 0
+
+
+def test_a_universe_names_each_element_once():
+    from goedel_logics.semantics import InterpretationFormatError
+    for extra in ({}, {"tail": {"P/1": {"kind": "const", "value": "1"}}}):
+        data = {"universe": ["a", "b", "a"], "truth_set": "[0,1]",
+                "predicates": {"P/1": {"a": "1", "b": "0"}}, **extra}
+        with pytest.raises(InterpretationFormatError,
+                           match="\"universe\" names the element 'a' twice"):
+            load_interpretation(data)
 
 
 def test_json_spec_shape():

@@ -2,6 +2,8 @@
 reference search over evaluate, and omega interpretations with constant
 tails against finite evaluation."""
 
+import itertools
+
 from hypothesis import example, given, settings, strategies as st
 
 from goedel_logics.formula import (
@@ -14,7 +16,7 @@ from goedel_logics.semantics import (
     entails_bruteforce, eval_omega, evaluate, one_entails_bruteforce,
 )
 
-from helpers import reference_entails
+from helpers import random_interpretation, reference_entails
 
 # the reference evaluates every interpretation, so instances stay small
 SPACE_CAP = 600
@@ -35,7 +37,7 @@ def closed(formulas):
     return close()
 
 
-terms = st.recursive(st.sampled_from([Var("x"), Var("y"), App("c")]),
+terms = st.recursive(st.sampled_from([Var("x"), Var("y"), App("c"), App("d")]),
                      lambda t: st.builds(lambda a: App("f", (a,)), t), max_leaves=3)
 atoms = (st.sampled_from([Atom("A"), Atom("B"), Bot()])
          | st.builds(lambda t: Atom("P", (t,)), terms)
@@ -64,6 +66,14 @@ def reference_space(preds, funcs, m: int, size: int) -> int:
 @example([], parse("forall x. (P(f(x)) -> P(x))"), 2, 2, True)
 @example([parse("P(c())")], parse("P(f(c()))"), 5, 2, False)
 @example([parse("P(c())")], parse("P(f(c()))"), 6, 2, True)
+# the probe finds a countermodel at the largest size, but the least one
+# lies at size 1 (the first two) or, at size 2, in a later function table
+# than the probe's (the last three: c = u1 and d = u0)
+@example([], parse("(forall x. P(x)) | ~(forall x. P(x))"), 3, 3, False)
+@example([], parse("P(c()) | ~P(d())"), 3, 3, False)
+@example([parse("exists x. R(x, c())")], parse("R(d(), d())"), 3, 3, True)
+@example([parse("P(c())")], parse("P(d())"), 3, 2, False)
+@example([parse("P(c())")], parse("P(d())"), 3, 2, True)
 def test_compiled_search_matches_reference(premises, conclusion, m, size, one):
     V = v_m(m)
     preds, funcs = _joint_signature(premises + [conclusion])
@@ -84,6 +94,31 @@ def test_compiled_search_matches_reference(premises, conclusion, m, size, one):
         assert all(v == ONE for v in prem) and concl < ONE
     else:
         assert min(prem, default=ONE) > concl
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(formulas, st.integers(1, 3), st.randoms(use_true_random=False), st.data())
+def test_cloning_an_element_keeps_every_value(f, size, rng, data):
+    # the fact the entailment probe rests on: a clone of element a, with
+    # every table read through the collapse map that sends it to a, gives
+    # every closed formula its value, so a countermodel over size elements
+    # is one over size + 1
+    I = random_interpretation(rng, v_m(5), size, {"A": 0, "B": 0, "P": 1, "R": 2},
+                              {"c": 0, "d": 0, "f": 1})
+    a = data.draw(st.sampled_from(I.universe))
+    universe = I.universe + ("clone",)
+    collapse = {**{u: u for u in I.universe}, "clone": a}
+
+    def through(table: dict, arity: int) -> dict:
+        return {key: table[tuple(map(collapse.get, key))]
+                for key in itertools.product(universe, repeat=arity)}
+
+    J = FiniteInterpretation(
+        universe, I.truth_set,
+        {p: through(t, len(next(iter(t)))) for p, t in I.predicates.items()},
+        {g: through(t, len(next(iter(t)))) for g, t in I.functions.items()})
+    J.validate()
+    assert evaluate(f, J) == evaluate(f, I)
 
 
 # one variable name: a nested quantifier rebinds x, so no quantifier body
