@@ -204,8 +204,7 @@ def simplify(atoms: Sequence[SetAtom]) -> tuple[SetAtom, ...]:
         if not any(atom_member(o, p.q) for o in others):
             points.append(p)
 
-    out: list[SetAtom] = list(dict.fromkeys(others + points))
-    return tuple(sorted(out, key=_atom_sort_key))
+    return tuple(sorted(dict.fromkeys(others + points), key=_atom_sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +213,20 @@ def simplify(atoms: Sequence[SetAtom]) -> tuple[SetAtom, ...]:
 
 @dataclass(frozen=True)
 class GoedelSet:
-    """A finite union of atoms.  Use make_set for validated construction;
-    cb_kernel returns bare instances that need not contain 0 and 1."""
+    """A finite union of atoms, put in simplify's canonical form when built,
+    so permuted atom lists give equal sets.  Use make_set for validated
+    construction; cb_kernel returns bare sets that need not hold 0 and 1."""
     atoms: tuple[SetAtom, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "atoms", simplify(self.atoms))
 
     def __str__(self) -> str:
         return print_set(self)
 
 
 def make_set(atoms: Sequence[SetAtom]) -> GoedelSet:
-    V = GoedelSet(simplify(atoms))
+    V = GoedelSet(tuple(atoms))
     for q in (Fraction(0), Fraction(1)):
         if not member(V, q):
             raise ValueError(f"a Goedel set must contain {q}")
@@ -252,23 +255,38 @@ def _derivative(atoms: Sequence[SetAtom]) -> tuple[SetAtom, ...]:
     of a single atom: intervals and Cantor pieces are their own limit
     sets, a sequence contributes its limit, a point contributes nothing.
     """
-    out: list[SetAtom] = []
-    for a in atoms:
-        if isinstance(a, (Interval, Cantor)):
-            out.append(a)
-        elif isinstance(a, (SeqDown, SeqUp)):
-            out.append(Point(a.limit))
-    return simplify(out)
+    return tuple(Point(a.limit) if isinstance(a, (SeqDown, SeqUp)) else a
+                 for a in atoms if not isinstance(a, Point))
 
 
 def cb_kernel(V: GoedelSet) -> GoedelSet:
-    """Perfect kernel: the derivative iterated to its fixpoint."""
-    cur = simplify(V.atoms)
-    while True:
-        nxt = _derivative(cur)
-        if nxt == cur:
-            return GoedelSet(nxt)
-        cur = nxt
+    """Perfect kernel: the derivative, built as a canonical set, iterated
+    to its fixpoint; only intervals and Cantor pieces, the least first."""
+    while (nxt := GoedelSet(_derivative(V.atoms))) != V:
+        V = nxt
+    return V
+
+
+def least_kernel_piece(V: GoedelSet) -> Union[Interval, Cantor]:
+    """The perfect kernel's piece whose left end is the kernel's inf."""
+    kernel = cb_kernel(V)
+    if is_empty(kernel):
+        raise EmptyKernelError("the perfect kernel is empty")
+    return kernel.atoms[0]  # type: ignore[return-value]
+
+
+def holds_harmonic_tail(V: GoedelSet, limit: Fraction, sign: int, start: Fraction) -> bool:
+    """Whether one atom of V holds limit and every limit + sign/m (m >= 1
+    an integer) up to start in [0,1]: an interval spanning both, or a
+    sequence to limit from that side with integer scale s (s/(s*m) = 1/m)."""
+    lo, hi = (limit, start) if sign > 0 else (start, limit)
+    seq = SeqDown if sign > 0 else SeqUp
+    for atom in V.atoms:
+        if isinstance(atom, Interval) and atom.a <= lo and hi <= atom.b:
+            return True
+        if isinstance(atom, seq) and atom.limit == limit and atom.scale.denominator == 1:
+            return True
+    return False
 
 
 def _positive_infimum(atom: SetAtom) -> Optional[Fraction]:
@@ -291,11 +309,9 @@ def _positive_infimum(atom: SetAtom) -> Optional[Fraction]:
 
 def smallest_positive(V: GoedelSet) -> Fraction:
     """min of V ∩ (0,1]; raises if 0 is not isolated (no minimum)."""
-    infs = [q for q in (_positive_infimum(a) for a in V.atoms) if q is not None]
-    m = min(infs)
-    if m == 0:
+    if not zero_isolated(V):
         raise ValueError("0 is not isolated; the positive part has no minimum")
-    return m
+    return min(q for q in map(_positive_infimum, V.atoms) if q is not None)
 
 
 def zero_isolated(V: GoedelSet) -> bool:
@@ -323,15 +339,14 @@ class Classification:
 
 
 def classify(V: GoedelSet) -> Classification:
-    atoms = simplify(V.atoms)
-    kernel = cb_kernel(GoedelSet(atoms))
+    kernel = cb_kernel(V)
     uncountable = not is_empty(kernel)
-    finite = all(isinstance(a, Point) for a in atoms)
-    iso = zero_isolated(GoedelSet(atoms))
-    in_kernel = bool(kernel.atoms) and member(kernel, Fraction(0))
+    finite = all(isinstance(a, Point) for a in V.atoms)
+    iso = zero_isolated(V)
+    in_kernel = uncountable and member(kernel, Fraction(0))
 
     if finite:
-        n = len(atoms)
+        n = len(V.atoms)
         return Classification("finite", n, iso, False, "Hn", n)
     card = "uncountable" if uncountable else "countable"
     if uncountable and in_kernel:
@@ -344,10 +359,7 @@ def classify(V: GoedelSet) -> Classification:
 def saturate_above_kernel_inf(V: GoedelSet) -> GoedelSet:
     """V ∪ [inf P, 1] for P the perfect kernel; the induced logic is
     unchanged, which makes the saturated set the canonical representative."""
-    kernel = cb_kernel(V)
-    if is_empty(kernel):
-        raise EmptyKernelError("the perfect kernel is empty")
-    inf_p = min(a.a for a in kernel.atoms)  # type: ignore[union-attr]
+    inf_p = least_kernel_piece(V).a
     return make_set(list(V.atoms) + [Interval(inf_p, Fraction(1))])
 
 
@@ -468,8 +480,8 @@ def sample_finite(V: GoedelSet, n: int) -> GoedelSet:
     if zero_isolated(V) and len(chosen) < n:
         chosen.append(smallest_positive(V))
 
-    streams = [_atom_candidates(a) for a in simplify(V.atoms)]
-    finite_atoms = all(isinstance(a, Point) for a in simplify(V.atoms))
+    streams = [_atom_candidates(a) for a in V.atoms]
+    finite_atoms = all(isinstance(a, Point) for a in V.atoms)
     budget = 4 * n + 16
     while len(chosen) < n and streams and budget > 0:
         nxt: list[Iterator[Fraction]] = []
@@ -491,11 +503,10 @@ def sample_finite(V: GoedelSet, n: int) -> GoedelSet:
 
 
 def finite_elements(V: GoedelSet) -> list[Fraction]:
-    """The elements of a finite Gödel set, sorted ascending."""
-    atoms = simplify(V.atoms)
-    if not all(isinstance(a, Point) for a in atoms):
+    """The elements of a finite Gödel set: its canonical atoms, ascending."""
+    if not all(isinstance(a, Point) for a in V.atoms):
         raise ValueError("truth-value set is not finite")
-    return sorted(a.q for a in atoms)  # type: ignore[union-attr]
+    return [a.q for a in V.atoms]  # type: ignore[union-attr]
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Term, Var,
     balanced, free_vars, print_formula, signature, subformulas,
 )
-from .goedelset import GoedelSet, Interval, SeqDown, SeqUp, member, \
-    finite_elements, parse_set, print_set
+from .goedelset import GoedelSet, embed_into_perfect, finite_elements, \
+    holds_harmonic_tail, least_kernel_piece, member, parse_set, print_set
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -101,6 +101,9 @@ class FiniteInterpretation:
             for tup, out in table.items():
                 if out not in self.universe:
                     raise ValueError(f"{f}{tup} maps outside the universe")
+        for x, elem in self.variables.items():
+            if elem not in self.universe:
+                raise ValueError(f"variable {x} names {elem!r}, which is not in the universe")
 
 
 def _term_value(t: Term, I: FiniteInterpretation, env: Mapping[str, str]) -> str:
@@ -216,12 +219,8 @@ def saturate_transfer(I: FiniteInterpretation, V: GoedelSet,
     clear of the top.  Together with value-map lifting this witnesses
     that saturating a set above its kernel infimum changes no entailment.
     """
-    from .goedelset import cb_kernel, is_empty
-    kernel = cb_kernel(V)
-    if is_empty(kernel):
-        raise ValueError("the truth set has an empty perfect kernel")
-    inf_p = min(a.a for a in kernel.atoms)  # type: ignore[union-attr]
-    piece = next(a for a in kernel.atoms if a.a == inf_p)  # type: ignore[union-attr]
+    piece = least_kernel_piece(V)
+    inf_p = piece.a
 
     def all_values(K: FiniteInterpretation) -> set[Fraction]:
         table_vals = {v for t in K.predicates.values() for v in t.values()}
@@ -236,7 +235,6 @@ def saturate_transfer(I: FiniteInterpretation, V: GoedelSet,
     mids = sorted(v for v in vals if inf_p <= v < 1)
     mapping: dict[Fraction, Fraction] = {v: v for v in vals if v <= inf_p}
     if mids:
-        from .goedelset import embed_into_perfect
         chain = [inf_p] + [v for v in mids if v > inf_p] + [cut]
         image = embed_into_perfect(chain, piece)
         mapping.update(dict(zip(chain[:-1], image[:-1])))
@@ -598,37 +596,27 @@ _TAIL_PROBE = 64
 def _certify_tail(d: TailDescriptor, V: GoedelSet) -> None:
     """Every value of d for k >= 1 (and the limit) must lie in V.
 
-    The first _TAIL_PROBE values are checked exactly; the remaining tail
-    is certified symbolically by an interval atom containing it or by a
-    sequence atom with the same limit and an integer scale.  Anything else
-    is refused rather than approximated.  A harmonic offset must be at
-    least 0, so that no k + offset is 0.
-    """
+    A harmonic tail runs from its first value to its limit, both in [0,1],
+    with an offset of at least 0, so that no k + offset is 0.  One atom of
+    V must hold the rest of the tail from some k <= _TAIL_PROBE + 1 on, and
+    the values before the first such k are checked exactly; anything else
+    is refused rather than approximated."""
     if isinstance(d, ConstTail):
         if not 0 <= d.value <= 1 or not member(V, d.value):
             raise TailValueError(f"constant tail value {d.value} not in the set")
         return
     if d.offset < 0:
         raise TailValueError(f"harmonic tail offset {d.offset} is below 0")
-    vals = [tail_value(d, k) for k in range(1, _TAIL_PROBE + 1)]
-    if any(v < 0 or v > 1 for v in vals):
+    if not (0 <= d.limit <= 1 and 0 <= tail_value(d, 1) <= 1):
         raise TailValueError("harmonic tail leaves [0,1]")
     if not member(V, d.limit):
         raise TailValueError(f"tail limit {d.limit} not in the set")
-    for v in vals:
-        if not member(V, v):
+    for k in range(1, _TAIL_PROBE + 2):
+        v = tail_value(d, k)
+        if holds_harmonic_tail(V, d.limit, d.sign, v):
+            return
+        if k <= _TAIL_PROBE and not member(V, v):
             raise TailValueError(f"tail value {v} not in the set")
-    edge = tail_value(d, _TAIL_PROBE + 1)
-    lo, hi = (d.limit, edge) if d.sign > 0 else (edge, d.limit)
-    for atom in V.atoms:
-        if isinstance(atom, Interval) and atom.a <= lo and hi <= atom.b:
-            return
-        if d.sign > 0 and isinstance(atom, SeqDown) and atom.limit == d.limit \
-                and atom.scale.denominator == 1:
-            return
-        if d.sign < 0 and isinstance(atom, SeqUp) and atom.limit == d.limit \
-                and atom.scale.denominator == 1:
-            return
     raise TailValueError("cannot certify the harmonic tail inside the set")
 
 

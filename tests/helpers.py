@@ -18,10 +18,11 @@ from goedel_logics.formula import (
     Neg, ParseError, Term, Top, Var, atoms, free_vars, fresh_name, is_prenex, normalize,
     prefix_and_matrix, print_formula, print_raw, print_term, signature, substitute, term_size,
 )
-from goedel_logics.goedelset import GoedelSet, finite_elements
+from goedel_logics.goedelset import GoedelSet, Interval, SeqDown, SeqUp, finite_elements, member
 from goedel_logics.herbrand import Certificate, HerbrandProblem, NotPrenexError, ProveResult
 from goedel_logics.semantics import (
-    ONE, EntailmentResult, FiniteInterpretation, _joint_signature, evaluate,
+    ONE, ConstTail, EntailmentResult, FiniteInterpretation, TailDescriptor, TailValueError,
+    _joint_signature, evaluate, tail_value,
 )
 
 CONNECTIVES = [And, Or, Imp]
@@ -117,6 +118,40 @@ def reference_entails(premises: Sequence[Formula], conclusion: Formula,
             if bad:
                 return EntailmentResult(False, I)
     return EntailmentResult(True)
+
+
+def reference_certify_tail(d: TailDescriptor, V: GoedelSet) -> None:
+    """The oracle for semantics._certify_tail: the first 64 values are
+    checked exactly, then the tail from k = 65 on must lie in one interval
+    atom, or in a sequence atom with the same limit and an integer scale.
+    A limit outside [0,1] whose first 64 values lie inside raises the bare
+    ValueError of member."""
+    if isinstance(d, ConstTail):
+        if not 0 <= d.value <= 1 or not member(V, d.value):
+            raise TailValueError(f"constant tail value {d.value} not in the set")
+        return
+    if d.offset < 0:
+        raise TailValueError(f"harmonic tail offset {d.offset} is below 0")
+    vals = [tail_value(d, k) for k in range(1, 65)]
+    if any(v < 0 or v > 1 for v in vals):
+        raise TailValueError("harmonic tail leaves [0,1]")
+    if not member(V, d.limit):
+        raise TailValueError(f"tail limit {d.limit} not in the set")
+    for v in vals:
+        if not member(V, v):
+            raise TailValueError(f"tail value {v} not in the set")
+    edge = tail_value(d, 65)
+    lo, hi = (d.limit, edge) if d.sign > 0 else (edge, d.limit)
+    for atom in V.atoms:
+        if isinstance(atom, Interval) and atom.a <= lo and hi <= atom.b:
+            return
+        if d.sign > 0 and isinstance(atom, SeqDown) and atom.limit == d.limit \
+                and atom.scale.denominator == 1:
+            return
+        if d.sign < 0 and isinstance(atom, SeqUp) and atom.limit == d.limit \
+                and atom.scale.denominator == 1:
+            return
+    raise TailValueError("cannot certify the harmonic tail inside the set")
 
 
 # ---------------------------------------------------------------------------

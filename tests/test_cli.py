@@ -305,6 +305,15 @@ def test_malformed_interpretation_is_an_input_error(capsys, tmp_path):
         assert err.startswith("error:"), doc
 
 
+def test_a_variable_must_name_an_element_of_the_universe(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{"universe": ["a"], "truth_set": "{0,1}", "predicates": {"P/1": {"a": "1"}},'
+                    ' "variables": {"x": "zz"}}')
+    code, out, err = run(capsys, "eval", "-i", str(path), "P(x)")
+    assert code == 3 and out == ""
+    assert err.strip() == "error: variable x names 'zz', which is not in the universe"
+
+
 BAD_FILES = {"bad.proof": "garbage line\n", "interp.json": "[1,2]", "cert.json": "[1]"}
 
 

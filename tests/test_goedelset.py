@@ -3,13 +3,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from goedel_logics.goedelset import (
     Cantor, EmptyKernelError, GoedelSet, Interval, Point, SeqDown, SeqUp,
-    cb_kernel, classify, embed_into_perfect, finite_elements, in_cantor01,
-    is_empty, make_set, member, parse_set, print_set, sample_finite,
-    saturate_above_kernel_inf, simplify, smallest_positive, unit_interval,
-    v_down, v_m, v_up, zero_isolated,
+    cb_kernel, classify, embed_into_perfect, finite_elements, holds_harmonic_tail,
+    in_cantor01, is_empty, least_kernel_piece, make_set, member, parse_set,
+    print_set, sample_finite, saturate_above_kernel_inf, simplify, smallest_positive,
+    unit_interval, v_down, v_m, v_up, zero_isolated,
 )
 
 
@@ -143,6 +144,30 @@ def test_saturate_requires_kernel():
         saturate_above_kernel_inf(v_down())
 
 
+def test_least_kernel_piece():
+    V = parse_set("{0} + cantor(1/2,1) + seqdown(1/8;1/16) + [1/4,1/3]")
+    assert least_kernel_piece(V) == Interval(F(1, 4), F(1, 3))
+    assert least_kernel_piece(parse_set("{0} + cantor(1/2,1)")) == Cantor(F(1, 2), F(1))
+    with pytest.raises(EmptyKernelError, match="the perfect kernel is empty"):
+        least_kernel_piece(v_down())
+
+
+def test_holds_harmonic_tail():
+    # an interval holds the tail from a value it reaches on; a sequence to
+    # the same limit from the same side holds it all when its scale is an
+    # integer
+    V = parse_set("{0} + [1/2,3/4] + {1}")
+    assert holds_harmonic_tail(V, F(1, 2), 1, F(3, 4))
+    assert not holds_harmonic_tail(V, F(1, 2), 1, F(1))
+    assert not holds_harmonic_tail(V, F(3, 4), 1, F(1))
+    assert holds_harmonic_tail(V, F(3, 4), -1, F(1, 2))
+    assert holds_harmonic_tail(v_down(), F(0), 1, F(1))
+    assert not holds_harmonic_tail(v_down(), F(0), -1, F(0))
+    assert holds_harmonic_tail(parse_set("seqdown(0;2) + {1}"), F(0), 1, F(1))
+    assert not holds_harmonic_tail(parse_set("seqdown(0;1/2) + {1}"), F(0), 1, F(1, 2))
+    assert holds_harmonic_tail(v_up(), F(1), -1, F(0))
+
+
 def test_embed_binary_to_ternary():
     out = embed_into_perfect([F(0), F(1, 2), F(1)], Cantor(F(0), F(1)))
     assert out == [F(0), F(2, 3), F(1)]
@@ -197,6 +222,35 @@ def test_simplify_absorbs_and_merges():
     # degenerate sequences clip to their limit point
     assert simplify([SeqUp(F(0), F(1))]) == (Point(F(0)),)
     assert simplify([SeqDown(F(1), F(1))]) == (Point(F(1)),)
+
+
+_Q = st.builds(F, st.integers(0, 8), st.sampled_from([1, 2, 3, 8])).filter(lambda q: q <= 1)
+_PAIR = st.tuples(_Q, _Q).filter(lambda ab: ab[0] < ab[1])
+_SCALE = st.sampled_from([F(1), F(2), F(1, 2), F(1, 3), F(3, 4)])
+_ATOM = st.one_of(
+    st.builds(Point, _Q),
+    _PAIR.map(lambda ab: Interval(*ab)),
+    _PAIR.map(lambda ab: Cantor(*ab)),
+    st.builds(SeqDown, _Q, _SCALE),
+    st.builds(SeqUp, _Q, _SCALE),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.lists(_ATOM, max_size=7), st.randoms(use_true_random=False))
+def test_a_set_is_canonical_from_construction(atoms, rnd):
+    V = GoedelSet(tuple(atoms))
+    assert V.atoms == simplify(atoms) == simplify(simplify(atoms))
+    shuffled = list(atoms)
+    rnd.shuffle(shuffled)
+    assert GoedelSet(tuple(shuffled)) == V
+    # a set of points (degenerate sequences become their limits) lists
+    # its elements ascending
+    qs = {a.q for a in atoms if isinstance(a, Point)}
+    points = [Point(q) for q in qs] + [SeqUp(F(0), F(1))]
+    assert finite_elements(GoedelSet(tuple(points))) == sorted(qs | {F(0)})
+    if all(isinstance(a, Point) for a in V.atoms):
+        assert finite_elements(V) == sorted(set(finite_elements(V)))
 
 
 def test_make_set_requires_bounds():

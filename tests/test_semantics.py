@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -12,17 +13,20 @@ import pytest
 from goedel_logics.decide import BudgetError
 from goedel_logics.formula import And, Atom, Imp, Or, parse
 from goedel_logics.goedelset import (
-    finite_elements, make_set, parse_set, Point, unit_interval, v_down, v_m, v_up,
+    Cantor, EmptyKernelError, Interval, SeqDown, SeqUp, finite_elements,
+    holds_harmonic_tail, make_set, parse_set, Point, unit_interval, v_down, v_m, v_up,
 )
 from goedel_logics.semantics import (
     ClosedFormulaRequiredError, ConstTail,
     FiniteInterpretation, Harmonic, OmegaInterpretation, TailRestrictionError,
     TailValueError, entails_bruteforce, eval_omega, evaluate, lift_w,
     load_interpretation, dump_interpretation, map_h, one_entails_bruteforce,
-    stable_order, tail_value, value_set,
+    _certify_tail, saturate_transfer, stable_order, tail_value, value_set,
 )
 
-from helpers import pinned_orders, random_closed_formula, random_interpretation
+from helpers import (
+    pinned_orders, random_closed_formula, random_interpretation, reference_certify_tail,
+)
 
 V3 = v_m(3)
 V4 = v_m(4)
@@ -385,6 +389,111 @@ def test_tail_validation_rejects_out_of_set():
             I.validate()
 
 
+def test_a_tail_limit_outside_the_unit_interval_is_a_tail_error():
+    # the first 64 values lie in [0,1], but the limits do not
+    for d in (Harmonic(F(101, 100), -1, 0), Harmonic(F(-1, 100), 1, 0)):
+        I = OmegaInterpretation((), U01, {}, {"A": {("*",): d}})
+        with pytest.raises(TailValueError, match=r"^harmonic tail leaves \[0,1\]$"):
+            I.validate()
+
+
+def test_a_tail_is_checked_exactly_only_before_an_atom_holds_it():
+    # [0,1/4] holds 1/m from m = 4 on, so only 1/2 and 1/3 are checked
+    # exactly for the tail 1/(k + 1)
+    _certify_tail(Harmonic(F(0), 1, 1), parse_set("{1/2,1/3} + [0,1/4] + {1}"))
+    with pytest.raises(TailValueError, match="tail value 1/3 not in the set"):
+        _certify_tail(Harmonic(F(0), 1, 1), parse_set("{1/2} + [0,1/4] + {1}"))
+    # an atom must hold the tail from k = 65 on: at most 64 values are
+    # checked exactly
+    d = Harmonic(F(0), 1, 0)
+    points = [Point(tail_value(d, k)) for k in range(1, 66)]
+    _certify_tail(d, make_set(points + [Interval(F(0), F(1, 65))]))
+    with pytest.raises(TailValueError, match="cannot certify"):
+        _certify_tail(d, make_set(points + [Interval(F(0), F(1, 66))]))
+
+
+def _random_tail_case(rng: random.Random):
+    """A (descriptor, set) pair near the edges of _certify_tail: limits in
+    and just outside [0,1], offsets around 0 and 64, and sets that hold
+    the tail's first values as points, an interval from some k on, and
+    sequences with integer or fractional scales."""
+    limits = [F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 100), F(99, 100),
+              F(101, 100), F(-1, 100)]
+    limit = rng.choice(limits)
+    if rng.random() < 0.1:
+        d = ConstTail(rng.choice(limits + [F(1, 4)]))
+    else:
+        inward = -1 if limit > F(1, 2) else 1
+        d = Harmonic(limit, inward if rng.random() < 0.8 else -inward,
+                     rng.choice([-1, 0, 0, 1, 1, 2, 5, 30, 62, 63, 64, 65, 100]))
+
+    def value(k):
+        return tail_value(d, k) if isinstance(d, ConstTail) or k + d.offset > 0 else None
+
+    atoms = [Point(F(0)), Point(F(1))]
+    if rng.random() < 0.8 and 0 <= limit <= 1:
+        atoms.append(Point(limit))
+    count = rng.choice([0, 1, 2, 3, 5, 10, 20]) if rng.random() < 0.85 else rng.choice([63, 64, 65])
+    skip = rng.randint(1, count) if count and rng.random() < 0.2 else None
+    atoms += [Point(v) for k in range(1, count + 1)
+              if k != skip and (v := value(k)) is not None and 0 <= v <= 1]
+    if rng.random() < 0.6:
+        edge = value(rng.choice([1, 2, 3, 6, 11, 21, 64, 65, 66, 80]))
+        if edge is not None:
+            edge += rng.choice([0, 0, 0, F(1, 10 ** 4), -F(1, 10 ** 4)])
+            start = limit + rng.choice([0, 0, 0, F(1, 10 ** 3), -F(1, 10 ** 3)])
+            lo, hi = max(min(start, edge), F(0)), min(max(start, edge), F(1))
+            if lo < hi:
+                atoms.append(Interval(lo, hi))
+    if rng.random() < 0.3:
+        seq = rng.choice([SeqDown, SeqUp])
+        q = limit if 0 <= limit <= 1 and rng.random() < 0.8 else rng.choice(limits[:7])
+        atoms.append(seq(q, rng.choice([F(1), F(2), F(3), F(1, 2), F(3, 2)])))
+    if rng.random() < 0.2:
+        atoms.append(rng.choice([Cantor(F(0), F(1)), Interval(F(1, 2), F(3, 4))]))
+    return d, make_set(atoms)
+
+
+def _certify_outcome(certify, d, V):
+    try:
+        certify(d, V)
+    except TailValueError as e:
+        return "TailValueError", str(e)
+    except ValueError as e:
+        return "ValueError", str(e)
+    return "ok", None
+
+
+def test_tail_certification_matches_the_reference():
+    rng = random.Random(2727)
+    cases = []
+    while len(cases) < 10_000:
+        d, V = _random_tail_case(rng)
+        # the set's own descriptor and its neighbours one offset away
+        cases += [(d, V)] if isinstance(d, ConstTail) else \
+            [(Harmonic(d.limit, d.sign, d.offset + i), V) for i in (-1, 0, 1)]
+    seen: dict[str, int] = {}
+    late_starts = 0
+    for d, V in cases:
+        want = _certify_outcome(reference_certify_tail, d, V)
+        got = _certify_outcome(_certify_tail, d, V)
+        if want[0] == "ValueError":
+            # the reference's bare error from member, for a limit outside
+            # [0,1] whose first 64 values lie inside
+            assert not 0 <= d.limit <= 1, (d, V)
+            assert got == ("TailValueError", "harmonic tail leaves [0,1]"), (d, V)
+        else:
+            assert got == want, (d, V)
+        if got[0] == "ok" and isinstance(d, Harmonic) \
+                and not holds_harmonic_tail(V, d.limit, d.sign, tail_value(d, 1)):
+            late_starts += 1
+        kind = re.sub(r"-?\d+(/\d+)?", "#", got[1] or "ok")
+        seen[want[0] + ": " + kind] = seen.get(want[0] + ": " + kind, 0) + 1
+    # every outcome shows up, and many tails are held only from some k > 1
+    assert len(seen) == 8 and min(seen.values()) >= 50, seen
+    assert late_starts >= 300, late_starts
+
+
 def test_tail_coupling_rejected():
     I = OmegaInterpretation((), U01, {},
                             {"R": {("*", "*"): ConstTail(F(1, 2))}},
@@ -486,6 +595,12 @@ def test_a_universe_names_each_element_once():
         with pytest.raises(InterpretationFormatError,
                            match="\"universe\" names the element 'a' twice"):
             load_interpretation(data)
+
+
+def test_saturate_transfer_needs_a_perfect_kernel():
+    I = prop_interp({"A": F(1, 2)}, v_down())
+    with pytest.raises(EmptyKernelError, match="the perfect kernel is empty"):
+        saturate_transfer(I, v_down(), [parse("A")])
 
 
 def test_json_spec_shape():
