@@ -16,10 +16,11 @@ holds top.  G_m is decided in first_countermodel, the search that the
 finite entailment of semantics runs as well: it walks the rank vectors
 of V_m^n in product order but evaluates only the gap-free ones, one per
 pinned weak order with at most m classes, and so finds the countermodel
-that exhaustive evaluation finds first.  LC is decided by the same
-search at m = n + 2, the paper's finite reduction: n letters have at
-most n + 2 classes, so there the search evaluates once at every pinned
-weak order, which settles validity over every infinite truth-value set.
+that exhaustive evaluation finds first, in a loop with its own stack of
+letters.  LC is decided by the same search at m = n + 2, the paper's
+finite reduction: n letters have at most n + 2 classes, so there the
+search evaluates once at every pinned weak order, which settles
+validity over every infinite truth-value set.
 One walk (read_goal) gives the goal's letters and its root disjuncts,
 the leaves of its top |-tree.  The search skips each prefix on which a
 disjunct that reads no later letter is top, with every point below it:
@@ -223,8 +224,7 @@ def over_budget(where: str, spent: int, budget: int) -> BudgetError:
 
 def refuse_letters(where: str, n: int, budget: int) -> None:
     """Raise BudgetError at once when n letters, which have at least 2^n
-    points, exceed budget, for a search whose letters nothing else bounds
-    (the walk recurses once per letter)."""
+    points, exceed budget, for a search whose letters nothing else bounds."""
     if n >= budget.bit_length():
         letters = "letter" if n == 1 else "letters"
         raise BudgetError(f"{where}, {n} {letters}: at least 2^{n} points exceed "
@@ -263,9 +263,10 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
     start, the ranks of at most n - 1 leading letters, resumes the walk
     there: every point whose leading ranks come before start in product
     order is skipped uncharged, so the answer is the same whenever no
-    countermodel comes before start."""
+    countermodel comes before start.  The walk keeps each placed letter's
+    candidates left on its own stack, not in one Python frame per letter."""
     letters = "letter" if n == 1 else "letters"
-    path = len(start)  # walk(p) follows start while p < path
+    path = len(start)  # the walk follows start while p < path
     if path and path >= n:
         raise ValueError("start places at most n - 1 letters")
     top = m - 1
@@ -278,29 +279,30 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
         return next((r for r in points if goal(r, top) < top), None), spent
     ranks = [0] * n
     last = n - 1
-
-    def walk(p: int, k: int, holes: list):
-        # ranks[:p] are placed; their middle ranks are 1..k but for the
-        # holes, which the letters from p on must fill
-        nonlocal spent, path
+    # ranks[:p] are placed; their middle ranks are 1..k but for the holes,
+    # which the letters from p on must fill
+    frames: list[tuple] = []  # (candidates left, k, holes, closing) of each letter above p
+    p, k, holes, it = 0, 0, [], None
+    while True:
         left = last - p
-        closing = ready[p] if p < len(ready) else None
-        if p < path and p and ranks[p - 1] != start[p - 1]:
-            path = 0  # past start: no later letter is bounded
-        if p < path:
-            # on start's path: the candidates from start's rank on, lazily,
-            # as the first of them mostly settles it
-            lo, hi = start[p], k + 2 + left - len(holes)
-            cands = (holes[bisect_left(holes, lo):] if len(holes) > left
-                     else range(lo, m) if hi >= top else chain(range(lo, hi), (top,)))
-        elif len(holes) > left:
-            cands = holes
-        else:
-            # 0, a rank up to k, top, or a new rank that leaves no more
-            # holes than the letters after p can fill
-            hi = k + 2 + left - len(holes)
-            cands = range(m) if hi >= top else [*range(hi), top]
-        for v in cands:
+        if it is None:  # a descent to letter p
+            closing = ready[p] if p < len(ready) else None
+            if p < path and p and ranks[p - 1] != start[p - 1]:
+                path = 0  # past start: no later letter is bounded
+            if p < path:
+                # on start's path: the candidates from start's rank on, lazily,
+                # as the first of them mostly settles it
+                lo, hi = start[p], k + 2 + left - len(holes)
+                it = iter(holes[bisect_left(holes, lo):] if len(holes) > left
+                          else range(lo, m) if hi >= top else chain(range(lo, hi), (top,)))
+            elif len(holes) > left:
+                it = iter(holes)
+            else:
+                # 0, a rank up to k, top, or a new rank that leaves no more
+                # holes than the letters after p can fill
+                hi = k + 2 + left - len(holes)
+                it = iter(range(m) if hi >= top else [*range(hi), top])
+        for v in it:
             ranks[p] = v
             if closing is not None and closing(ranks, top) == top:
                 spent += 1
@@ -314,9 +316,9 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
             else:
                 kv, hv = k, holes
             if left > 1:
-                if found := walk(p + 1, kv, hv):
-                    return found
-                continue
+                frames.append((it, k, holes, closing))
+                p, k, holes, it = p + 1, kv, hv, None
+                break
             # the last letter in the same loop: it fills the one hole
             # left, or takes 0..kv+1 or top
             ys = hv or (range(m) if kv + 2 >= top else [*range(kv + 2), top])
@@ -326,10 +328,12 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
             for y in ys:
                 ranks[last] = y
                 if goal(ranks, top) < top:
-                    return tuple(ranks)
-        return None
-
-    return walk(0, 0, []), spent
+                    return tuple(ranks), spent
+        else:  # no candidate left: back to the letter above
+            if not frames:
+                return None, spent
+            it, k, holes, closing = frames.pop()
+            p -= 1
 
 
 def decide_Gm(f: Formula, m: int, budget: int = BUDGET) -> DecideResult:

@@ -30,6 +30,15 @@ class GoedelError(Exception):
     exit 3.  (An exhausted budget is ``decide.BudgetError``: exit 2.)"""
 
 
+def expect_json(value, kind: type, what: str, error: type[GoedelError]):
+    """value, when it has the JSON type kind (dict, list or str); else the
+    format error `error` of the document being read."""
+    if not isinstance(value, kind):
+        name = {dict: "an object", list: "an array", str: "a string"}[kind]
+        raise error(f"{what} must be {name}, not {type(value).__name__}")
+    return value
+
+
 class FormulaError(GoedelError):
     """Base class for syntax-level errors."""
 

@@ -36,11 +36,12 @@ No countermodel at level L answers "valid" at L, and the certificate is
 the formula, the mode and the Herbrand disjunction: every instance up
 to L, in level order.  A countermodel at the level bound answers
 "unknown" with its order, under which every instance so far stays
-below 1.  When no predicate takes an argument the Herbrand base is
-finite, and a countermodel at its last atom answers "invalid".  The
-disjunction is checked independently by the propositional decision
-procedures, and the certificate can be reassembled into a rule trace
-deriving the original formula.
+below 1.  When no function symbol takes an argument, as in a
+function-free forall*exists* formula, the Herbrand base is finite, and
+a countermodel at its last atom answers "invalid".  The disjunction is
+checked independently by the propositional decision procedures, and
+the certificate can be reassembled into a rule trace deriving the
+original formula.
 
 A trace acts on a flat tuple of disjuncts, so commutation and
 association, rules (1)-(2), are implicit.  After the start, each Skolem
@@ -62,7 +63,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .formula import (
     App, ArityConflictError, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError,
-    ParseMemo, Term, Var, alpha_eq, balanced, free_vars, fresh_name, normalize,
+    ParseMemo, Term, Var, alpha_eq, balanced, expect_json, free_vars, fresh_name, normalize,
     prefix_and_matrix, print_formula, print_raw, print_term, subst_term, substitute, term_size,
     term_vars,
 )
@@ -70,7 +71,6 @@ from .decide import (
     BUDGET, BudgetError, Constraint, RankProgram, classes, compile_prop, decide_Gm, decide_LC,
     first_countermodel, whole_number,
 )
-from .semantics import expect_json
 
 
 class HerbrandError(GoedelError):
@@ -99,7 +99,8 @@ Instance = tuple[tuple[Term, ...], Formula]  # existential terms, ground matrix
 class HerbrandProblem:
     """A prenex formula together with its Herbrand form and a fixed
     non-repetitive enumeration of the Herbrand base (by total term size,
-    ties broken lexicographically).
+    ties broken lexicographically).  The universe holds the Herbrand form's
+    function symbols alone (and c0 when none is a constant).
 
     The formula is read in one pass over its prefix and one walk of its
     matrix, which renames the binders as ``normalize`` does, checks that
@@ -202,14 +203,12 @@ class HerbrandProblem:
 
         if not any(k == 0 for k in hu_funcs.values()):
             hu_funcs[fresh("c0")] = 0
-        if not any(k > 0 for k in hu_funcs.values()):
-            hu_funcs[fresh("g0")] = 1
         self.hu_functions = dict(sorted(hu_funcs.items()))
         self.predicates = dict(sorted(preds.items()))
-        # the number of atoms in the base when it is finite: with no
-        # predicate taking an argument it holds the 0-ary atoms alone
+        # the base is finite exactly when no function symbol takes an
+        # argument: then a k-ary predicate has |constants|^k atoms
         self.base_length: Optional[int] = (
-            None if any(self.predicates.values()) else len(self.predicates))
+            None if any(hu_funcs.values()) else sum(len(hu_funcs) ** k for k in preds.values()))
         self._vars = {id(q): frozenset().union(*map(term_vars, q.args)) for q in self._patterns}
         self._terms_by_size: list[list[Term]] = [[]]  # index = size
         # each ground term built: by its symbol and argument ids, and its
@@ -509,8 +508,8 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
     at the last level of a finite Herbrand base "invalid"; both report its
     order.  The levels charge their points to one budget, and each level's
     search resumes at the last level's countermodel.  The problem builds
-    each base term once, so no level recurses through deep terms; a level
-    past what the recursion limit lets its walk place raises BudgetError.
+    each base term once and the walk keeps its own stack, so no level
+    recurses through deep terms or once per letter.
     """
     problem = HerbrandProblem(f)
     n_adm = finite_bound(mode)
@@ -527,24 +526,20 @@ def prove_prenex(f: Formula, mode: str = "uncountable", max_level: int = 8,
     start: tuple[int, ...] = ()  # where the level's walk resumes
     for level in range(stop + 1):
         m = level + 2 if n_adm is None else n_adm
-        try:
-            if level:
-                slots.by_id[id(problem.base(level)[-1])] = level - 1
-            new = [ground for _, ground in problem.new_instances(level)]
-            # a level without new instances has the goal bot
-            goal = compile_prop(balanced(Or, new) if new else BOT, slots)
-            grounds += new
-            ranks, spent = first_countermodel(goal, m, level, ready, budget, spent,
-                                              f"Herbrand level {level}", start=start)
-            if ranks is None:
-                cert = Certificate(problem.original, mode, tuple(grounds))
-                return ProveResult("valid", cert, level, problem)
-            if level == stop:
-                return ProveResult(open_status, None, level, problem,
-                                   classes((m - 1, *ranks), problem._names[:level]))
-        except RecursionError:
-            # the walk recurses once per letter, about 990 at the default limit
-            raise BudgetError(f"Herbrand level {level} is nested too deeply") from None
+        if level:
+            slots.by_id[id(problem.base(level)[-1])] = level - 1
+        new = [ground for _, ground in problem.new_instances(level)]
+        # a level without new instances has the goal bot
+        goal = compile_prop(balanced(Or, new) if new else BOT, slots)
+        grounds += new
+        ranks, spent = first_countermodel(goal, m, level, ready, budget, spent,
+                                          f"Herbrand level {level}", start=start)
+        if ranks is None:
+            cert = Certificate(problem.original, mode, tuple(grounds))
+            return ProveResult("valid", cert, level, problem)
+        if level == stop:
+            return ProveResult(open_status, None, level, problem,
+                               classes((m - 1, *ranks), problem._names[:level]))
         if level:
             # the instances of level 0 read no slot: a countermodel leaves them below top
             ready.append(goal)

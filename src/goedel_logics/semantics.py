@@ -37,7 +37,7 @@ from .decide import (
 )
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Term, Var,
-    balanced, free_vars, print_formula, signature, subformulas,
+    balanced, expect_json, free_vars, print_formula, signature, subformulas,
 )
 from .goedelset import GoedelSet, embed_into_perfect, finite_elements, \
     holds_harmonic_tail, least_kernel_piece, member, parse_set, print_set
@@ -68,7 +68,8 @@ class TailValueError(SemanticsError):
 
 
 class InterpretationFormatError(SemanticsError):
-    """A JSON interpretation document of the wrong shape."""
+    """A JSON interpretation document of the wrong shape, or an
+    interpretation whose tables do not fit its universe and truth set."""
 
 
 # ---------------------------------------------------------------------------
@@ -85,25 +86,26 @@ class FiniteInterpretation:
 
     def validate(self) -> None:
         if not self.universe:
-            raise ValueError("universe must be nonempty")
+            raise InterpretationFormatError("universe must be nonempty")
         for p, table in self.predicates.items():
             arities = {len(k) for k in table}
             if len(arities) > 1:
-                raise ValueError(f"mixed arities in table of {p}")
+                raise InterpretationFormatError(f"mixed arities in table of {p}")
             k = arities.pop() if arities else 0
             for tup in itertools.product(self.universe, repeat=k):
                 if tup not in table:
-                    raise ValueError(f"table of {p} not total at {tup}")
+                    raise InterpretationFormatError(f"table of {p} not total at {tup}")
             for v in table.values():
                 if not member(self.truth_set, v):
-                    raise ValueError(f"value {v} of {p} outside the truth set")
+                    raise InterpretationFormatError(f"value {v} of {p} outside the truth set")
         for f, table in self.functions.items():
             for tup, out in table.items():
                 if out not in self.universe:
-                    raise ValueError(f"{f}{tup} maps outside the universe")
+                    raise InterpretationFormatError(f"{f}{tup} maps outside the universe")
         for x, elem in self.variables.items():
             if elem not in self.universe:
-                raise ValueError(f"variable {x} names {elem!r}, which is not in the universe")
+                raise InterpretationFormatError(
+                    f"variable {x} names {elem!r}, which is not in the universe")
 
 
 def _term_value(t: Term, I: FiniteInterpretation, env: Mapping[str, str]) -> str:
@@ -649,11 +651,11 @@ class OmegaInterpretation:
         for p, table in self.predicates.items():
             for v in table.values():
                 if not member(self.truth_set, v):
-                    raise ValueError(f"value {v} of {p} outside the truth set")
+                    raise InterpretationFormatError(f"value {v} of {p} outside the truth set")
         for p, pats in self.tails.items():
             for pat, d in pats.items():
                 if _STAR not in pat:
-                    raise ValueError(f"tail pattern {p}{pat} has no tail slot")
+                    raise InterpretationFormatError(f"tail pattern {p}{pat} has no tail slot")
                 _certify_tail(d, self.truth_set)
 
     def tail_descriptor(self, pred: str, pattern: tuple[str, ...]) -> TailDescriptor:
@@ -817,18 +819,6 @@ def _table_key(key: str) -> tuple[str, ...]:
     return tuple(k for k in key.split(",") if k) if key else ()
 
 
-_JSON_KINDS = {dict: "an object", list: "an array", str: "a string"}
-
-
-def expect_json(value, kind: type, what: str, error: type = InterpretationFormatError):
-    """value, when it has the JSON type kind (dict, list or str); else the
-    format error `error`."""
-    if not isinstance(value, kind):
-        raise error(
-            f"{what} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
-    return value
-
-
 def _rational(value, what: str) -> Fraction:
     """A truth value or limit given as "p/q", an integer or a float."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
@@ -840,7 +830,7 @@ def _rational(value, what: str) -> Fraction:
 
 
 def _descriptor_from_json(obj, what: str) -> TailDescriptor:
-    expect_json(obj, dict, what)
+    expect_json(obj, dict, what, InterpretationFormatError)
     kind = obj.get("kind")
     if kind == "const":
         return ConstTail(_rational(obj.get("value"), f"{what} value"))
@@ -865,45 +855,46 @@ def _descriptor_to_json(d: TailDescriptor) -> dict:
 def load_interpretation(data: Mapping) -> Union[FiniteInterpretation, OmegaInterpretation]:
     """Interpretation from its JSON form (rationals as "p/q" strings,
     tables keyed "P/1" with comma-joined argument keys).  A document of
-    the wrong shape, or a universe (an omega prefix) that names an
-    element twice, raises InterpretationFormatError."""
-    expect_json(data, dict, "an interpretation")
+    the wrong shape, a universe (an omega prefix) that names an element
+    twice, or tables that validate refuses raise InterpretationFormatError."""
+    bad = InterpretationFormatError  # the error of a part of the wrong shape
+    expect_json(data, dict, "an interpretation", bad)
     if "universe" not in data or "truth_set" not in data:
         raise InterpretationFormatError('an interpretation needs "universe" and "truth_set"')
-    universe = tuple(expect_json(u, str, "a universe element")
-                     for u in expect_json(data["universe"], list, '"universe"'))
+    universe = tuple(expect_json(u, str, "a universe element", bad)
+                     for u in expect_json(data["universe"], list, '"universe"', bad))
     seen: set[str] = set()
     for u in universe:
         if u in seen:
             raise InterpretationFormatError(f'"universe" names the element {u!r} twice')
         seen.add(u)
-    truth_set = parse_set(expect_json(data["truth_set"], str, '"truth_set"'))
+    truth_set = parse_set(expect_json(data["truth_set"], str, '"truth_set"', bad))
     preds: dict[str, dict[tuple[str, ...], Fraction]] = {}
-    for key, table in expect_json(data.get("predicates", {}), dict, '"predicates"').items():
+    for key, table in expect_json(data.get("predicates", {}), dict, '"predicates"', bad).items():
         name = key.split("/")[0]
         preds[name] = {_table_key(k): _rational(v, f"a value of {key}")
-                       for k, v in expect_json(table, dict, f"the table of {key}").items()}
+                       for k, v in expect_json(table, dict, f"the table of {key}", bad).items()}
     funcs: dict[str, dict[tuple[str, ...], str]] = {}
     successors = set()
-    for key, table in expect_json(data.get("functions", {}), dict, '"functions"').items():
+    for key, table in expect_json(data.get("functions", {}), dict, '"functions"', bad).items():
         name = key.split("/")[0]
         if table == "successor":
             successors.add(name)
             continue
-        funcs[name] = {_table_key(k): expect_json(v, str, f"a value of {key}")
-                       for k, v in expect_json(table, dict, f"the table of {key}").items()}
-    variables = expect_json(data.get("variables", {}), dict, '"variables"')
+        funcs[name] = {_table_key(k): expect_json(v, str, f"a value of {key}", bad)
+                       for k, v in expect_json(table, dict, f"the table of {key}", bad).items()}
+    variables = expect_json(data.get("variables", {}), dict, '"variables"', bad)
     for v in variables.values():
-        expect_json(v, str, "a variable's element")
+        expect_json(v, str, "a variable's element", bad)
     if "tail" not in data and not successors:
         I = FiniteInterpretation(universe, truth_set, preds, funcs, dict(variables))
         I.validate()
         return I
     tails: dict[str, dict[tuple[str, ...], TailDescriptor]] = {}
-    for key, spec in expect_json(data.get("tail", {}), dict, '"tail"').items():
+    for key, spec in expect_json(data.get("tail", {}), dict, '"tail"', bad).items():
         name, _, arity = key.partition("/")
         what = f"the tail of {key}"
-        if "kind" in expect_json(spec, dict, what):  # shorthand: all slots are tail slots
+        if "kind" in expect_json(spec, dict, what, bad):  # shorthand: all slots are tail slots
             if arity and not arity.isdigit():
                 raise InterpretationFormatError(f"{what} needs a numeric arity")
             pattern = tuple(_STAR for _ in range(int(arity or 1)))

@@ -5,13 +5,15 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from goedel_logics.decide import (
     BOT_MARK, TOP_MARK, BUDGET, BudgetError, Constraint, DecideError, DecideResult, Order,
-    QuantifierError, compile_prop,
+    QuantifierError, compile_prop, over_budget,
 )
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, BOT, Bot, And, Or, Imp, Forall, Exists, Formula,
@@ -227,6 +229,70 @@ def reference_first_countermodel(goal, m: int, n: int):
     return None
 
 
+def reference_walk(goal, m: int, n: int, ready=(), budget: int = BUDGET, spent: int = 0,
+                   where: str = "search", start: Sequence[int] = ()):
+    """The oracle for decide.first_countermodel's loop: the same walk with
+    one recursive call per letter, so equal answers, equal charges and
+    equal BudgetError texts, while the recursion limit allows."""
+    letters = "letter" if n == 1 else "letters"
+    path = len(start)
+    if path and path >= n:
+        raise ValueError("start places at most n - 1 letters")
+    top = m - 1
+    if n <= 1:
+        points = [(v,) for v in sorted({0, 1, top})] if n else [()]
+        spent += len(points)
+        if spent > budget:
+            raise over_budget(f"{where}, 0 of {n} {letters} placed", spent, budget)
+        return next((r for r in points if goal(r, top) < top), None), spent
+    ranks = [0] * n
+    last = n - 1
+
+    def walk(p: int, k: int, holes: list):
+        nonlocal spent, path
+        left = last - p
+        closing = ready[p] if p < len(ready) else None
+        if p < path and p and ranks[p - 1] != start[p - 1]:
+            path = 0
+        if p < path:
+            lo, hi = start[p], k + 2 + left - len(holes)
+            cands = (holes[bisect_left(holes, lo):] if len(holes) > left
+                     else range(lo, m) if hi >= top else chain(range(lo, hi), (top,)))
+        elif len(holes) > left:
+            cands = holes
+        else:
+            hi = k + 2 + left - len(holes)
+            cands = range(m) if hi >= top else [*range(hi), top]
+        for v in cands:
+            ranks[p] = v
+            if closing is not None and closing(ranks, top) == top:
+                spent += 1
+                if spent > budget:
+                    raise over_budget(f"{where}, {p + 1} of {n} {letters} placed", spent, budget)
+                continue
+            if k < v < top:
+                kv, hv = v, holes + [*range(k + 1, v)]
+            elif v in holes:
+                kv, hv = k, [h for h in holes if h != v]
+            else:
+                kv, hv = k, holes
+            if left > 1:
+                if found := walk(p + 1, kv, hv):
+                    return found
+                continue
+            ys = hv or (range(m) if kv + 2 >= top else [*range(kv + 2), top])
+            spent += len(ys)
+            if spent > budget:
+                raise over_budget(f"{where}, {last} of {n} {letters} placed", spent, budget)
+            for y in ys:
+                ranks[last] = y
+                if goal(ranks, top) < top:
+                    return tuple(ranks)
+        return None
+
+    return walk(0, 0, []), spent
+
+
 def reference_decide_LC(f: Formula, budget: int = BUDGET) -> DecideResult:
     """The slow oracle for decide.decide_LC: evaluating at the class ranks
     of every pinned weak order of the letters, depth first with the last
@@ -337,12 +403,13 @@ def reference_problem(original: Formula) -> dict:
     preds, funcs = signature(body)
     if not any(k == 0 for k in funcs.values()):
         funcs[fresh("c0")] = 0
-    if not any(k > 0 for k in funcs.values()):
-        funcs[fresh("g0")] = 1
+    # the base is finite exactly when every function symbol is a constant
+    constants = [name for name, k in funcs.items() if k == 0]
+    finite = len(constants) == len(funcs)
     return {"original": f, "matrix": matrix, "skolem_matrix": body, "prefix": tuple(prefix),
             "universal_terms": universal_terms, "hu_functions": dict(sorted(funcs.items())),
             "predicates": dict(sorted(preds.items())),
-            "base_length": None if any(preds.values()) else len(preds)}
+            "base_length": sum(len(constants) ** k for k in preds.values()) if finite else None}
 
 
 def _atom_key(a: Atom):

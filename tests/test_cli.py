@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import goedel_logics
 from goedel_logics import decide, goedelset, herbrand, proofkit, semantics, transforms
 from goedel_logics.cli import build_parser, main
-from goedel_logics.formula import ParseError, parse
+from goedel_logics.formula import GoedelError, ParseError, parse
 from goedel_logics.herbrand import certificate_from_json, prove_prenex, verify_certificate
 
 
@@ -314,6 +314,35 @@ def test_a_variable_must_name_an_element_of_the_universe(capsys, tmp_path):
     assert err.strip() == "error: variable x names 'zz', which is not in the universe"
 
 
+def test_tables_that_validate_refuses_are_a_typed_error(capsys, tmp_path):
+    # every refusal of validate is an InterpretationFormatError, so a library
+    # caller catches it as GoedelError; the CLI exits 3 with its message
+    finite = {"universe": ["a", "b"], "truth_set": "{0,1}"}
+    docs = {
+        "table of P not total at ('b',)": {**finite, "predicates": {"P/1": {"a": "1"}}},
+        "mixed arities in table of P": {**finite, "predicates": {"P/1": {"a": "1", "a,b": "0"}}},
+        "value 1/2 of P outside the truth set": {**finite, "predicates": {"P/0": {"": "1/2"}}},
+        "f('a',) maps outside the universe": {**finite, "functions": {"f/1": {"a": "zz"}}},
+        "variable x names 'zz', which is not in the universe": {
+            **finite, "variables": {"x": "zz"}},
+        "universe must be nonempty": {"universe": [], "truth_set": "{0,1}"},
+        "tail pattern P('a',) has no tail slot": {
+            **finite, "tail": {"P/1": {"a": {"kind": "const", "value": "1"}}}},
+        "value 1/2 of Q outside the truth set": {
+            **finite, "predicates": {"Q/0": {"": "1/2"}},
+            "tail": {"P/1": {"kind": "const", "value": "1"}}},
+    }
+    for message, doc in docs.items():
+        with pytest.raises(GoedelError) as caught:
+            semantics.load_interpretation(doc)
+        assert type(caught.value) is semantics.InterpretationFormatError
+        assert str(caught.value) == message
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", "-i", str(path), "A")
+        assert (code, out, err.strip()) == (3, "", f"error: {message}")
+
+
 BAD_FILES = {"bad.proof": "garbage line\n", "interp.json": "[1,2]", "cert.json": "[1]"}
 
 
@@ -342,23 +371,40 @@ def test_each_typed_error_keeps_its_exit_code(capsys, monkeypatch, tmp_path,
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_parse_and_decide_load_only_formula_and_decide():
+def _modules_loaded(*commands):
+    """The goedel_logics modules loaded once main has run each command."""
     src = os.path.dirname(os.path.dirname(goedel_logics.__file__))
-    script = (
-        "import sys\n"
-        "import goedel_logics\n"
-        "print(sorted(m for m in sys.modules if m.startswith('goedel_logics.')))\n"
-        "from goedel_logics import cli\n"
-        "assert cli.main(['parse', 'A']) == 0\n"
-        "assert cli.main(['decide', '--logic', 'LC', "
-        "'(A1 -> A2) | (A2 -> A3) | (A3 -> A4) | (A4 -> A5) | (A5 -> A1)']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('goedel_logics.')))\n")
+    script = "\n".join([
+        "import sys", "from goedel_logics import cli",
+        *[f"assert cli.main({argv!r}) in (0, 1), {argv!r}" for argv in commands],
+        "print(sorted(m for m in sys.modules if m.startswith('goedel_logics.')))", ""])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "[]", "A", "valid",
-        "['goedel_logics.cli', 'goedel_logics.decide', 'goedel_logics.formula']"]
+    return proc.stdout.splitlines()[-1]
+
+
+def test_parse_and_decide_load_only_formula_and_decide():
+    src = os.path.dirname(os.path.dirname(goedel_logics.__file__))
+    proc = subprocess.run([sys.executable, "-c", "import sys, goedel_logics; print(sorted("
+                           "m for m in sys.modules if m.startswith('goedel_logics.')))"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "[]\n", proc.stderr
+    assert _modules_loaded(
+        ["parse", "A"],
+        ["decide", "--logic", "LC",
+         "(A1 -> A2) | (A2 -> A3) | (A3 -> A4) | (A4 -> A5) | (A5 -> A1)"],
+    ) == "['goedel_logics.cli', 'goedel_logics.decide', 'goedel_logics.formula']"
+
+
+def test_prove_loads_neither_semantics_nor_goedelset(tmp_path):
+    cert = tmp_path / "cert.json"
+    assert _modules_loaded(
+        ["prove", "A | ~A"],
+        ["prove", "--out", str(cert), "exists x. exists y. (P(x) -> P(y))"],
+        ["prove", "--verify", str(cert)],
+    ) == ("['goedel_logics.cli', 'goedel_logics.decide', 'goedel_logics.formula', "
+          "'goedel_logics.herbrand']")
 
 
 def test_budget_env_var(capsys, monkeypatch):

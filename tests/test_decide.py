@@ -15,7 +15,7 @@ from goedel_logics.semantics import FiniteInterpretation, evaluate
 from goedel_logics.goedelset import gm_values, unit_interval
 from helpers import (
     ROOT, class_ranks, eval_prop, extend, pinned_orders, reference_decide_LC, reference_extend,
-    reference_first_countermodel, representative,
+    reference_first_countermodel, reference_walk, representative,
 )
 
 
@@ -392,6 +392,46 @@ def test_start_at_or_before_the_first_countermodel_changes_nothing():
     assert cases >= 3000 and tight >= 500
     with pytest.raises(ValueError, match="at most n - 1 letters"):
         first_countermodel(lambda ranks, top: 0, 3, 2, start=(0, 0))
+
+
+def _walk_outcome(walk, *args):
+    try:
+        return walk(*args)
+    except BudgetError as e:
+        return str(e)
+
+
+def test_walk_loop_matches_the_recursive_reference():
+    # the walk keeps its own stack of letters; its answers, its charges and
+    # its budget messages are those of the walk that recursed once per
+    # letter, from the first point and resumed at a start
+    rng = random.Random(28)
+    cases = stopped = resumed = found = valid = 0
+    for n in range(8):
+        letters = [Atom(f"A{j}") for j in range(n)]
+        for m in range(2, 8):
+            for _ in range(24):
+                f = _disjunction(rng, letters) if n else rng.choice([Bot(), Top()])
+                read, parts = read_goal(f)
+                goal, ready = compile_goal(parts, read)
+                size = rng.randint(0, len(read) - 1) if len(read) > 1 else 0
+                start = tuple(rng.randrange(m) for _ in range(size)) if rng.random() < 0.75 else ()
+                spent = rng.randrange(100)
+                args = [goal, m, len(read), ready, 20_000, spent, "walk", start]
+                want = _walk_outcome(reference_walk, *args)
+                assert _walk_outcome(first_countermodel, *args) == want, (m, n, start)
+                if rng.random() < 0.5:
+                    # a budget the walk passes on its way
+                    charged = 20_000 if isinstance(want, str) else want[1]
+                    args[4] = rng.randint(max(spent - 1, 0), charged)
+                    want = _walk_outcome(reference_walk, *args)
+                    assert _walk_outcome(first_countermodel, *args) == want, (m, n, start, args[4])
+                cases += 1
+                stopped += isinstance(want, str)
+                resumed += bool(start)
+                found += not isinstance(want, str) and want[0] is not None
+                valid += not isinstance(want, str) and want[0] is None
+    assert cases == 1152 and min(stopped, resumed, valid) >= 300 and found >= 150
 
 
 def test_order_type_enumeration_counts():

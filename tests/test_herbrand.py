@@ -12,8 +12,10 @@ import pytest
 from goedel_logics import herbrand
 from goedel_logics.formula import (
     App, ArityConflictError, Atom, Exists, Forall, Or, Var, alpha_eq, balanced, parse,
-    print_formula, print_raw,
+    prefix_and_matrix, print_formula, print_raw,
 )
+from goedel_logics.goedelset import v_m
+from goedel_logics.semantics import entails_bruteforce
 from goedel_logics.decide import (
     BOT_MARK, BUDGET, TOP_MARK, BudgetError, classes, compile_prop, decide_Gm, decide_LC,
     first_countermodel,
@@ -47,8 +49,14 @@ def test_herbrand_form_leading_universal():
 def test_herbrand_form_pure_existential_unchanged():
     p = HerbrandProblem(parse("exists x. P(x)"))
     assert alpha_eq(p.skolem_matrix, parse("P(x1)"))
-    # padding symbols keep the universe infinite
-    assert "c0" in p.hu_functions and "g0" in p.hu_functions
+    # the universe holds the one constant c0 and no padding symbol, so the
+    # base is the one atom P(c0())
+    assert p.hu_functions == {"c0": 0} and p.base_length == 1
+    assert [print_raw(a) for a in p.base(5)] == ["P(c0())"]
+    # a k-ary predicate has |constants|^k base atoms
+    p = HerbrandProblem(parse("forall x. forall y. forall z. exists w. (S(x,y,z) | R(w,x) -> A)"))
+    assert p.hu_functions == {"c1": 0, "c2": 0, "c3": 0}
+    assert p.base_length == len(p.base(100)) == 27 + 9 + 1
 
 
 def test_herbrand_form_rejects_non_prenex():
@@ -219,40 +227,87 @@ def test_levels_past_the_letter_guard_answer_unknown():
         assert open_order_refutes(res)
 
 
-def test_deep_walk_stops_with_a_budget_error():
-    # the chain opens one level per base atom, and level L's walk recurses
-    # once per letter; at about level 990 under the default recursion limit
-    # (lowered here to keep it quick) that is a budget error, not a crash
+def test_deep_walk_takes_no_frame_per_letter():
+    # the chain opens one level per base atom, and level L's walk places L
+    # letters from its own stack, so a recursion limit far below the level
+    # (lowered here to keep it quick) still answers "unknown"
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
-        with pytest.raises(BudgetError, match="nested too deeply"):
-            prove_prenex(C_DOWN_PRENEX, "uncountable", 400)
+        res = prove_prenex(C_DOWN_PRENEX, "uncountable", 400)
     finally:
         sys.setrecursionlimit(old)
+    assert (res.status, res.level_reached, len(res.open_order)) == ("unknown", 400, 401)
 
 
 def test_finite_herbrand_base_gives_invalid_or_valid():
-    # with no predicate taking an argument the base ends, and a branch
-    # open at its last atom is a countermodel order
+    # with no function symbol taking an argument the base ends, and a
+    # branch open at its last atom is a countermodel order
     for text, mode, level in (("A | ~A", "uncountable", 1), ("A | ~A", "finite:3", 1),
                               ("exists x. (A -> B)", "uncountable", 2),
                               ("exists x. (A -> B)", "finite:3", 2),
                               ("exists x. bot", "uncountable", 0),
-                              ("exists x. bot", "finite:3", 0)):
+                              ("exists x. bot", "finite:3", 0),
+                              ("exists x. (P(x) | ~P(x))", "uncountable", 1),
+                              ("forall x. forall y. exists z. (R(x,z) -> R(z,y))",
+                               "uncountable", 4)):
         p = HerbrandProblem(parse(text))
         assert len(p.base(level + 5)) == level == p.base_length
         res = prove_prenex(parse(text), mode, 8)
         assert (res.status, res.level_reached, res.certificate) == ("invalid", level, None)
         assert open_order_refutes(res), (text, mode)
-    # two classes make A | ~A classical
+    # two classes make A | ~A classical, over a letter or the base P(c0())
     assert prove_prenex(parse("A | ~A"), "finite:2", 8).status == "valid"
+    assert prove_prenex(parse("exists x. (P(x) | ~P(x))"), "finite:2", 8).status == "valid"
+    res = prove_prenex(parse("forall x. forall y. exists z. (R(x,z) -> R(z,y))"), "finite:2", 8)
+    assert (res.status, res.level_reached) == ("valid", 4)
     # at a bound below the base's end the answer stays unknown
     assert prove_prenex(parse("exists x. (A -> B)"), "uncountable", 1).status == "unknown"
     for mode in ("uncountable", "finite:3"):
         res = prove_prenex(parse("forall x. (A -> B) | (B -> A)"), mode, 8)
         assert (res.status, res.level_reached) == ("valid", 2)
         assert verify_certificate(res.certificate)
+
+
+def _forall_exists(rng):
+    """A random function-free closed prenex formula whose universals all
+    come before its existentials: its Herbrand universe is its constants."""
+    n = rng.randint(1, 3)
+    f = random_prenex(rng, n, ["P", "Q"][:rng.randint(1, 2)], rng.randint(2, 5))
+    prefix, matrix = prefix_and_matrix(f)
+    universals = rng.randint(0, n)
+    for i, (_, var) in reversed(list(enumerate(prefix))):
+        matrix = (Forall if i < universals else Exists)(var, matrix)
+    return matrix
+
+
+def test_function_free_forall_exists_formulas_are_decided():
+    # with constants alone the levels end with the base: the verdict at the
+    # base's last level is validity over the universes of at most
+    # |constants| elements, in V_n for finite:n and in V_{atoms+2}, which
+    # realizes every order of the atoms, for uncountable mode; a base of 7
+    # atoms takes the brute force seconds, so the bases here hold at most 6
+    rng = random.Random(28)
+    verdicts = {"valid": 0, "invalid": 0}
+    wide = 0  # formulas over two constants or more
+    for _ in range(600):
+        f = _forall_exists(rng)
+        p = HerbrandProblem(f)
+        constants = [name for name, k in p.hu_functions.items() if k == 0]
+        assert len(constants) == len(p.hu_functions)
+        assert p.base_length == sum(len(constants) ** k for k in p.predicates.values())
+        if p.base_length > 6:
+            continue
+        wide += len(constants) > 1
+        for mode in ("uncountable", "finite:2", "finite:3"):
+            res = prove_prenex(f, mode, p.base_length)
+            n = finite_bound(mode) or p.base_length + 2
+            holds = entails_bruteforce([], f, v_m(n), len(constants)).holds
+            assert res.status == ("valid" if holds else "invalid"), (print_formula(f), mode)
+            if res.status == "invalid":
+                assert res.level_reached == p.base_length and open_order_refutes(res)
+            verdicts[res.status] += 1
+    assert min(verdicts.values()) >= 700 and wide >= 100
 
 
 def test_prover_is_deterministic():
@@ -718,6 +773,8 @@ def test_one_pass_problem_equals_the_reference_construction():
         "forall y. forall z. exists x. P(x)",            # universals absent from the matrix
         "forall u. exists x. forall v. (A -> B | P(x))",
         "A | ~A", "exists x. (A -> B)", "exists x. bot",  # 0-ary letters
+        # constants alone: 3^3 + 3^2 + 3^0 base atoms
+        "forall x. forall y. forall z. exists w. (S(x, y, z) | R(w, x) -> A)",
         "forall x. exists y. (R(f(x), c1()) -> R(y, f(c1())))",
         "forall x. exists y. forall z. (Q(g(x, y), z) | (Q(c(), z) -> P(y)))",
         "P(x)", "forall x. P(y)", "exists x. (P(x) -> forall y. P(y))",  # open, not prenex
