@@ -302,38 +302,41 @@ def substitute(f: Formula, var: str, t: Term) -> Formula:
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:
-    """Structural equality up to renaming of bound variables.  A subtree
-    shared by both sides (see ParseMemo) is equal at once when the binders
-    above it map its names alike."""
+    """Structural equality up to renaming of bound variables.  One object
+    is equal to itself at once; below the root, a subtree shared by both
+    sides (see ParseMemo) is equal at once when the binders above it map
+    its names alike."""
+    return f is g or _alpha_eq(f, g, {}, {}, 0)
 
-    def terms_eq(s: Term, t: Term, env1: dict[str, int], env2: dict[str, int]) -> bool:
-        if isinstance(s, Var) and isinstance(t, Var):
-            return env1.get(s.name, s.name) == env2.get(t.name, t.name)
-        if isinstance(s, App) and isinstance(t, App):
-            return (s.name == t.name and len(s.args) == len(t.args)
-                    and all(terms_eq(a, b, env1, env2) for a, b in zip(s.args, t.args)))
+
+def _terms_eq(s: Term, t: Term, env1: dict[str, int], env2: dict[str, int]) -> bool:
+    if isinstance(s, Var) and isinstance(t, Var):
+        return env1.get(s.name, s.name) == env2.get(t.name, t.name)
+    if isinstance(s, App) and isinstance(t, App):
+        return (s.name == t.name and len(s.args) == len(t.args)
+                and all(_terms_eq(a, b, env1, env2) for a, b in zip(s.args, t.args)))
+    return False
+
+
+def _alpha_eq(a: Formula, b: Formula, env1: dict[str, int], env2: dict[str, int],
+              depth: int) -> bool:
+    if a is b and env1 == env2:
+        return True
+    if type(a) is not type(b):
         return False
-
-    def go(a: Formula, b: Formula, env1: dict[str, int], env2: dict[str, int], depth: int) -> bool:
-        if a is b and env1 == env2:
-            return True
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Atom):
-            return (a.pred == b.pred and len(a.args) == len(b.args)
-                    and all(terms_eq(s, t, env1, env2) for s, t in zip(a.args, b.args)))
-        if isinstance(a, Bot):
-            return True
-        if isinstance(a, (And, Or, Imp)):
-            return (go(a.left, b.left, env1, env2, depth)
-                    and go(a.right, b.right, env1, env2, depth))
-        e1 = dict(env1)
-        e2 = dict(env2)
-        e1[a.var] = depth
-        e2[b.var] = depth
-        return go(a.body, b.body, e1, e2, depth + 1)
-
-    return go(f, g, {}, {}, 0)
+    if isinstance(a, Atom):
+        return (a.pred == b.pred and len(a.args) == len(b.args)
+                and all(_terms_eq(s, t, env1, env2) for s, t in zip(a.args, b.args)))
+    if isinstance(a, Bot):
+        return True
+    if isinstance(a, (And, Or, Imp)):
+        return (_alpha_eq(a.left, b.left, env1, env2, depth)
+                and _alpha_eq(a.right, b.right, env1, env2, depth))
+    e1 = dict(env1)
+    e2 = dict(env2)
+    e1[a.var] = depth
+    e2[b.var] = depth
+    return _alpha_eq(a.body, b.body, e1, e2, depth + 1)
 
 
 def normalize(f: Formula) -> Formula:

@@ -257,6 +257,10 @@ class HerbrandProblem:
         while len(self._base) < count and len(self._base) != self.base_length:
             self._base_size += 1
             size = self._base_size
+            # a finite base's atoms are no larger than its largest arity
+            if self.base_length is not None and size > max([1, *self.predicates.values()]):
+                raise RuntimeError(f"internal error: the Herbrand base ends at {len(self._base)} "
+                                   f"atoms, not at base_length {self.base_length}")
             block: list[tuple[tuple, Atom]] = []
             for pred, arity in self.predicates.items():
                 if arity == 0:

@@ -15,8 +15,11 @@ A proof file repeats its subformulas: a binding such as ``A := P(x) ->
 ~P(x)`` comes back as a group in its step formula, in later steps and in
 the rules that cite them.  ``parse_derivation`` parses all the formulas
 of one file through one ``formula.ParseMemo``, whose interning table
-makes all the occurrences of a part one AST; ``check`` compares with
-``alpha_eq``, which stops where both sides share a subtree.
+makes all the occurrences of a part one AST, and hands that table to the
+``Derivation``.  ``check`` builds each instance from the same table, so
+an instance equal to its step formula is that formula's AST and
+``alpha_eq`` ends at the root; only where binders were renamed does it
+compare node by node.
 
 Axiom lines that list two schemas in the source system are split into
 separate names (I3a/I3b, I4a/I4b, I5a/I5b); this is an artifact naming
@@ -27,7 +30,7 @@ LIN, H_n = H + FIN(n), H_0 = H + ISO_0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -164,36 +167,41 @@ _IL_AXIOMS = ("I3a", "I3b", "I4a", "I4b", "I5a", "I5b", "I9", "I11", "I12")
 _Instance = tuple[tuple[Formula, ...], Formula]
 
 
-def _put(f: Formula, got: Mapping[str, Union[Formula, Term, str]]) -> Formula:
-    """The schema formula f with the bindings got put in for its metavariables."""
+def _put(f: Formula, got: Mapping[str, Union[Formula, Term, str]], nodes: Mapping) -> Formula:
+    """The schema formula f with the bindings got put in for its
+    metavariables, each node taken from nodes (keyed as formula._Parser
+    keys it) when the table has it; nodes is only read."""
     kind = type(f)
     if kind is Atom:
         return got[f.pred]
-    if kind is Forall or kind is Exists:
-        return kind(got["x"], _put(f.body, got))
     if kind is Bot:
         return f
-    return kind(_put(f.left, got), _put(f.right, got))
+    if kind is Forall or kind is Exists:
+        x, body = got["x"], _put(f.body, got, nodes)
+        return nodes.get((kind, x, id(body))) or kind(x, body)
+    left, right = _put(f.left, got, nodes), _put(f.right, got, nodes)
+    return nodes.get((kind, id(left), id(right))) or kind(left, right)
 
 
-def _instance(schema: str, b: Bindings) -> _Instance:
+def _instance(schema: str, b: Bindings, nodes: Mapping = {}) -> _Instance:
     """The premises and conclusion of the named schema for the bindings,
-    its side condition enforced.  Each metavariable is read once, in the
-    order the schema reads it, so a missing one is named as it is met."""
+    built from nodes (see _put), its side condition enforced.  Each
+    metavariable is read once, in schema order, so a missing one is named
+    as it is met."""
     premises, conclusion, keys = _SCHEMAS[schema]
     got: dict[str, Union[Formula, Term, str]] = {}
     for key in keys:
         got[key] = (substitute(got["A"], got["x"], got["t"]) if key == "At"
                     else _variable(b) if key == "x" else _term(b) if key == "t"
                     else _formula(b, key))
-    out = tuple([_put(p, got) for p in premises]), _put(conclusion, got)
+    out = tuple([_put(p, got, nodes) for p in premises]), _put(conclusion, got, nodes)
     slot = _NOT_FREE.get(schema)
     if slot is not None:
         _not_free(got["x"], got[slot], schema, slot)
     return out
 
 
-def _fin(n: int, b: Bindings) -> _Instance:
+def _fin(n: int, b: Bindings, nodes: Mapping = {}) -> _Instance:
     """FIN(n) = (top -> A1) | (A1 -> A2) | ... | (A(n-1) -> bot), joined
     from the left as the bindings A1, A2, ... are read: a missing one
     stops it, so n may be far larger than any proof."""
@@ -213,7 +221,7 @@ _H = dict(_IL, QS=partial(_instance, "QS"), LIN=partial(_instance, "LIN"))
 _SYSTEMS = {"IL": _IL, "H": _H, "H0": dict(_H, ISO_0=partial(_instance, "ISO_0"))}
 
 
-def _schemas(system: str) -> dict[str, Callable[[Bindings], _Instance]]:
+def _schemas(system: str) -> dict[str, Callable[..., _Instance]]:
     """The rules and the axioms of IL, H, H0 or H<n>, by name."""
     if system in _SYSTEMS:
         return _SYSTEMS[system]
@@ -260,6 +268,9 @@ class Derivation:
     system: str
     premises: tuple[Formula, ...]
     steps: tuple[Step, ...]
+    # the interning table the formulas were parsed through, which check
+    # reads instances from; empty for a derivation built otherwise
+    nodes: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def conclusion(self) -> Formula:
@@ -300,7 +311,7 @@ def check(d: Derivation) -> CheckResult:
             if not 1 <= c < idx:
                 return CheckResult(False, idx, f"citation of step {c} violates ordering")
         try:
-            premises, conclusion = schemas[step.name](step.binding_map())
+            premises, conclusion = schemas[step.name](step.binding_map(), d.nodes)
         except ProofError as e:
             return CheckResult(False, idx, str(e))
         if len(step.cites) != len(premises):
@@ -344,9 +355,17 @@ def soundness_sample(d: Derivation, V: GoedelSet, max_universe: int,
 
 
 _SYSTEM_LINE = re.compile(r"system\s*:\s*(\S+)")
-_STEP_LINE = re.compile(r"(\d+)\.\s*(.*?)\s*;\s*(.*)")
+_STEP_HEAD = re.compile(r"(\d+)\.\s*(.*)")
 _AXIOM_JUST = re.compile(r"axiom\s+(\S+)\s*(\[.*\])?")
 _RULE_JUST = re.compile(r"rule\s+(\S+)\s+([\d\s,]+?)\s*(\[.*\])?")
+
+
+def _step_line(line: str) -> Optional[tuple[str, str, str]]:
+    """The number, formula text and justification of a step line, or None:
+    the line is cut at its first ';', so no pattern backtracks over it."""
+    head, semi, just = line.partition(";")
+    m = _STEP_HEAD.fullmatch(head) if semi else None
+    return m and (m.group(1), m.group(2).rstrip(), just.lstrip())
 
 
 def _split_bindings(text: str) -> list[str]:
@@ -406,15 +425,15 @@ def parse_derivation(text: str, system: Optional[str] = None) -> Derivation:
             if system is None:
                 system = m.group(1)
             continue
-        m = _STEP_LINE.fullmatch(line)
-        if m is None:
+        parts = _step_line(line)
+        if parts is None:
             raise ProofError(f"cannot parse proof line: {raw!r}")
-        num = int(m.group(1))
+        num = int(parts[0])
         if num != expected:
             raise ProofError(f"expected step {expected}, found {num}")
         expected += 1
-        formula = memo.parse(m.group(2))
-        just = m.group(3).strip()
+        formula = memo.parse(parts[1])
+        just = parts[2]
         if just == "premise":
             premises.append(formula)
             steps.append(Step(formula, "premise"))
@@ -431,7 +450,7 @@ def parse_derivation(text: str, system: Optional[str] = None) -> Derivation:
                               _parse_bindings(jm.group(3) or "", memo)))
             continue
         raise ProofError(f"cannot parse justification: {just!r}")
-    return Derivation(system or "H", tuple(premises), tuple(steps))
+    return Derivation(system or "H", tuple(premises), tuple(steps), memo.nodes)
 
 
 def _format_binding(key: str, value: object) -> str:

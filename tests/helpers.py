@@ -749,3 +749,48 @@ def reference_split_bindings(text: str) -> list[str]:
     if cur:
         parts.append("".join(cur))
     return parts
+
+
+def reference_alpha_eq(f: Formula, g: Formula) -> bool:
+    """The closure walk that formula.alpha_eq replaced: structural equality
+    up to renaming of bound variables, a shared subtree equal at once only
+    when the binders above it map its names alike."""
+
+    def terms_eq(s: Term, t: Term, env1: dict[str, int], env2: dict[str, int]) -> bool:
+        if isinstance(s, Var) and isinstance(t, Var):
+            return env1.get(s.name, s.name) == env2.get(t.name, t.name)
+        if isinstance(s, App) and isinstance(t, App):
+            return (s.name == t.name and len(s.args) == len(t.args)
+                    and all(terms_eq(a, b, env1, env2) for a, b in zip(s.args, t.args)))
+        return False
+
+    def go(a: Formula, b: Formula, env1: dict[str, int], env2: dict[str, int], depth: int) -> bool:
+        if a is b and env1 == env2:
+            return True
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Atom):
+            return (a.pred == b.pred and len(a.args) == len(b.args)
+                    and all(terms_eq(s, t, env1, env2) for s, t in zip(a.args, b.args)))
+        if isinstance(a, Bot):
+            return True
+        if isinstance(a, (And, Or, Imp)):
+            return (go(a.left, b.left, env1, env2, depth)
+                    and go(a.right, b.right, env1, env2, depth))
+        e1 = dict(env1)
+        e2 = dict(env2)
+        e1[a.var] = depth
+        e2[b.var] = depth
+        return go(a.body, b.body, e1, e2, depth + 1)
+
+    return go(f, g, {}, {}, 0)
+
+
+_REFERENCE_STEP_LINE = re.compile(r"(\d+)\.\s*(.*?)\s*;\s*(.*)")
+
+
+def reference_step_line(line: str) -> Optional[tuple[str, str, str]]:
+    """The groups of the pattern that proofkit._step_line replaced (the
+    number, the formula text and the justification), or None."""
+    m = _REFERENCE_STEP_LINE.fullmatch(line)
+    return None if m is None else m.groups()

@@ -12,7 +12,7 @@ from goedel_logics.formula import (
 )
 from goedel_logics.transforms import relativize_dneg
 
-from helpers import random_formula, reference_parse, reference_parse_term
+from helpers import random_formula, reference_alpha_eq, reference_parse, reference_parse_term
 
 
 def test_parse_identity_conditional():
@@ -252,6 +252,30 @@ any_formulas = st.recursive(
 @given(any_formulas)
 def test_print_parse_is_normalize(f):
     assert parse(print_formula(f)) == normalize(f)
+
+
+@st.composite
+def sharing_pairs(draw):
+    """Two formulas built over one pool of subtrees, so they share objects,
+    under binders that may rename or shadow each other; the second is at
+    times the normal form of the first."""
+    pool = draw(st.lists(any_formulas, min_size=1, max_size=3))
+    over_pool = st.recursive(
+        st.sampled_from(pool),
+        lambda sub: st.builds(And, sub, sub) | st.builds(Imp, sub, sub)
+        | st.builds(Forall, st.sampled_from(NAMES), sub)
+        | st.builds(Exists, st.sampled_from(NAMES), sub),
+        max_leaves=4)
+    f = draw(over_pool)
+    return f, draw(st.just(normalize(f)) | over_pool)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(sharing_pairs())
+def test_alpha_eq_matches_the_closure_walk(pair):
+    f, g = pair
+    assert alpha_eq(f, g) == reference_alpha_eq(f, g)
+    assert alpha_eq(g, f) == reference_alpha_eq(g, f)
 
 
 def test_roundtrip_is_identity_on_normalized():

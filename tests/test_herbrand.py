@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import itertools
 import random
+import signal
 import sys
 from fractions import Fraction as F
 
@@ -57,6 +58,28 @@ def test_herbrand_form_pure_existential_unchanged():
     p = HerbrandProblem(parse("forall x. forall y. forall z. exists w. (S(x,y,z) | R(w,x) -> A)"))
     assert p.hu_functions == {"c1": 0, "c2": 0, "c3": 0}
     assert p.base_length == len(p.base(100)) == 27 + 9 + 1
+
+
+def _time_out(signum, frame):
+    raise TimeoutError("base() did not return within 5 s")
+
+
+@pytest.mark.parametrize("text, wrong", [
+    ("exists x. P(x)", 2),
+    # 7 is passed between two blocks of the 37 atoms, never met at the end of one
+    ("forall x. forall y. forall z. exists w. (S(x,y,z) | R(w,x) -> A)", 7),
+])
+def test_a_wrong_base_length_is_an_internal_error_not_a_hang(text, wrong):
+    p = HerbrandProblem(parse(text))
+    p.base_length = wrong
+    previous = signal.signal(signal.SIGALRM, _time_out)
+    signal.alarm(5)  # a regression to the endless loop fails, not hangs
+    try:
+        with pytest.raises(RuntimeError, match=f"not at base_length {wrong}"):
+            p.base(100)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_herbrand_form_rejects_non_prenex():

@@ -1,5 +1,6 @@
 """Hilbert proof checking: corpus acceptance, mutations, soundness."""
 
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from goedel_logics.proofkit import (
 from goedel_logics.goedelset import v_m
 
 from corpus import CORPUS, P_c, P_x, Q_c, Q_x, d_modus_ponens
-from helpers import reference_split_bindings
+from helpers import reference_split_bindings, reference_step_line
 
 V3, V4 = v_m(3), v_m(4)
 
@@ -347,6 +348,69 @@ def test_memo_shares_asts_without_changing_derivations(monkeypatch):
 @given(st.text(alphabet="(),a :=", max_size=40))
 def test_split_bindings_matches_the_character_loop(text):
     assert proofkit._split_bindings(text) == reference_split_bindings(text)
+
+
+# digits, the marks a step line is read by, and blanks that str.isspace
+# knows, some of them line breaks to str.splitlines
+LINE_CHARS = "0123456789.;#P(x)~ \t\x0b\x1f\x85\xa0\u3000"
+
+
+def test_step_line_matches_the_pattern_on_fuzzed_lines():
+    rng = random.Random(29)
+    seen = 0
+    while seen < 100_000:
+        text = rng.choice(["", "1.", "12. ", "3.\t"]) + "".join(
+            rng.choices(LINE_CHARS, k=rng.randint(0, 20)))
+        for line in text.splitlines():
+            for cut in (line, line.strip()):
+                assert proofkit._step_line(cut) == reference_step_line(cut), repr(cut)
+            seen += 1
+
+
+ROOT = Path(__file__).parent.parent
+BENCH_PROOFS = sorted((ROOT / "bench" / "data" / "proofs").glob("*.proof"))
+LONG_PROOFS = ("neg_forall_shift_h0.proof", "weak_excluded_middle.proof")
+
+
+def neighbour_mutations(text: str) -> list[str]:
+    """text with one step's formula text replaced by a neighbouring step's,
+    once for every step."""
+    lines = text.splitlines()
+    at = [i for i, line in enumerate(lines) if reference_step_line(line)]
+    out = []
+    for j, i in enumerate(at):
+        num, _, just = reference_step_line(lines[i])
+        other = reference_step_line(lines[at[j - 1] if j else at[1]])[1]
+        out.append("\n".join(lines[:i] + [f"{num}. {other} ; {just}"] + lines[i + 1:]))
+    return out
+
+
+# one body under both quantifiers and under two bound names, so the table
+# holds each of them on it
+ONE_BODY = """system: H
+1. (forall x. P(x)) -> P(c()) ; axiom I11 [A := P(x), x := x, t := c()]
+2. P(c()) -> exists x. P(x) ; axiom I12 [A := P(x), x := x, t := c()]
+3. (forall y. P(x)) -> P(x) ; axiom I11 [A := P(x), x := y, t := c()]
+"""
+
+
+def test_check_by_identity_equals_the_check_without_a_table():
+    texts = [p.read_text() for p in DEMO_PROOFS + BENCH_PROOFS] + [ONE_BODY]
+    texts += [m for p in DEMO_PROOFS if p.name in LONG_PROOFS
+              for m in neighbour_mutations(p.read_text())]
+    assert len(texts) == 3 + 14 + 1 + 98 + 61
+    results = []
+    for text in texts:
+        for system in ("IL", "H", "H0", "H3"):
+            d = parse_derivation(text, system)
+            bare = Derivation(d.system, d.premises, d.steps)
+            assert d.nodes and not bare.nodes
+            results.append(check(d))
+            assert results[-1] == check(bare)
+    # the mutations are rejected at many steps and for many reasons
+    assert len({(r.step, r.reason) for r in results}) > 150
+    # the table is no part of a derivation's value
+    assert d == bare and repr(d) == repr(bare)
 
 
 INSERTS = ["[", "]", ":=", ",", "(", ")", ";", ".", " ", "\n", "#", "~", "->",
