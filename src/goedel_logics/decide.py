@@ -5,8 +5,9 @@ atoms included) treated as opaque propositional letters.  The Goedel
 connectives (min, max, and the conditional that gives 1 when a <= b and
 b otherwise) depend only on the order of the values, so a formula is
 compiled once by compile_prop into a program over integer ranks: 0 is
-the value 0 and ``top`` the value 1.  Ranks map back to Fraction only
-in a reported countermodel or value.
+the value 0 and ``top`` the value 1.  Each connective reads an atom
+operand in place, so evaluating costs one call per connective.  Ranks
+map back to Fraction only in a reported countermodel or value.
 
 Both decisions rest on order-invariance: the value of a formula depends
 only on how its atom values are ordered among themselves and relative
@@ -83,41 +84,61 @@ RankProgram = Callable[..., int]
 def compile_prop(f: Formula, index: Mapping[Atom, Hashable]) -> RankProgram:
     """Compile f once into prog(ranks, top), the rank of f's value when
     each atom a has rank ranks[index[a]]; rank 0 is the value 0 and top
-    the value 1.  Raises QuantifierError or DecideError (an atom missing
-    from index) here, not at evaluation."""
+    the value 1.  A connective reads an atom operand in place, as
+    ranks[key] in its own closure, and calls the program of any other
+    operand, so a point costs one call per connective, none per atom.
+    Raises QuantifierError or DecideError (an atom missing from index)
+    here, not at evaluation."""
     if isinstance(f, Atom):
-        try:
-            key = index[f]
-        except KeyError:
-            raise DecideError(f"atom {print_formula(f)} unassigned") from None
+        key = _key(f, index)
         return lambda ranks, top: ranks[key]
     if isinstance(f, Bot):
         return lambda ranks, top: 0
     if not isinstance(f, (And, Or, Imp)):
         raise QuantifierError(f"formula is not quantifier-free: {print_formula(f)}")
-    a = compile_prop(f.left, index)
+    # an atom operand is held as its key (i or j true), any other as its program
+    i = isinstance(f.left, Atom)
+    a = _key(f.left, index) if i else compile_prop(f.left, index)
     if isinstance(f, Imp) and isinstance(f.right, Bot):
+        if i:
+            return lambda ranks, top: 0 if ranks[a] else top
         return lambda ranks, top: 0 if a(ranks, top) else top
-    b = compile_prop(f.right, index)
-    # each connective skips its right side when the left side settles it
+    j = isinstance(f.right, Atom)
+    b = _key(f.right, index) if j else compile_prop(f.right, index)
+    # x -> y is top when x <= y and y otherwise, x & y is min, x | y max;
+    # each skips a called operand when the other settles it
+    if isinstance(f, Imp):
+        if i and j:
+            return lambda ranks, top: top if ranks[a] <= (y := ranks[b]) else y
+        if i:
+            return lambda ranks, top: (top if not (x := ranks[a]) or x <= (y := b(ranks, top))
+                                       else y)
+        if j:
+            return lambda ranks, top: (top if (y := ranks[b]) == top or a(ranks, top) <= y
+                                       else y)
+        return lambda ranks, top: (top if not (x := a(ranks, top)) or x <= (y := b(ranks, top))
+                                   else y)
+    if j and not i:  # min and max are symmetric: the atom goes first
+        a, b, i, j = b, a, True, False
     if isinstance(f, And):
-        def conj(ranks, top):
-            x = a(ranks, top)
-            if not x:
-                return 0
-            y = b(ranks, top)
-            return x if x < y else y
-        return conj
-    if isinstance(f, Or):
-        return _disj(a, b)
+        if j:
+            return lambda ranks, top: x if (x := ranks[a]) < (y := ranks[b]) else y
+        if i:
+            return lambda ranks, top: x if not (x := ranks[a]) or x < (y := b(ranks, top)) else y
+        return lambda ranks, top: (x if not (x := a(ranks, top)) or x < (y := b(ranks, top))
+                                   else y)
+    if j:
+        return lambda ranks, top: x if (x := ranks[a]) > (y := ranks[b]) else y
+    if i:
+        return lambda ranks, top: x if (x := ranks[a]) == top or x > (y := b(ranks, top)) else y
+    return _disj(a, b)
 
-    def cond(ranks, top):
-        x = a(ranks, top)
-        if not x:
-            return top
-        y = b(ranks, top)
-        return top if x <= y else y
-    return cond
+
+def _key(f: Atom, index: Mapping[Atom, Hashable]) -> Hashable:
+    try:
+        return index[f]
+    except KeyError:
+        raise DecideError(f"atom {print_formula(f)} unassigned") from None
 
 
 def _disj(a: RankProgram, b: RankProgram) -> RankProgram:

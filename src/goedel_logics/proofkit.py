@@ -36,7 +36,8 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .formula import (
     And, App, Atom, Bot, Exists, Forall, Formula, GoedelError, Imp, Neg, Or, Term, Top, Var,
-    ParseMemo, alpha_eq, free_vars, parse, parse_term, print_formula, print_term, substitute,
+    ParseMemo, alpha_eq, free_vars, parse, parse_term, print_formula, print_raw, print_term,
+    substitute,
 )
 from .decide import BUDGET, whole_number
 from .goedelset import GoedelSet
@@ -458,7 +459,7 @@ def _format_binding(key: str, value: object) -> str:
         return f"{key} := {value}"
     if isinstance(value, (Var, App)):
         return f"{key} := {print_term(value)}"
-    return f"{key} := {print_formula(value)}"  # type: ignore[arg-type]
+    return f"{key} := {print_raw(value)}"  # type: ignore[arg-type]
 
 
 def format_derivation(d: Derivation) -> str:
@@ -471,7 +472,7 @@ def format_derivation(d: Derivation) -> str:
             just = f"rule {step.name} {','.join(map(str, step.cites))}"
         if step.bindings:
             just += " [" + ", ".join(_format_binding(k, v) for k, v in step.bindings) + "]"
-        lines.append(f"{i}. {print_formula(step.formula)} ; {just}")
+        lines.append(f"{i}. {print_raw(step.formula)} ; {just}")
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from goedel_logics.decide import (
     BOT_MARK, TOP_MARK, BUDGET, BudgetError, Constraint, DecideError, DecideResult, Order,
@@ -179,6 +179,49 @@ def eval_prop(f: Formula, valuation: dict[Atom, Fraction]) -> Fraction:
         b = eval_prop(f.right, valuation)
         return ONE if a <= b else b
     raise QuantifierError(f"formula is not quantifier-free: {print_formula(f)}")
+
+
+def reference_compile_prop(f: Formula, index) -> Callable[..., int]:
+    """The rank compiler with one closure per node, atoms included, that
+    decide.compile_prop's closures per operand shape are checked against."""
+    if isinstance(f, Atom):
+        try:
+            key = index[f]
+        except KeyError:
+            raise DecideError(f"atom {print_formula(f)} unassigned") from None
+        return lambda ranks, top: ranks[key]
+    if isinstance(f, Bot):
+        return lambda ranks, top: 0
+    if not isinstance(f, (And, Or, Imp)):
+        raise QuantifierError(f"formula is not quantifier-free: {print_formula(f)}")
+    a = reference_compile_prop(f.left, index)
+    if isinstance(f, Imp) and isinstance(f.right, Bot):
+        return lambda ranks, top: 0 if a(ranks, top) else top
+    b = reference_compile_prop(f.right, index)
+    if isinstance(f, And):
+        def conj(ranks, top):
+            x = a(ranks, top)
+            if not x:
+                return 0
+            y = b(ranks, top)
+            return x if x < y else y
+        return conj
+    if isinstance(f, Or):
+        def disj(ranks, top):
+            x = a(ranks, top)
+            if x == top:
+                return top
+            y = b(ranks, top)
+            return x if x > y else y
+        return disj
+
+    def cond(ranks, top):
+        x = a(ranks, top)
+        if not x:
+            return top
+        y = b(ranks, top)
+        return top if x <= y else y
+    return cond
 
 
 # The weak-order enumerator by insertion: an order of the letters

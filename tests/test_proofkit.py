@@ -300,6 +300,9 @@ def test_format_parse_roundtrip():
         r = check(d2)
         assert r.accepted, f"{name} reparse: step {r.step}: {r.reason}"
         assert print_formula(d2.conclusion) == print_formula(d.conclusion)
+        # formulas are written with their own bound names, so the file
+        # gives back d's very step formulas, not renamed copies
+        assert [s.formula for s in d2.steps] == [s.formula for s in d.steps], name
 
 
 def test_parse_derivation_rejects_bad_numbering():
