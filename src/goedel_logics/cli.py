@@ -240,6 +240,11 @@ def _cmd_embed(args) -> int:
     return EXIT_OK
 
 
+def _add_budget(p: argparse.ArgumentParser, searches: str) -> None:
+    p.add_argument("--budget", help=f"points {searches} may charge in all "
+                                    f"(default {decide.BUDGET}); also GOEDEL_BUDGET")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="goedel",
@@ -260,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth-set", required=True)
     p.add_argument("--premise", action="append", default=[])
     p.add_argument("--max-universe", default="2")
-    p.add_argument("--budget")
+    _add_budget(p, "the searches over the universe sizes")
     p.add_argument("--one", action="store_true", help="use 1-entailment")
     p.add_argument("formula", help=FORMULA_HELP)
     p.set_defaults(fn=_cmd_entail)
@@ -271,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="propositional decision for LC or G<m>")
     p.add_argument("--logic", required=True, help="LC or G<m>")
-    p.add_argument("--budget")
+    _add_budget(p, "the search")
     p.add_argument("formula", help=FORMULA_HELP)
     p.set_defaults(fn=_cmd_decide)
 
@@ -279,9 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="uncountable",
                    help="uncountable or finite:<n>")
     p.add_argument("--max-level", default="8")
-    p.add_argument("--budget",
-                   help=f"points the levels' searches may charge in all "
-                        f"(default {decide.BUDGET}); also GOEDEL_BUDGET")
+    _add_budget(p, "the levels' searches")
     p.add_argument("--out", help="write the certificate JSON here")
     p.add_argument("--verify", help="verify an existing certificate file instead")
     p.add_argument("formula", nargs="?", help=FORMULA_HELP)

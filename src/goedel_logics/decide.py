@@ -243,15 +243,6 @@ def over_budget(where: str, spent: int, budget: int) -> BudgetError:
     return BudgetError(f"{where}: {spent} points charged exceed the budget of {budget}")
 
 
-def refuse_letters(where: str, n: int, budget: int) -> None:
-    """Raise BudgetError at once when n letters, which have at least 2^n
-    points, exceed budget, for a search whose letters nothing else bounds."""
-    if n >= budget.bit_length():
-        letters = "letter" if n == 1 else "letters"
-        raise BudgetError(f"{where}, {n} {letters}: at least 2^{n} points exceed "
-                          f"the budget of {budget}")
-
-
 def first_countermodel(goal: RankProgram, m: int, n: int,
                        ready: Sequence[Optional[RankProgram]] = (), budget: int = BUDGET,
                        spent: int = 0, where: str = "search", start: Sequence[int] = ()
@@ -285,7 +276,8 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
     there: every point whose leading ranks come before start in product
     order is skipped uncharged, so the answer is the same whenever no
     countermodel comes before start.  The walk keeps each placed letter's
-    candidates left on its own stack, not in one Python frame per letter."""
+    candidates left on its own stack, not in one Python frame per letter,
+    each as a lazy iterator, not a list of up to m ranks."""
     letters = "letter" if n == 1 else "letters"
     path = len(start)  # the walk follows start while p < path
     if path and path >= n:
@@ -322,7 +314,7 @@ def first_countermodel(goal: RankProgram, m: int, n: int,
                 # 0, a rank up to k, top, or a new rank that leaves no more
                 # holes than the letters after p can fill
                 hi = k + 2 + left - len(holes)
-                it = iter(range(m) if hi >= top else [*range(hi), top])
+                it = iter(range(m)) if hi >= top else chain(range(hi), (top,))
         for v in it:
             ranks[p] = v
             if closing is not None and closing(ranks, top) == top:
@@ -376,11 +368,9 @@ def decide_LC(f: Formula, budget: int = BUDGET) -> DecideResult:
 def _decide(f: Formula, m: Optional[int], budget: int) -> DecideResult:
     """The one decision: G_m, or LC when m is None."""
     letters, parts = read_goal(f)
-    n = len(letters)
-    logic, m = ("LC", n + 2) if m is None else (f"G{m}", m)
-    refuse_letters(logic, n, budget)
+    logic, m = ("LC", len(letters) + 2) if m is None else (f"G{m}", m)
     prog, ready = compile_goal(parts, letters)
-    ranks, _ = first_countermodel(prog, m, n, ready, budget, 0, logic)
+    ranks, _ = first_countermodel(prog, m, len(letters), ready, budget, 0, logic)
     if ranks is None:
         return DecideResult(True, logic)
     return DecideResult(False, logic, {a: _value(r, m - 1) for a, r in zip(letters, ranks)},

@@ -32,9 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
-from .decide import (
-    BUDGET, BudgetError, compile_prop, first_countermodel, over_budget, refuse_letters,
-)
+from .decide import BUDGET, BudgetError, compile_prop, first_countermodel, over_budget
 from .formula import (
     App, Atom, Bot, And, Or, Imp, Forall, Exists, Formula, GoedelError, Term, Var,
     balanced, expect_json, free_vars, print_formula, signature, subformulas,
@@ -287,10 +285,11 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
     countermodel.  It may charge a tenth of the budget, from zero.  It
     runs only when every function symbol is a constant (one with
     arguments has size^(size^k) tables, and a probe of the largest size
-    could cost far more than the sizes it skips), and not where
-    refuse_letters would refuse every table: at the tenth's bit length
-    in elements or more when a quantifier's body reads its variable, as
-    each of its instances then reads its own atom.
+    could cost far more than the sizes it skips), and not at the tenth's
+    bit length in elements or more when a quantifier's body reads its
+    variable: each of its instances then reads its own atom, and the
+    grounding that builds them, which nothing charges, grows with the
+    size before the search charges a point.
 
     Once the probe finds a countermodel or passes its tenth, the ordered
     search runs from zero as it would alone, and returns the first
@@ -331,13 +330,14 @@ def entails_bruteforce(premises: Sequence[Formula], conclusion: Formula,
         goal, premise = (Imp(conj, conclusion) if conj else conclusion), None
 
     # the probe may charge a tenth of the budget, so a call charges at most
-    # 1.1 budgets in all; it does not run where refuse_letters would refuse
-    # every table of the largest size
+    # 1.1 budgets in all; it is skipped at the tenth's bit length in elements
+    # or more when a quantifier's body reads its variable, as the grounding of
+    # the largest size, which nothing charges, then builds an atom per element
     cap = budget // 10
-    refused = max_universe >= cap.bit_length() and any(
+    skip = max_universe >= cap.bit_length() and any(
         isinstance(g, (Forall, Exists)) and g.var in free_vars(g.body)
         for f in formulas for g in subformulas(f))
-    if not any(funcs.values()) and not refused:
+    if not any(funcs.values()) and not skip:
         try:
             if _search_size(goal, premise, preds, funcs, max_universe, len(values), cap, 0,
                             probe=True)[0] is None:
@@ -406,7 +406,6 @@ def _search_size(goal: Formula, premise: Optional[Formula], preds: dict[str, int
         g = ground(goal, {})
         h = None if premise is None else ground(premise, {})
         keys = sorted(read)  # (predicate, element indices) sort in slot order
-        refuse_letters(where, len(keys), budget)
         slots = {read[key]: j for j, key in enumerate(keys)}
         prog = compile_prop(g, slots)
         if h is not None:

@@ -75,16 +75,33 @@ def test_decide_lc(capsys):
 
 
 def test_decide_huge_input_exits_on_the_budget(capsys, tmp_path):
-    # a balanced disjunction of 4,000 letters: n letters have at least 2^n
-    # points, so n >= the budget's bit length is refused before any search
+    # nothing refuses a goal on its letter count: a balanced disjunction of
+    # 4,000 letters is falsified by the first point the walk charges
     parts = [f"A{j}" for j in range(4000)]
     while len(parts) > 1:
         parts = [f"({' | '.join(parts[i:i + 2])})" for i in range(0, len(parts), 2)]
     path = tmp_path / "f.txt"
     path.write_text(parts[0])
     code, out, err = run(capsys, "decide", "--logic", "LC", f"@{path}")
-    assert (code, out) == (2, "")
-    assert err == "error: LC, 4000 letters: at least 2^4000 points exceed the budget of 3000000\n"
+    zeros = ", ".join(f"A{j}=0" for j in sorted(range(4000), key=str))
+    assert (code, out, err) == (1, f"countermodel: {{{zeros}}} (value 0)\n", "")
+    # a goal that cannot be pruned stops only when its charge passes the budget
+    goal = "(" + " & ".join(f"A{j}" for j in range(40)) + ") -> A0"
+    assert run(capsys, "decide", "--logic", "LC", "--budget", "1000", goal) == (
+        2, "", "error: LC, 39 of 40 letters placed: 1002 points charged exceed the budget "
+               "of 1000\n")
+
+
+def test_decide_exit_codes_follow_the_walk_not_the_letter_count(capsys):
+    # 22 letters pass the default budget's bit length, and each of these
+    # answers as its walk does: quantifiers are an input error, the first
+    # point falsifies the disjunction, and (A -> A) prunes every point
+    bs = " | ".join(f"B{j}" for j in range(1, 22))
+    code, out, err = run(capsys, "decide", "--logic", "LC", f"forall x. (P(x) | {bs})")
+    assert (code, out) == (3, "") and "formula is not quantifier-free" in err
+    assert run(capsys, "decide", "--logic", "G5", "--budget", "10", "A1 | A2 | A3 | A4") == (
+        1, "countermodel: {A1=0, A2=0, A3=0, A4=0} (value 0)\n", "")
+    assert run(capsys, "decide", "--logic", "LC", f"(A -> A) | {bs}") == (0, "valid\n", "")
 
 
 def test_decide_long_chains_evaluate_shallowly(capsys, tmp_path):
@@ -409,7 +426,8 @@ def test_prove_loads_neither_semantics_nor_goedelset(tmp_path):
 
 def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("GOEDEL_BUDGET", "10")
-    code, _, err = run(capsys, "decide", "--logic", "G5", "A1 | A2 | A3 | A4")
+    # a goal that cannot be pruned: A1 | A2 | A3 | A4 is falsified in 3 points
+    code, _, err = run(capsys, "decide", "--logic", "G5", "(A1 & A2 & A3 & A4) -> A1")
     assert code == 2 and "budget" in err
     # a conclusion that holds, so the search reaches size 2
     code, _, err = run(capsys, "entail", "--truth-set", "{0,1/2,1}", "A(c()) -> A(c())")
@@ -420,8 +438,8 @@ def test_budget_env_var(capsys, monkeypatch):
     # all three searches raise the one class that main maps to exit 2
     assert semantics.BudgetError is herbrand.BudgetError is decide.BudgetError
     monkeypatch.delenv("GOEDEL_BUDGET")
-    code, _, _ = run(capsys, "decide", "--logic", "G5", "A1 | A2 | A3 | A4")
-    assert code == 1
+    code, _, _ = run(capsys, "decide", "--logic", "G5", "(A1 & A2 & A3 & A4) -> A1")
+    assert code == 0
 
 
 def test_budget_is_an_integer_from_zero_up(capsys, monkeypatch):
@@ -451,6 +469,14 @@ def test_budget_is_an_integer_from_zero_up(capsys, monkeypatch):
         assert (code, out) == (2, "") and "budget" in err
     monkeypatch.setenv("GOEDEL_BUDGET", "")
     assert run(capsys, *commands[0])[0] == 1
+
+
+@pytest.mark.parametrize("command", ["decide", "entail", "prove"])
+def test_budget_help_gives_the_default_and_the_variable(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    text = " ".join(out.split())
+    assert code == 0
+    assert "may charge in all (default 3000000); also GOEDEL_BUDGET" in text
 
 
 def test_prove_budget_caps_semantic_tree(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Propositional decision procedures for G_m and LC."""
 
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -65,9 +66,14 @@ def test_quantifier_rejected():
 
 
 def test_budget_error():
+    # nothing refuses 10 letters up front: the first point the walk charges
+    # falsifies their disjunction, and a goal that cannot be pruned spends
+    # the budget
     f = parse("A1 | A2 | A3 | A4 | A5 | A6 | A7 | A8 | A9 | A10")
+    assert decide_Gm(f, 5, budget=3).countermodel == {a: 0 for a in atoms(f)}
     with pytest.raises(BudgetError):
-        decide_Gm(f, 5, budget=1000)
+        decide_Gm(parse("(A1 & A2 & A3 & A4 & A5 & A6 & A7 & A8 & A9 & A10) -> A1"), 5,
+                  budget=1000)
 
 
 def test_lc_budget_counts_pinned_weak_orders():
@@ -90,15 +96,35 @@ def test_gm_budget_counts_order_types_not_valuations():
     r = decide_Gm(parse("A"), 10 ** 12)
     assert r.countermodel == {Atom("A"): 0} and r.value == 0
     assert decide_Gm(parse("A | (A -> bot)"), 10 ** 12).countermodel == {Atom("A"): F(1, 2)}
-    # n letters have at least 2^n points, so n >= budget.bit_length() is
-    # refused before any point is walked
-    with pytest.raises(BudgetError) as e:
-        decide_LC(parse(" & ".join(f"A{j}" for j in range(40))), budget=99)
-    assert str(e.value) == "LC, 40 letters: at least 2^40 points exceed the budget of 99"
+    # the budget bounds the points charged, not the letters: the first
+    # point falsifies 40 letters' conjunction, and is charged with the two
+    # other ranks of the last letter's loop
+    conj = parse(" & ".join(f"A{j}" for j in range(40)))
+    r = decide_LC(conj, budget=3)
+    assert r.countermodel == {a: 0 for a in atoms(conj)} and r.value == 0
+    letters, parts = read_goal(conj)
+    assert first_countermodel(compile_goal(parts, letters)[0], 42, 40) == ((0,) * 40, 3)
     # a loop over the last letter is charged before it runs
     with pytest.raises(BudgetError) as e:
         decide_LC(parse("A"), budget=2)
     assert str(e.value) == "LC, 0 of 1 letter placed: 3 points charged exceed the budget of 2"
+
+
+def test_a_walk_thousands_of_letters_deep_keeps_no_candidate_lists():
+    # a walk 4,000 letters deep keeps each placed letter's candidates as a
+    # lazy iterator; a list per letter would hold ~n^2 / 2 ranks (300 MB)
+    parts = [f"A{j}" for j in range(4000)]
+    while len(parts) > 1:
+        parts = [f"({' | '.join(parts[i:i + 2])})" for i in range(0, len(parts), 2)]
+    f = parse(parts[0])
+    tracemalloc.start()
+    try:
+        r = decide_LC(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not r.valid and set(r.countermodel.values()) == {0}
+    assert peak < 16 * 2 ** 20
 
 
 def _random_formula(rng, depth, leaves):

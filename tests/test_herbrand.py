@@ -241,8 +241,9 @@ def test_chain_levels_resume_the_last_countermodel():
 
 
 def test_levels_past_the_letter_guard_answer_unknown():
-    # level L searches L letters; decide refuses 22 letters or more at the
-    # default budget before it walks, and the prover applies no such guard
+    # level L searches L letters, and only the points charged bound the
+    # walk: levels past 21 letters, the bit length of the default budget,
+    # answer "unknown" as the lower ones do
     assert (1 << 21) <= BUDGET < (1 << 22)
     for f, level in ((THREE_QUANTIFIER, 24), (C_DOWN_PRENEX, 100)):
         res = prove_prenex(f, "uncountable", level)
@@ -402,6 +403,18 @@ def test_long_disjunction_verifies():
     # the disjunction is joined as a balanced tree, not a 1,200-deep chain
     cert = Certificate(TRIVIAL, "uncountable", (parse("P(c0()) -> P(c0())"),) * 1200)
     assert verify_certificate(cert)
+
+
+def test_certificate_past_the_budgets_bit_length_verifies():
+    # 25 disjuncts read 25 letters, more than the default budget's bit
+    # length; nothing refuses them up front, and the walk prunes at once
+    terms = ["c0()"]
+    while len(terms) < 25:
+        terms.append(f"f({terms[-1]})")
+    cert = Certificate(parse("exists x. (P(f(x)) -> P(f(x)))"), "uncountable",
+                       tuple(parse(f"P(f({t})) -> P(f({t}))") for t in terms))
+    assert verify_certificate(cert)
+    assert verify_certificate(certificate_from_json(cert.dumps()))
 
 
 def test_non_instance_disjunct_rejected():

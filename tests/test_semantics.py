@@ -120,8 +120,8 @@ def test_probe_builds_only_what_its_atoms_read():
     # a probe of 200,000 elements charges their slots but builds only the
     # element P(c()) reads, so the conclusion holds at once; a
     # quantified conclusion is not probed at 600 elements, as each table
-    # there would ground 360,000 instances only to be refused its 600
-    # letters, and the ordered search gives its own budget error
+    # there would ground 360,000 instances before its search charged a
+    # point, and the ordered search gives its own budget error
     f = parse("(forall x. forall y. (P(x) & P(y))) -> P(c())")
     tracemalloc.start()
     try:
@@ -214,14 +214,19 @@ def test_renamings_are_one_table_per_renaming_of_the_elements():
                                    itertools.product(range(size), repeat=n)}
 
 
-def test_a_tables_letters_past_the_budget_are_refused_at_once():
-    # n letters have at least 2^n points, so a function table whose
-    # grounded goal reads budget.bit_length() letters or more is refused
-    f = parse(" & ".join(f"A{j}" for j in range(40)))
+def test_a_tables_letters_are_bounded_by_the_points_charged():
+    # nothing refuses a function table on its letter count: 40 letters'
+    # conjunction has its countermodel at size 1 within a budget of 99, and
+    # a goal that cannot be pruned stops once its charge passes the budget
+    conj = " & ".join(f"A{j}" for j in range(40))
+    res = entails_bruteforce([], parse(conj), V3, 1, budget=99)
+    assert not res.holds
+    assert {name: t[()] for name, t in res.countermodel.predicates.items()} == {
+        f"A{j}": 0 for j in range(40)}
     with pytest.raises(BudgetError) as e:
-        entails_bruteforce([], f, V3, 1, budget=99)
-    assert str(e.value) == ("universe size 1, function table 1, 40 letters: "
-                            "at least 2^40 points exceed the budget of 99")
+        entails_bruteforce([], parse(f"({conj}) -> A0"), V3, 1, budget=99)
+    assert str(e.value) == ("universe size 1, function table 1, 39 of 40 letters placed: "
+                            "101 points charged exceed the budget of 99")
 
 
 @pytest.mark.parametrize("search", [entails_bruteforce, one_entails_bruteforce])
